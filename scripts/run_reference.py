@@ -6,26 +6,10 @@ Usage: python scripts/run_reference.py [--seed N]
 """
 
 import argparse
-import dataclasses
 
 from craft.evaluation import format_pct
-from craft.experiments import reference_config, run_experiment
+from craft.experiments import override, reference_config, run_experiment
 from craft.losses import Mode
-
-
-def override(cfg, *, kind=None, seed=None, synthetic=None, train=None):
-    if synthetic:
-        cfg = dataclasses.replace(cfg, synthetic=dataclasses.replace(cfg.synthetic, **synthetic))
-    if train:
-        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, **train))
-    if kind:
-        cfg = dataclasses.replace(cfg, kind=kind)
-    if seed is not None:
-        cfg = dataclasses.replace(
-            cfg, seed=seed,
-            synthetic=dataclasses.replace(cfg.synthetic, seed=seed),
-            train=dataclasses.replace(cfg.train, seed=seed))
-    return cfg
 
 
 def base_to_novel_table(cfg):

@@ -1,14 +1,14 @@
-"""Residual linear adapters over frozen embeddings, their flat parameter
-layout, and the CADP checkpoint format.
+"""Residual linear adapters over frozen embeddings, held as one flat
+parameter vector, and the CADP checkpoint format.
 
 CADP layout (little-endian): magic b"CADP", u32 version (1), u32 dim H,
-then float64 blocks in layout order (W_img row-major, b_img, W_txt, b_txt).
+then the float64 parameter vector (W_img row-major, b_img, W_txt, b_txt).
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,101 +19,63 @@ CADP_MAGIC = b"CADP"
 CADP_VERSION = 1
 
 
-@dataclass
-class AdapterSide:
-    weight: np.ndarray  # (H, H)
-    bias: np.ndarray  # (H,)
+def param_count(dim: int) -> int:
+    """Length of the parameter vector of an adapter of dimension ``dim``."""
+    return 2 * (dim * dim + dim)
 
 
-@dataclass(frozen=True)
-class ParameterLayout:
-    """Block order and offsets of the flat parameter vector."""
-
-    dim: int
-
-    @property
-    def blocks(self) -> tuple[tuple[str, tuple[int, ...], int], ...]:
-        h = self.dim
-        return (("w_img", (h, h), 0),
-                ("b_img", (h,), h * h),
-                ("w_txt", (h, h), h * h + h),
-                ("b_txt", (h,), 2 * h * h + h))
-
-    @property
-    def size(self) -> int:
-        return 2 * (self.dim * self.dim + self.dim)
-
-    def block(self, values: np.ndarray, name: str) -> np.ndarray:
-        for block_name, shape, offset in self.blocks:
-            if block_name == name:
-                count = int(np.prod(shape))
-                return values[offset:offset + count].reshape(shape)
-        raise ShapeError(f"unknown parameter block {name!r}")
-
-
-@dataclass
 class Adapter:
     """Learnable residual map per modality: x -> normalize(x + W x + b).
 
-    Zero-initialized parameters reproduce the frozen encoder exactly.
+    ``params`` is one float64 vector in CADP block order; ``w_img``,
+    ``b_img``, ``w_txt`` and ``b_txt`` are views into it. Zero-initialized
+    parameters reproduce the frozen encoder exactly.
     """
 
-    image: AdapterSide
-    text: AdapterSide
+    def __init__(self, params: np.ndarray) -> None:
+        params = np.asarray(params, dtype=np.float64)
+        h = (math.isqrt(2 * params.size + 1) - 1) // 2
+        if params.shape != (param_count(h),):
+            raise ShapeError(f"parameter vector of shape {params.shape} is not 2(H^2+H) long")
+        hh = h * h
+        self.params = params
+        self.w_img = params[:hh].reshape(h, h)
+        self.b_img = params[hh:hh + h]
+        self.w_txt = params[hh + h:2 * hh + h].reshape(h, h)
+        self.b_txt = params[2 * hh + h:]
 
     @classmethod
     def zeros(cls, dim: int) -> "Adapter":
-        return cls(AdapterSide(np.zeros((dim, dim)), np.zeros(dim)),
-                   AdapterSide(np.zeros((dim, dim)), np.zeros(dim)))
+        return cls(np.zeros(param_count(dim)))
 
     @property
     def dim(self) -> int:
-        return self.image.bias.shape[0]
-
-    @property
-    def layout(self) -> ParameterLayout:
-        return ParameterLayout(self.dim)
-
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate([
-            self.image.weight.ravel(), self.image.bias,
-            self.text.weight.ravel(), self.text.bias,
-        ])
-
-    @classmethod
-    def from_flat(cls, values: np.ndarray, dim: int) -> "Adapter":
-        layout = ParameterLayout(dim)
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (layout.size,):
-            raise ShapeError(f"expected {layout.size} parameters, got {values.shape}")
-        return cls(
-            AdapterSide(layout.block(values, "w_img").copy(), layout.block(values, "b_img").copy()),
-            AdapterSide(layout.block(values, "w_txt").copy(), layout.block(values, "b_txt").copy()),
-        )
+        return self.b_img.shape[0]
 
     def encode_image(self, base: np.ndarray) -> np.ndarray:
-        return encode(self.image, base)
+        return encode(self.w_img, self.b_img, base)
 
     def encode_text(self, base: np.ndarray) -> np.ndarray:
-        return encode(self.text, base)
+        return encode(self.w_txt, self.b_txt, base)
 
 
-def encode(side: AdapterSide, base: np.ndarray) -> np.ndarray:
+def encode(weight: np.ndarray, bias: np.ndarray, base: np.ndarray) -> np.ndarray:
     """normalize(base + W base + b), for one vector or a batch of rows."""
-    return encode_with_cache(side, np.atleast_2d(base))[0].reshape(np.shape(base))
+    return encode_with_cache(weight, bias, np.atleast_2d(base))[0].reshape(np.shape(base))
 
 
-def encode_with_cache(side: AdapterSide, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def encode_with_cache(weight: np.ndarray, bias: np.ndarray, base: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Batch encode returning (unit rows U, pre-normalization norms r).
 
     The cache is what the backward pass needs: dL/dz = (g - (u.g) u) / r.
     """
-    if not (np.all(np.isfinite(side.weight)) and np.all(np.isfinite(side.bias))):
+    if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
         raise NumericError("adapter parameters are not finite")
     base = np.asarray(base, dtype=np.float64)
-    if base.shape[1] != side.bias.shape[0]:
-        raise ShapeError(f"embedding dim {base.shape[1]} != adapter dim {side.bias.shape[0]}")
-    z = base + base @ side.weight.T + side.bias
+    if base.shape[1] != bias.shape[0]:
+        raise ShapeError(f"embedding dim {base.shape[1]} != adapter dim {bias.shape[0]}")
+    z = base + base @ weight.T + bias
     norms = np.linalg.norm(z, axis=1)
     if np.any(norms == 0.0):
         raise NormalizationError("adapter produced a zero vector")
@@ -127,11 +89,10 @@ _CKPT_HEADER = struct.Struct("<4sII")
 
 
 def write_checkpoint(adapter: Adapter, path: str | Path) -> None:
-    flat = adapter.to_flat()
-    if not np.all(np.isfinite(flat)):
+    if not np.all(np.isfinite(adapter.params)):
         raise NumericError("refusing to checkpoint non-finite parameters")
     payload = _CKPT_HEADER.pack(CADP_MAGIC, CADP_VERSION, adapter.dim)
-    Path(path).write_bytes(payload + flat.astype("<f8").tobytes())
+    Path(path).write_bytes(payload + adapter.params.astype("<f8").tobytes())
 
 
 def read_checkpoint(path: str | Path) -> Adapter:
@@ -143,8 +104,7 @@ def read_checkpoint(path: str | Path) -> Adapter:
         raise FormatError(f"bad checkpoint magic {magic!r}")
     if version != CADP_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    expected = _CKPT_HEADER.size + 8 * ParameterLayout(dim).size
+    expected = _CKPT_HEADER.size + 8 * param_count(dim)
     if len(data) != expected:
         raise FormatError(f"checkpoint length {len(data)} != expected {expected} at offset {_CKPT_HEADER.size}")
-    values = np.frombuffer(data, dtype="<f8", offset=_CKPT_HEADER.size).astype(np.float64)
-    return Adapter.from_flat(values, dim)
+    return Adapter(np.frombuffer(data, dtype="<f8", offset=_CKPT_HEADER.size).astype(np.float64))

@@ -1,16 +1,15 @@
-"""Static anchors (per-class k-means centroids for images, template means for
-text) and per-batch stochastic anchors."""
+"""Static anchors: per-class k-means centroids for images, template means for
+text, and their anchor-file serialization."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .core import AnchorError, ClusterError, ShapeError, l2_normalize, pairwise_sq_dists
+from .core import AnchorError, ClusterError, l2_normalize, pairwise_sq_dists
 from .dataio import EmbeddingSet, Modality, make_embedding_set, read_embeddings, write_embeddings
 
 ANCHOR_NAME_PREFIX = "anchor:"
@@ -18,19 +17,13 @@ ANCHOR_NAME_PREFIX = "anchor:"
 Encoder = Callable[[np.ndarray], np.ndarray]
 
 
-class AnchorKind(Enum):
-    STATIC = "static"
-    STOCHASTIC = "stochastic"
-
-
 @dataclass
 class AnchorSet:
-    """Anchor vectors for one modality; static sets hold exactly one
-    unit-norm anchor per class, ordered by class id."""
+    """Static anchors for one modality: exactly one unit-norm anchor per
+    class, ordered by class id."""
 
-    vectors: np.ndarray  # (K, H) static, (B, H) stochastic
+    vectors: np.ndarray  # (K, H)
     modality: Modality
-    kind: AnchorKind
     class_names: list[str] | None = None
 
     def __len__(self) -> int:
@@ -41,12 +34,12 @@ class AnchorSet:
         return self.vectors.shape[1]
 
     def validate(self) -> None:
-        if self.kind is AnchorKind.STATIC:
-            if self.class_names is not None and len(self.class_names) != len(self):
-                raise AnchorError("static anchor count does not match class names")
-            norms = np.linalg.norm(self.vectors, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-6):
-                raise AnchorError("static anchors must be unit-normalized")
+        if self.class_names is not None and len(self.class_names) != len(self):
+            raise AnchorError("static anchor count does not match class names")
+        norms = np.linalg.norm(self.vectors, axis=1)
+        # written so that a NaN norm fails the check too
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):
+            raise AnchorError("static anchors must be unit-normalized")
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +164,7 @@ def build_static_image_anchors(emb_set: EmbeddingSet, encoder: Encoder | None,
             nearest = int(np.argmin(pairwise_sq_dists(result.centroids, mean[None, :]).ravel()))
             representative = result.centroids[nearest]
         anchors[c] = l2_normalize(representative)
-    return AnchorSet(anchors, Modality.IMAGE, AnchorKind.STATIC,
-                     class_names=list(emb_set.class_names))
+    return AnchorSet(anchors, Modality.IMAGE, class_names=list(emb_set.class_names))
 
 
 def build_static_text_anchors(emb_set: EmbeddingSet, encoder: Encoder | None = None) -> AnchorSet:
@@ -184,19 +176,7 @@ def build_static_text_anchors(emb_set: EmbeddingSet, encoder: Encoder | None = N
         if feats.shape[0] == 0:
             raise AnchorError(f"class {name} has no text records")
         anchors[c] = l2_normalize(_encode(encoder, feats).mean(axis=0))
-    return AnchorSet(anchors, Modality.TEXT, AnchorKind.STATIC,
-                     class_names=list(emb_set.class_names))
-
-
-def stochastic_anchor_batch(batch_images: np.ndarray, batch_texts: np.ndarray
-                            ) -> tuple[AnchorSet, AnchorSet]:
-    """Tag the index-paired batch features themselves as this iteration's anchors."""
-    batch_images = np.asarray(batch_images, dtype=np.float64)
-    batch_texts = np.asarray(batch_texts, dtype=np.float64)
-    if batch_images.shape != batch_texts.shape:
-        raise ShapeError(f"unpaired batch shapes {batch_images.shape} vs {batch_texts.shape}")
-    return (AnchorSet(batch_images, Modality.IMAGE, AnchorKind.STOCHASTIC),
-            AnchorSet(batch_texts, Modality.TEXT, AnchorKind.STOCHASTIC))
+    return AnchorSet(anchors, Modality.TEXT, class_names=list(emb_set.class_names))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +193,6 @@ def write_anchors(path: str | Path, text_anchors: AnchorSet | None = None,
         raise AnchorError("static anchors need class names to be serialized")
     for a in sets:
         a.validate()
-        if a.kind is not AnchorKind.STATIC:
-            raise AnchorError("only static anchors are serializable")
         if a.class_names != names:
             raise AnchorError("anchor sets disagree on class names")
     vectors = np.concatenate([a.vectors for a in sets])
@@ -245,7 +223,7 @@ def read_anchors(path: str | Path) -> tuple[AnchorSet | None, AnchorSet | None]:
             raise AnchorError(f"{path}: expected exactly one {modality.name.lower()} anchor per class")
         vectors = np.empty((emb.num_classes, emb.dim))
         vectors[ids] = l2_normalize(emb.vectors[mask])
-        anchor_set = AnchorSet(vectors, modality, AnchorKind.STATIC, class_names=names)
+        anchor_set = AnchorSet(vectors, modality, class_names=names)
         anchor_set.validate()
         return anchor_set
 

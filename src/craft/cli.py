@@ -37,21 +37,10 @@ MODE_CHOICES = [m.value for m in Mode]
 def _load_config(args) -> "experiments.RunConfig":
     if not args.config:
         raise ConfigError("--config is required")
-    cfg = experiments.load_run_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        import dataclasses
-        cfg = dataclasses.replace(
-            cfg, seed=args.seed,
-            synthetic=dataclasses.replace(cfg.synthetic, seed=args.seed),
-            train=dataclasses.replace(cfg.train, seed=args.seed))
-    if getattr(args, "mode", None):
-        import dataclasses
-        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, mode=Mode(args.mode)))
-    if getattr(args, "kind", None):
-        import dataclasses
-        cfg = dataclasses.replace(cfg, kind=args.kind)
-        cfg.validate()
-    return cfg
+    mode = getattr(args, "mode", None)
+    return experiments.override(experiments.load_run_config(args.config),
+                                kind=getattr(args, "kind", None), seed=getattr(args, "seed", None),
+                                train={"mode": Mode(mode)} if mode else None)
 
 
 def _data_files(data_dir: str) -> tuple[Path, Path]:
@@ -161,8 +150,8 @@ def cmd_mmd(args) -> int:
     text_anchors, _ = read_anchors(args.anchors)
     if text_anchors is None:
         raise AnchorError(f"{args.anchors} holds no text anchors")
-    rows_a = anchor_align(set_a.image_vectors(), text_anchors, args.temperature).rows
-    rows_b = anchor_align(set_b.image_vectors(), text_anchors, args.temperature).rows
+    rows_a = anchor_align(set_a.image_vectors(), text_anchors, args.temperature)
+    rows_b = anchor_align(set_b.image_vectors(), text_anchors, args.temperature)
     import numpy as np
     kernel = KernelSpec(median_heuristic(np.concatenate([rows_a, rows_b])))
     seed = args.seed if args.seed is not None else 0

@@ -20,7 +20,6 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -39,17 +38,6 @@ class Modality(IntEnum):
 class Domain(IntEnum):
     IN_DOMAIN = 0
     OUT_OF_DOMAIN = 1
-
-
-@dataclass
-class EmbeddingRecord:
-    """One labeled, modality- and domain-tagged unit vector."""
-
-    vector: np.ndarray
-    class_id: int
-    modality: Modality
-    domain: Domain
-    group_id: int = 0
 
 
 @dataclass
@@ -74,19 +62,6 @@ class EmbeddingSet:
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
-
-    def record(self, i: int) -> EmbeddingRecord:
-        return EmbeddingRecord(
-            vector=self.vectors[i],
-            class_id=int(self.class_ids[i]),
-            modality=Modality(int(self.modalities[i])),
-            domain=Domain(int(self.domains[i])),
-            group_id=int(self.group_ids[i]),
-        )
-
-    def records(self) -> Iterator[EmbeddingRecord]:
-        for i in range(len(self)):
-            yield self.record(i)
 
     def subset(self, mask: np.ndarray, class_names: list[str] | None = None,
                class_ids: np.ndarray | None = None) -> "EmbeddingSet":
@@ -115,7 +90,7 @@ class EmbeddingSet:
         if n and (self.class_ids.min() < 0 or self.class_ids.max() >= self.num_classes):
             raise FormatError("class_id outside declared class vocabulary")
         norms = np.linalg.norm(self.vectors, axis=1)
-        bad = np.where(np.abs(norms - 1.0) > LOAD_NORM_TOL)[0]
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= LOAD_NORM_TOL))  # NaN norms fail too
         if bad.size:
             raise FormatError(f"record {bad[0]} is not unit-normalized (norm {norms[bad[0]]:.6f})")
 

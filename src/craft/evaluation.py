@@ -203,26 +203,6 @@ def dump_features(adapter: Adapter, emb_set: EmbeddingSet, path: str | Path) -> 
 # Rendering
 
 
-def group_report_text(report: GroupReport) -> str:
-    lines = [f"{'group':>8}  {'accuracy':>8}"]
-    for group, acc in report.per_group_accuracy.items():
-        lines.append(f"{group:>8}  {format_pct(acc):>8}")
-    lines.append(f"{'WG':>8}  {format_pct(report.worst_group):>8}")
-    lines.append(f"{'Avg':>8}  {format_pct(report.average):>8}")
-    lines.append(f"{'Gap':>8}  {format_pct(report.gap):>8}")
-    return "\n".join(lines)
-
-
-def ood_report_text(report: OODReport, target_names: Sequence[str] | None = None) -> str:
-    names = list(target_names or (f"target_{i}" for i in range(len(report.target_accuracies))))
-    lines = [f"{'set':>12}  {'accuracy':>8}",
-             f"{'source':>12}  {format_pct(report.source_accuracy):>8}"]
-    for name, acc in zip(names, report.target_accuracies):
-        lines.append(f"{name:>12}  {format_pct(acc):>8}")
-    lines.append(f"{'target avg':>12}  {format_pct(report.target_average):>8}")
-    return "\n".join(lines)
-
-
 def confusion_csv(matrix: ConfusionMatrix) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

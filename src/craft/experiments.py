@@ -111,6 +111,26 @@ def reference_config() -> RunConfig:
     return run_config_from_dict(doc)
 
 
+def override(cfg: RunConfig, *, kind: str | None = None, seed: int | None = None,
+             synthetic: dict | None = None, train: dict | None = None) -> RunConfig:
+    """A validated copy of ``cfg`` with fields replaced: ``seed`` replaces
+    every seed in the config, ``synthetic`` and ``train`` map field names of
+    those sections to new values."""
+    if synthetic:
+        cfg = dataclasses.replace(cfg, synthetic=dataclasses.replace(cfg.synthetic, **synthetic))
+    if train:
+        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, **train))
+    if kind:
+        cfg = dataclasses.replace(cfg, kind=kind)
+    if seed is not None:
+        cfg = dataclasses.replace(
+            cfg, seed=seed,
+            synthetic=dataclasses.replace(cfg.synthetic, seed=seed),
+            train=dataclasses.replace(cfg.train, seed=seed))
+    cfg.validate()
+    return cfg
+
+
 # ---------------------------------------------------------------------------
 # Protocol preparation. Training and evaluation must see the same deterministic
 # prep, so both CLI commands route through prepare().
@@ -173,11 +193,11 @@ def _domain_mmd_diagnostics(adapter: Adapter, source_test: EmbeddingSet,
     from the frozen pooled features (a model-independent measuring stick)."""
     src = source_test.image_vectors()
     tgt = target_test.image_vectors()
-    frozen_src = anchor_align(src, text_anchors, temperature).rows
-    frozen_tgt = anchor_align(tgt, text_anchors, temperature).rows
+    frozen_src = anchor_align(src, text_anchors, temperature)
+    frozen_tgt = anchor_align(tgt, text_anchors, temperature)
     kernel = KernelSpec(median_heuristic(np.concatenate([frozen_src, frozen_tgt])))
-    adapted_src = anchor_align(adapter.encode_image(src), text_anchors, temperature).rows
-    adapted_tgt = anchor_align(adapter.encode_image(tgt), text_anchors, temperature).rows
+    adapted_src = anchor_align(adapter.encode_image(src), text_anchors, temperature)
+    adapted_tgt = anchor_align(adapter.encode_image(tgt), text_anchors, temperature)
     return {
         "bandwidth": kernel.bandwidth,
         "frozen_mmd2": mmd2_biased(frozen_src, frozen_tgt, kernel),
@@ -219,9 +239,7 @@ def evaluate_prepared(cfg: RunConfig, prepared: PreparedExperiment, adapter: Ada
 def run_experiment(cfg: RunConfig, mode: Mode | None = None) -> dict:
     """Generate, prepare, train, and evaluate in memory; returns the report
     plus the trained adapter and history under non-JSON keys."""
-    if mode is not None:
-        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, mode=mode))
-    cfg.validate()
+    cfg = override(cfg, train=None if mode is None else {"mode": mode})
     source, target = generate_synthetic(cfg.synthetic)
     prepared = prepare(cfg, source, target)
     adapter, history = train_prepared(cfg, prepared)

@@ -1,8 +1,13 @@
-"""Aligned-feature losses over static and stochastic anchors, the baseline
-text cross-entropy they subsume, and exact analytic gradients with respect
-to the adapter parameters (including the output-normalization Jacobian).
+"""The training objective: one private function per loss term, composed by
+:func:`loss_and_gradient` into the mode's total and its exact analytic
+gradient with respect to the adapter parameters (including the
+output-normalization Jacobian).
 
-All loss values are batch means, so their scale is batch-size invariant.
+The terms are the anchor cross-entropy (image half against the static text
+anchors, text half against the static image anchors; the baseline text
+cross-entropy is the image half), the in-batch contrastive term, and biased
+MMD^2 over anchor-aligned features. All values are batch means, so their
+scale is batch-size invariant.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from enum import Enum
 
 import numpy as np
 
-from .adapter import Adapter, ParameterLayout, encode_with_cache
+from .adapter import Adapter, encode_with_cache
 from .anchors import AnchorSet
 from .core import (AnchorError, ConfigError, LabelError, NumericError,
                    ShapeError, log_softmax_rows, softmax, softmax_rows)
-from .mmd import KernelSpec, mmd2_biased_grad
+from .mmd import KernelSpec, anchor_align, median_heuristic, mmd2_biased_grad
 
 
 class Mode(Enum):
@@ -46,6 +51,7 @@ class LossReport:
     stochastic_term: float
     mmd_term: float
     batch_size: int
+    bandwidth: float | None = None  # kernel bandwidth the MMD term used
 
 
 @dataclass
@@ -66,26 +72,11 @@ class LossConfig:
     w_static: float = 1.0
     w_stochastic: float = 1.0
     w_mmd: float = 1.0
-    kernel: KernelSpec | None = None  # required by ALIGNED_MMD
+    kernel: KernelSpec | None = None  # None: median heuristic per batch
 
     def validate(self) -> None:
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-
-
-@dataclass
-class GradientVector:
-    """Flat gradient matching the adapter parameter layout."""
-
-    values: np.ndarray
-    layout: ParameterLayout
-
-    def block(self, name: str) -> np.ndarray:
-        return self.layout.block(self.values, name)
-
-
-# ---------------------------------------------------------------------------
-# Feature-level losses
 
 
 def class_distribution(query: np.ndarray, anchors: AnchorSet,
@@ -102,89 +93,61 @@ def class_distribution(query: np.ndarray, anchors: AnchorSet,
     return ClassDistribution(probs=probs, query_class=int(np.argmax(probs)))
 
 
-def _check_paired(img: np.ndarray, txt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    img = np.atleast_2d(np.asarray(img, dtype=np.float64))
-    txt = np.atleast_2d(np.asarray(txt, dtype=np.float64))
-    if img.shape != txt.shape:
-        raise ShapeError(f"unpaired batches: {img.shape} vs {txt.shape}")
-    return img, txt
+# ---------------------------------------------------------------------------
+# Loss terms. Each returns its unweighted value and its gradient with respect
+# to the encoded features it reads; loss_and_gradient applies the weights.
 
 
-def _anchor_nll(feats: np.ndarray, labels: np.ndarray, anchors: AnchorSet,
-                temperature: float) -> np.ndarray:
-    """Per-sample -log softmax(tau <feat, anchor_k>)[label]."""
-    feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
+def _anchor_ce(feats: np.ndarray, labels: np.ndarray, anchors: AnchorSet,
+               temperature: float) -> tuple[float, np.ndarray]:
+    """Batch mean of -log softmax(tau <feat, anchor_k>)[label]."""
     if labels.shape != (feats.shape[0],):
         raise ShapeError(f"{labels.shape[0] if labels.ndim else 0} labels for {feats.shape[0]} samples")
     if len(anchors) == 0:
         raise AnchorError("empty anchor set")
     if labels.size and (labels.min() < 0 or labels.max() >= len(anchors)):
         raise LabelError(f"label out of range [0, {len(anchors)})")
-    logp = log_softmax_rows(temperature * feats @ anchors.vectors.T)
-    return -logp[np.arange(feats.shape[0]), labels]
+    b = feats.shape[0]
+    rows = np.arange(b)
+    logits = temperature * feats @ anchors.vectors.T
+    value = float(np.mean(-log_softmax_rows(logits)[rows, labels]))
+    p = softmax_rows(logits)
+    p[rows, labels] -= 1.0
+    return value, (temperature / b) * p @ anchors.vectors
 
 
-def static_alignment_terms(batch_img: np.ndarray, batch_txt: np.ndarray,
-                           labels: np.ndarray, static_text_anchors: AnchorSet,
-                           static_image_anchors: AnchorSet,
-                           temperature: float = 1.0) -> tuple[float, float]:
-    """(image-vs-text-anchor term, text-vs-image-anchor term), each a batch
-    mean of negative log-probabilities."""
-    batch_img, batch_txt = _check_paired(batch_img, batch_txt)
-    img_term = float(np.mean(_anchor_nll(batch_img, labels, static_text_anchors, temperature)))
-    txt_term = float(np.mean(_anchor_nll(batch_txt, labels, static_image_anchors, temperature)))
-    return img_term, txt_term
-
-
-def aligned_loss_static(batch_img: np.ndarray, batch_txt: np.ndarray,
-                        labels: np.ndarray, static_text_anchors: AnchorSet,
-                        static_image_anchors: AnchorSet,
-                        temperature: float = 1.0) -> float:
-    """Joint negative log-probability of the true class under both
-    cross-modal softmax distributions (sum of logs of the product)."""
-    img_term, txt_term = static_alignment_terms(
-        batch_img, batch_txt, labels, static_text_anchors, static_image_anchors, temperature)
-    return img_term + txt_term
-
-
-def text_cross_entropy(batch_img: np.ndarray, labels: np.ndarray,
-                       static_text_anchors: AnchorSet,
-                       temperature: float = 1.0) -> float:
-    """Baseline prompt-tuning loss; identical to the image-side term of
-    :func:`aligned_loss_static` by construction."""
-    return float(np.mean(_anchor_nll(batch_img, labels, static_text_anchors, temperature)))
-
-
-def aligned_loss_stochastic(batch_img: np.ndarray, batch_txt: np.ndarray,
-                            temperature: float = 1.0) -> float:
+def _contrastive(u: np.ndarray, v: np.ndarray, temperature: float
+                 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Symmetric in-batch contrastive loss: similarity matrix with diagonal
     targets, averaged over the image-to-text and text-to-image directions."""
-    batch_img, batch_txt = _check_paired(batch_img, batch_txt)
-    sims = temperature * batch_img @ batch_txt.T
-    diag = np.arange(sims.shape[0])
-    row_ce = -log_softmax_rows(sims)[diag, diag]
-    col_ce = -log_softmax_rows(sims.T)[diag, diag]
-    return 0.5 * float(np.mean(row_ce) + np.mean(col_ce))
+    b = u.shape[0]
+    diag = np.arange(b)
+    sims = temperature * u @ v.T
+    value = 0.5 * float(np.mean(-log_softmax_rows(sims)[diag, diag])
+                        + np.mean(-log_softmax_rows(sims.T)[diag, diag]))
+    d_sims = softmax_rows(sims) + softmax_rows(sims.T).T
+    d_sims[diag, diag] -= 2.0
+    d_sims *= 1.0 / (2.0 * b)
+    return value, temperature * d_sims @ v, temperature * d_sims.T @ u
 
 
-def aligned_loss_total(batch_img: np.ndarray, batch_txt: np.ndarray,
-                       labels: np.ndarray, static_text_anchors: AnchorSet,
-                       static_image_anchors: AnchorSet, temperature: float = 1.0,
-                       w_static: float = 1.0, w_stochastic: float = 1.0) -> LossReport:
-    """Weighted sum of the static and stochastic alignment terms."""
-    static_term = (aligned_loss_static(batch_img, batch_txt, labels, static_text_anchors,
-                                       static_image_anchors, temperature)
-                   if w_static != 0.0 else 0.0)
-    stochastic_term = (aligned_loss_stochastic(batch_img, batch_txt, temperature)
-                       if w_stochastic != 0.0 else 0.0)
-    return LossReport(total=w_static * static_term + w_stochastic * stochastic_term,
-                      static_term=static_term, stochastic_term=stochastic_term,
-                      mmd_term=0.0, batch_size=np.atleast_2d(batch_img).shape[0])
+def _anchor_mmd(u_src: np.ndarray, u_tgt: np.ndarray, anchors: AnchorSet,
+                temperature: float, kernel: KernelSpec | None
+                ) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Biased MMD^2 between anchor-aligned source and target features, its
+    gradients for both batches, and the bandwidth used: the kernel's, or
+    without one the median heuristic over both batches' aligned rows."""
+    phi_src = anchor_align(u_src, anchors, temperature)
+    phi_tgt = anchor_align(u_tgt, anchors, temperature)
+    if kernel is None:
+        kernel = KernelSpec(median_heuristic(np.concatenate([phi_src, phi_tgt])))
+    value, g_src, g_tgt = mmd2_biased_grad(phi_src, phi_tgt, kernel)
+    return (value, temperature * g_src @ anchors.vectors,
+            temperature * g_tgt @ anchors.vectors, kernel.bandwidth)
 
 
 # ---------------------------------------------------------------------------
-# Adapter-level loss and analytic gradient
+# The engine
 
 
 def _require_finite(value: float, term: str) -> float:
@@ -193,14 +156,25 @@ def _require_finite(value: float, term: str) -> float:
     return value
 
 
-def _norm_backward(g: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Backpropagate through row normalization u = z / ||z||."""
-    return (g - np.sum(g * u, axis=1, keepdims=True) * u) / r[:, None]
+def _norm_backward(g: np.ndarray, u: np.ndarray, r: np.ndarray, base: np.ndarray,
+                   weight_grad: np.ndarray, bias_grad: np.ndarray) -> None:
+    """Backpropagate g = dL/du through u = z / ||z||, z = base + W base + b,
+    adding into the weight and bias gradient blocks."""
+    g_z = (g - np.sum(g * u, axis=1, keepdims=True) * u) / r[:, None]
+    weight_grad += g_z.T @ base
+    bias_grad += g_z.sum(axis=0)
 
 
-def _evaluate(adapter: Adapter, batch: LossBatch, static_text_anchors: AnchorSet,
-              static_image_anchors: AnchorSet | None, cfg: LossConfig,
-              with_grad: bool) -> tuple[LossReport, GradientVector | None]:
+def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: AnchorSet,
+                      static_image_anchors: AnchorSet | None, cfg: LossConfig
+                      ) -> tuple[LossReport, np.ndarray]:
+    """Mode-specific loss of one batch and its exact gradient, laid out like
+    ``adapter.params``.
+
+    Baseline: the image half of the anchor cross-entropy. Aligned and oracle:
+    both halves plus the contrastive term. Aligned-MMD adds the MMD term over
+    ``batch.target_image``. Terms with zero weight are skipped.
+    """
     cfg.validate()
     tau = cfg.temperature
     mode = cfg.mode
@@ -209,121 +183,54 @@ def _evaluate(adapter: Adapter, batch: LossBatch, static_text_anchors: AnchorSet
         raise ShapeError("empty batch")
     if x.shape[1] != adapter.dim:
         raise ShapeError(f"batch dim {x.shape[1]} != adapter dim {adapter.dim}")
-    b = x.shape[0]
     labels = np.asarray(batch.labels, dtype=np.int64)
-    t_vecs = static_text_anchors.vectors
+    grad = Adapter.zeros(adapter.dim)
+    static_term = stochastic_term = mmd_term = 0.0
+    bandwidth = None
 
-    use_static = mode is Mode.BASELINE_CE or cfg.w_static != 0.0
-    use_stochastic = mode is not Mode.BASELINE_CE and cfg.w_stochastic != 0.0
-    use_mmd = mode is Mode.ALIGNED_MMD and cfg.w_mmd != 0.0
-    use_text_side = mode is not Mode.BASELINE_CE
-
-    u, r_img = encode_with_cache(adapter.image, x)
+    u, r_img = encode_with_cache(adapter.w_img, adapter.b_img, x)
     g_u = np.zeros_like(u)
-    y = g_v = v = r_txt = None
-    if use_text_side:
+    if mode is Mode.BASELINE_CE:
+        static_term, g = _anchor_ce(u, labels, static_text_anchors, tau)
+        _require_finite(static_term, "baseline cross-entropy term")
+        g_u += cfg.w_static * g
+    else:
         y = np.atleast_2d(np.asarray(batch.text, dtype=np.float64))
         if y.shape != x.shape:
             raise ShapeError(f"unpaired batches: {x.shape} vs {y.shape}")
-        v, r_txt = encode_with_cache(adapter.text, y)
+        v, r_txt = encode_with_cache(adapter.w_txt, adapter.b_txt, y)
         g_v = np.zeros_like(v)
-
-    static_term = stochastic_term = mmd_term = 0.0
-
-    if use_static:
-        img_nll = _anchor_nll(u, labels, static_text_anchors, tau)
-        img_term = float(np.mean(img_nll))
-        if with_grad:
-            p = softmax_rows(tau * u @ t_vecs.T)
-            p[np.arange(b), labels] -= 1.0
-            g_u += (cfg.w_static * tau / b) * p @ t_vecs
-        if mode is Mode.BASELINE_CE:
-            static_term = _require_finite(img_term, "baseline cross-entropy term")
-        else:
+        if cfg.w_static != 0.0:
             if static_image_anchors is None:
                 raise AnchorError("static image anchors required for the static alignment term")
-            a_vecs = static_image_anchors.vectors
-            txt_term = float(np.mean(_anchor_nll(v, labels, static_image_anchors, tau)))
+            img_term, g_img = _anchor_ce(u, labels, static_text_anchors, tau)
+            txt_term, g_txt = _anchor_ce(v, labels, static_image_anchors, tau)
             static_term = _require_finite(img_term + txt_term, "static alignment term")
-            if with_grad:
-                q = softmax_rows(tau * v @ a_vecs.T)
-                q[np.arange(b), labels] -= 1.0
-                g_v += (cfg.w_static * tau / b) * q @ a_vecs
-
-    if use_stochastic:
-        sims = tau * u @ v.T
-        diag = np.arange(b)
-        stochastic_term = 0.5 * float(np.mean(-log_softmax_rows(sims)[diag, diag])
-                                      + np.mean(-log_softmax_rows(sims.T)[diag, diag]))
-        _require_finite(stochastic_term, "stochastic alignment term")
-        if with_grad:
-            d_sims = softmax_rows(sims) + softmax_rows(sims.T).T
-            d_sims[diag, diag] -= 2.0
-            d_sims *= cfg.w_stochastic / (2.0 * b)
-            g_u += tau * d_sims @ v
-            g_v += tau * d_sims.T @ u
-
-    u_tgt = r_tgt = g_u_tgt = x_tgt = None
-    if use_mmd:
-        if batch.target_image is None:
-            raise ConfigError(f"mode {mode.value} requires a target image batch")
-        if cfg.kernel is None:
-            raise ConfigError(f"mode {mode.value} requires a kernel")
-        x_tgt = np.atleast_2d(np.asarray(batch.target_image, dtype=np.float64))
-        u_tgt, r_tgt = encode_with_cache(adapter.image, x_tgt)
-        phi_src = tau * u @ t_vecs.T
-        phi_tgt = tau * u_tgt @ t_vecs.T
-        mmd_term, g_src, g_tgt = mmd2_biased_grad(phi_src, phi_tgt, cfg.kernel)
-        _require_finite(mmd_term, "domain MMD term")
-        if with_grad:
-            g_u += cfg.w_mmd * tau * g_src @ t_vecs
-            g_u_tgt = cfg.w_mmd * tau * g_tgt @ t_vecs
+            g_u += cfg.w_static * g_img
+            g_v += cfg.w_static * g_txt
+        if cfg.w_stochastic != 0.0:
+            stochastic_term, g_img, g_txt = _contrastive(u, v, tau)
+            _require_finite(stochastic_term, "stochastic alignment term")
+            g_u += cfg.w_stochastic * g_img
+            g_v += cfg.w_stochastic * g_txt
+        if mode is Mode.ALIGNED_MMD and cfg.w_mmd != 0.0:
+            if batch.target_image is None:
+                raise ConfigError(f"mode {mode.value} requires a target image batch")
+            x_tgt = np.atleast_2d(np.asarray(batch.target_image, dtype=np.float64))
+            u_tgt, r_tgt = encode_with_cache(adapter.w_img, adapter.b_img, x_tgt)
+            mmd_term, g_src, g_tgt, bandwidth = _anchor_mmd(
+                u, u_tgt, static_text_anchors, tau, cfg.kernel)
+            _require_finite(mmd_term, "domain MMD term")
+            g_u += cfg.w_mmd * g_src
+            _norm_backward(cfg.w_mmd * g_tgt, u_tgt, r_tgt, x_tgt, grad.w_img, grad.b_img)
+        _norm_backward(g_v, v, r_txt, y, grad.w_txt, grad.b_txt)
 
     total = cfg.w_static * static_term + cfg.w_stochastic * stochastic_term \
         + cfg.w_mmd * mmd_term
     report = LossReport(total=_require_finite(total, "total loss"),
                         static_term=static_term, stochastic_term=stochastic_term,
-                        mmd_term=mmd_term, batch_size=b)
-    if not with_grad:
-        return report, None
-
-    g_z = _norm_backward(g_u, u, r_img)
-    w_img = g_z.T @ x
-    b_img = g_z.sum(axis=0)
-    if u_tgt is not None:
-        g_z_tgt = _norm_backward(g_u_tgt, u_tgt, r_tgt)
-        w_img = w_img + g_z_tgt.T @ x_tgt
-        b_img = b_img + g_z_tgt.sum(axis=0)
-    if use_text_side:
-        g_z_txt = _norm_backward(g_v, v, r_txt)
-        w_txt = g_z_txt.T @ y
-        b_txt = g_z_txt.sum(axis=0)
-    else:
-        w_txt = np.zeros((adapter.dim, adapter.dim))
-        b_txt = np.zeros(adapter.dim)
-    values = np.concatenate([w_img.ravel(), b_img, w_txt.ravel(), b_txt])
-    if not np.all(np.isfinite(values)):
+                        mmd_term=mmd_term, batch_size=x.shape[0], bandwidth=bandwidth)
+    _norm_backward(g_u, u, r_img, x, grad.w_img, grad.b_img)
+    if not np.all(np.isfinite(grad.params)):
         raise NumericError("gradient is non-finite")
-    return report, GradientVector(values=values, layout=adapter.layout)
-
-
-def batch_loss(adapter: Adapter, batch: LossBatch, static_text_anchors: AnchorSet,
-               static_image_anchors: AnchorSet | None, cfg: LossConfig) -> LossReport:
-    """Mode-specific loss of one batch under the adapter."""
-    return _evaluate(adapter, batch, static_text_anchors, static_image_anchors,
-                     cfg, with_grad=False)[0]
-
-
-def loss_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: AnchorSet,
-                  static_image_anchors: AnchorSet | None, cfg: LossConfig) -> GradientVector:
-    """Exact gradient of the configured total loss for one batch."""
-    return _evaluate(adapter, batch, static_text_anchors, static_image_anchors,
-                     cfg, with_grad=True)[1]
-
-
-def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: AnchorSet,
-                      static_image_anchors: AnchorSet | None, cfg: LossConfig
-                      ) -> tuple[LossReport, GradientVector]:
-    report, grad = _evaluate(adapter, batch, static_text_anchors, static_image_anchors,
-                             cfg, with_grad=True)
-    return report, grad
+    return report, grad.params

@@ -1,5 +1,5 @@
 """RBF kernel, biased/unbiased MMD^2 estimators, median-heuristic bandwidth,
-anchor-aligned feature projection, and the domain-matching loss."""
+anchor-aligned feature projection, and the permutation two-sample test."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import numpy as np
 
 from .anchors import AnchorSet
 from .core import ConfigError, ShapeError, pairwise_sq_dists
-from .dataio import Domain
 
 
 @dataclass(frozen=True)
@@ -112,33 +111,14 @@ def mmd2_biased_grad(x: np.ndarray, y: np.ndarray, kernel: KernelSpec
 # Anchor alignment
 
 
-@dataclass
-class AlignedFeatureBatch:
-    """Per-sample similarities to the K static text anchors (the logits)."""
-
-    rows: np.ndarray  # (B, K)
-    domain: Domain
-
-
 def anchor_align(features: np.ndarray, static_text_anchors: AnchorSet,
-                 temperature: float = 1.0,
-                 domain: Domain = Domain.IN_DOMAIN) -> AlignedFeatureBatch:
-    """Project features onto anchor similarities: row i = tau * <f_i, a_k>."""
+                 temperature: float = 1.0) -> np.ndarray:
+    """Project features onto anchor similarities: the (B, K) rows
+    tau * <f_i, a_k>, i.e. the logits."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.shape[1] != static_text_anchors.dim:
         raise ShapeError(f"feature dim {features.shape[1]} != anchor dim {static_text_anchors.dim}")
-    rows = temperature * features @ static_text_anchors.vectors.T
-    return AlignedFeatureBatch(rows=rows, domain=domain)
-
-
-def mmd_loss(source_features: np.ndarray, target_features: np.ndarray,
-             static_text_anchors: AnchorSet, kernel: KernelSpec,
-             temperature: float = 1.0) -> float:
-    """Biased MMD^2 between the anchor-aligned source and target features."""
-    src = anchor_align(source_features, static_text_anchors, temperature)
-    tgt = anchor_align(target_features, static_text_anchors, temperature,
-                       domain=Domain.OUT_OF_DOMAIN)
-    return mmd2_biased(src.rows, tgt.rows, kernel)
+    return temperature * features @ static_text_anchors.vectors.T
 
 
 # ---------------------------------------------------------------------------

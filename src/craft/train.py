@@ -14,8 +14,8 @@ from .adapter import Adapter
 from .anchors import AnchorSet
 from .core import ConfigError, ScheduleError, ShapeError, make_rng
 from .dataio import EmbeddingSet, Modality
-from .losses import GradientVector, LossBatch, LossConfig, Mode, loss_and_gradient
-from .mmd import KernelSpec, anchor_align, median_heuristic
+from .losses import LossBatch, LossConfig, Mode, loss_and_gradient
+from .mmd import KernelSpec
 
 # Appendix-style defaults: lr is tied to batch size unless set explicitly.
 DEFAULT_LEARNING_RATES = {4: 0.0025, 128: 0.01}
@@ -107,12 +107,12 @@ def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-def sgd_step(adapter: Adapter, gradient: GradientVector, lr: float) -> Adapter:
+def sgd_step(adapter: Adapter, gradient: np.ndarray, lr: float) -> Adapter:
     """One plain SGD update; returns a new adapter."""
-    if gradient.layout.dim != adapter.dim or gradient.values.shape != (adapter.layout.size,):
-        raise ShapeError(f"gradient layout (dim {gradient.layout.dim}) does not match "
-                         f"adapter (dim {adapter.dim})")
-    return Adapter.from_flat(adapter.to_flat() - lr * gradient.values, adapter.dim)
+    if gradient.shape != adapter.params.shape:
+        raise ShapeError(f"gradient shape {gradient.shape} does not match "
+                         f"the adapter's parameters {adapter.params.shape}")
+    return Adapter(adapter.params - lr * gradient)
 
 
 def _pooled_records(source: EmbeddingSet, target: EmbeddingSet | None, mode: Mode
@@ -168,7 +168,9 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
     rng_target = make_rng(cfg.seed, 1)
     lr0 = cfg.resolved_learning_rate()
     adapter = Adapter.zeros(source.dim)
-    frozen_kernel = KernelSpec(cfg.bandwidth) if cfg.bandwidth is not None else None
+    loss_cfg = LossConfig(mode=cfg.mode, temperature=cfg.temperature,
+                          w_static=cfg.w_static, w_stochastic=cfg.w_stochastic, w_mmd=cfg.w_mmd,
+                          kernel=KernelSpec(cfg.bandwidth) if cfg.bandwidth is not None else None)
 
     history = TrainHistory()
     for epoch in range(cfg.epochs):
@@ -182,25 +184,14 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
             sel = perm[start:start + cfg.batch_size]
             batch = LossBatch(image=img_vecs[sel], text=txt_vecs[paired[start:start + cfg.batch_size]],
                               labels=img_labels[sel])
-            kernel = None
             if cfg.mode is Mode.ALIGNED_MMD:
                 take = min(len(sel), target_imgs.shape[0])
                 batch.target_image = target_imgs[rng_target.choice(target_imgs.shape[0],
                                                                    size=take, replace=False)]
-                kernel = frozen_kernel
-                if kernel is None:
-                    src_rows = anchor_align(adapter.encode_image(batch.image),
-                                            static_text_anchors, cfg.temperature).rows
-                    tgt_rows = anchor_align(adapter.encode_image(batch.target_image),
-                                            static_text_anchors, cfg.temperature).rows
-                    kernel = KernelSpec(median_heuristic(np.concatenate([src_rows, tgt_rows])))
-                    if cfg.freeze_bandwidth:
-                        frozen_kernel = kernel
-            loss_cfg = LossConfig(mode=cfg.mode, temperature=cfg.temperature,
-                                  w_static=cfg.w_static, w_stochastic=cfg.w_stochastic,
-                                  w_mmd=cfg.w_mmd, kernel=kernel)
             report, grad = loss_and_gradient(adapter, batch, static_text_anchors,
                                              static_image_anchors, loss_cfg)
+            if cfg.freeze_bandwidth and loss_cfg.kernel is None and report.bandwidth is not None:
+                loss_cfg.kernel = KernelSpec(report.bandwidth)
             adapter = sgd_step(adapter, grad, lr)
             sums += (report.total, report.static_term, report.stochastic_term, report.mmd_term)
             steps += 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from craft.anchors import AnchorKind, AnchorSet
+from craft.anchors import AnchorSet
 from craft.core import l2_normalize, make_rng
 from craft.dataio import Modality, make_embedding_set
 
@@ -16,13 +16,13 @@ def unit_rows(rng, n, dim):
 
 
 def random_anchors(rng, k, dim, modality=Modality.TEXT):
-    return AnchorSet(unit_rows(rng, k, dim), modality, AnchorKind.STATIC,
+    return AnchorSet(unit_rows(rng, k, dim), modality,
                      class_names=[f"class_{i:03d}" for i in range(k)])
 
 
 def orthonormal_anchors(k, dim, modality=Modality.TEXT):
     assert k <= dim
-    return AnchorSet(np.eye(dim)[:k], modality, AnchorKind.STATIC,
+    return AnchorSet(np.eye(dim)[:k], modality,
                      class_names=[f"class_{i:03d}" for i in range(k)])
 
 

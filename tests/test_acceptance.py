@@ -23,13 +23,11 @@ from craft.core import l2_normalize, make_rng
 from craft.dataio import SyntheticConfig, generate_synthetic, read_embeddings, write_embeddings
 from craft.evaluation import format_pct, group_metrics, ood_report
 from craft.experiments import reference_config, run_experiment
-from craft.losses import (LossBatch, LossConfig, Mode, loss_and_gradient,
-                          loss_gradient, static_alignment_terms,
-                          text_cross_entropy)
+from craft.losses import LossBatch, Mode, _anchor_ce, loss_and_gradient
 from craft.mmd import KernelSpec, median_heuristic, mmd2_biased, mmd2_unbiased, permutation_test
 
 from conftest import random_anchors, unit_rows
-from test_losses import finite_difference, random_case
+from test_losses import baseline_and_static_only, finite_difference, random_case
 
 
 @contextmanager
@@ -58,18 +56,17 @@ def test_criterion_01_subsumption_identity():
             ta = random_anchors(rng, k, h)
             ia = random_anchors(rng, k, h, Modality.IMAGE)
             tau = float(rng.uniform(0.5, 30))
-            img_term, _ = static_alignment_terms(img, txt, labels, ta, ia, tau)
-            assert abs(text_cross_entropy(img, labels, ta, tau) - img_term) <= 1e-12
-
-            adapter = Adapter.from_flat(0.1 * rng.standard_normal(2 * (h * h + h)), h)
+            adapter = Adapter(0.1 * rng.standard_normal(2 * (h * h + h)))
             batch = LossBatch(img, txt, labels)
-            g_ce = loss_gradient(adapter, batch, ta, ia,
-                                 LossConfig(mode=Mode.BASELINE_CE, temperature=tau))
-            g_st = loss_gradient(adapter, batch, ta, ia,
-                                 LossConfig(mode=Mode.ALIGNED, temperature=tau, w_stochastic=0.0))
-            assert np.max(np.abs(g_ce.block("w_img") - g_st.block("w_img"))) <= 1e-12
-            assert np.max(np.abs(g_ce.block("b_img") - g_st.block("b_img"))) <= 1e-12
-            assert np.max(np.abs(g_ce.block("w_txt"))) == 0.0
+            (r_ce, g_ce), (r_st, g_st) = baseline_and_static_only(adapter, batch, ta, ia, tau)
+            img_half = _anchor_ce(adapter.encode_image(img), labels, ta, tau)[0]
+            txt_half = _anchor_ce(adapter.encode_text(txt), labels, ia, tau)[0]
+            assert abs(r_ce.total - img_half) <= 1e-12
+            assert abs(r_st.static_term - (r_ce.static_term + txt_half)) <= 1e-12
+            g_ce, g_st = Adapter(g_ce), Adapter(g_st)
+            assert np.max(np.abs(g_ce.w_img - g_st.w_img)) <= 1e-12
+            assert np.max(np.abs(g_ce.b_img - g_st.b_img)) <= 1e-12
+            assert np.max(np.abs(g_ce.w_txt)) == 0.0
 
 
 def test_criterion_02_gradient_correctness():
@@ -81,7 +78,7 @@ def test_criterion_02_gradient_correctness():
             adapter, batch, ta, ia, cfg = random_case(rng, modes[i % 4])
             _, grad = loss_and_gradient(adapter, batch, ta, ia, cfg)
             fd = finite_difference(adapter, batch, ta, ia, cfg, step=1e-5)
-            rel = np.max(np.abs(grad.values - fd)) / max(np.max(np.abs(fd)), 1e-8)
+            rel = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-8)
             worst = max(worst, rel)
         assert worst < 1e-4, f"worst relative error {worst:.3e}"
 
@@ -277,7 +274,7 @@ def test_criterion_10_format_roundtrips(tmp_path):
             assert path.read_bytes() == path2.read_bytes()
 
             h = int(rng.integers(2, 10))
-            adapter = Adapter.from_flat(rng.standard_normal(2 * (h * h + h)), h)
+            adapter = Adapter(rng.standard_normal(2 * (h * h + h)))
             ckpt = tmp_path / f"adapter_{i}.cadp"
             write_checkpoint(adapter, ckpt)
-            assert np.array_equal(read_checkpoint(ckpt).to_flat(), adapter.to_flat())
+            assert np.array_equal(read_checkpoint(ckpt).params, adapter.params)

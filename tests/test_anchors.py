@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from craft.anchors import (AnchorError, AnchorKind, ClusterError,
+from craft.anchors import (AnchorError, AnchorSet, ClusterError,
                            build_static_image_anchors, build_static_text_anchors,
-                           kmeans, read_anchors, stochastic_anchor_batch,
-                           write_anchors)
-from craft.core import ShapeError, l2_normalize, make_rng
+                           kmeans, read_anchors, write_anchors)
+from craft.core import l2_normalize, make_rng
 from craft.dataio import Modality, SyntheticConfig, generate_synthetic
 
 from conftest import toy_embedding_set, unit_rows
@@ -85,7 +84,6 @@ def test_image_anchor_single_record_is_that_vector():
     emb = toy_embedding_set(np.eye(3), [0, 1, 2], [0, 0, 0])
     anchors = build_static_image_anchors(emb, None, make_rng(0))
     np.testing.assert_allclose(anchors.vectors, np.eye(3), atol=1e-12)
-    assert anchors.kind is AnchorKind.STATIC
     assert anchors.modality is Modality.IMAGE
 
 
@@ -165,6 +163,14 @@ def test_anchors_unit_norm():
         anchors.validate()
 
 
+def test_validate_rejects_nan_anchor():
+    anchors = AnchorSet(np.eye(4)[:2].copy(), Modality.TEXT)
+    anchors.validate()
+    anchors.vectors[1] = [np.nan, 0.0, 0.0, 0.0]
+    with pytest.raises(AnchorError, match="unit-normalized"):
+        anchors.validate()
+
+
 def test_encoder_is_applied():
     emb = toy_embedding_set(np.eye(2), [0, 1], [1, 1])
     flip = lambda feats: feats[:, ::-1]
@@ -174,25 +180,6 @@ def test_encoder_is_applied():
 
 # ---------------------------------------------------------------------------
 # Stochastic anchors
-
-
-def test_stochastic_batch_passthrough(rng):
-    imgs, txts = unit_rows(rng, 5, 4), unit_rows(rng, 5, 4)
-    a_img, a_txt = stochastic_anchor_batch(imgs, txts)
-    np.testing.assert_array_equal(a_img.vectors, imgs)
-    np.testing.assert_array_equal(a_txt.vectors, txts)
-    assert a_img.kind is AnchorKind.STOCHASTIC
-    assert a_img.modality is Modality.IMAGE and a_txt.modality is Modality.TEXT
-
-
-def test_stochastic_batch_size_one(rng):
-    a_img, a_txt = stochastic_anchor_batch(unit_rows(rng, 1, 3), unit_rows(rng, 1, 3))
-    assert len(a_img) == 1 and len(a_txt) == 1
-
-
-def test_stochastic_batch_unpaired(rng):
-    with pytest.raises(ShapeError):
-        stochastic_anchor_batch(unit_rows(rng, 3, 4), unit_rows(rng, 4, 4))
 
 
 def test_stochastic_draws_differ_across_seeds():

@@ -175,6 +175,27 @@ def test_corrupt_cemb_is_data_error(tmp_path):
     assert json.loads(result.stderr)["error"] == "FormatError"
 
 
+def test_nan_vector_is_data_error(tmp_path):
+    import struct
+    from craft.dataio import SyntheticConfig, generate_synthetic, write_embeddings
+    source, _ = generate_synthetic(SyntheticConfig(
+        num_classes=2, dim=4, samples_per_class_per_modality=3,
+        cluster_spread=0.3, cross_modal_noise=0.3))
+    path = tmp_path / "nan.cemb"
+    write_embeddings(source, path)
+    raw = bytearray(path.read_bytes())
+    first_value = 20 + sum(2 + len(n.encode("utf-8")) for n in source.class_names) + 8
+    raw[first_value:first_value + 4] = struct.pack("<f", float("nan"))
+    path.write_bytes(bytes(raw))
+    out = tmp_path / "anchors.cemb"
+    result = run_cli("anchors", "--data", str(path), "--out", str(out))
+    assert result.returncode == 3, result.stderr
+    error = json.loads(result.stderr)  # exactly one JSON object
+    assert error["error"] == "FormatError"
+    assert "record 0 is not unit-normalized" in error["message"]
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     config = small_config(tmp_path)
     out_a = tmp_path / "a"

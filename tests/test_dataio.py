@@ -275,11 +275,10 @@ def test_hand_built_single_record_file(tmp_path):
     path.write_bytes(payload)
     emb = read_embeddings(path)
     assert len(emb) == 1 and emb.class_names == ["x"]
-    record = emb.record(0)
-    assert record.modality is Modality.IMAGE
-    assert record.domain is Domain.IN_DOMAIN
-    assert record.group_id == 3
-    np.testing.assert_allclose(record.vector, np.array([0.6, 0.8], dtype=np.float32))
+    assert emb.modalities[0] == Modality.IMAGE
+    assert emb.domains[0] == Domain.IN_DOMAIN
+    assert emb.group_ids[0] == 3
+    np.testing.assert_allclose(emb.vectors[0], np.array([0.6, 0.8], dtype=np.float32))
 
 
 def test_non_unit_vector_rejected(tmp_path):
@@ -292,6 +291,14 @@ def test_non_unit_vector_rejected(tmp_path):
     path.write_bytes(payload)
     with pytest.raises(FormatError, match="unit-normalized"):
         read_embeddings(path)
+
+
+def test_nan_vector_rejected():
+    emb = toy_embedding_set(np.eye(4)[:2], [0, 1], [0, 0])
+    emb.validate()
+    emb.vectors[1] = [np.nan, 0.0, 0.0, 0.0]
+    with pytest.raises(FormatError, match="record 1 is not unit-normalized"):
+        emb.validate()
 
 
 def test_trailing_bytes_rejected(tmp_path):

@@ -256,7 +256,7 @@ def test_dump_features_roundtrip(tmp_path, rng):
     source, _ = generate_synthetic(SyntheticConfig(
         num_classes=3, dim=6, samples_per_class_per_modality=6,
         cluster_spread=0.2, cross_modal_noise=0.2, seed=8))
-    adapter = Adapter.from_flat(0.05 * rng.standard_normal(2 * (6 * 6 + 6)), 6)
+    adapter = Adapter(0.05 * rng.standard_normal(2 * (6 * 6 + 6)))
     path = tmp_path / "features.cemb"
     dump_features(adapter, source, path)
     back = read_embeddings(path)

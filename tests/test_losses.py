@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,9 @@ from hypothesis import strategies as st
 from craft.adapter import Adapter
 from craft.core import AnchorError, ConfigError, LabelError, ShapeError, l2_normalize, make_rng
 from craft.dataio import Modality
-from craft.losses import (LossBatch, LossConfig, Mode, aligned_loss_static,
-                          aligned_loss_stochastic, aligned_loss_total,
-                          batch_loss, class_distribution, loss_and_gradient,
-                          loss_gradient, static_alignment_terms,
-                          text_cross_entropy)
-from craft.mmd import KernelSpec
+from craft.losses import (LossBatch, LossConfig, Mode, _anchor_ce, _contrastive,
+                          class_distribution, loss_and_gradient)
+from craft.mmd import KernelSpec, anchor_align, median_heuristic
 
 from conftest import orthonormal_anchors, random_anchors, unit_rows
 
@@ -47,7 +45,7 @@ def test_class_distribution_equidistant_uniform():
 
 def test_class_distribution_errors(rng):
     import craft.anchors as anchors_mod
-    empty = anchors_mod.AnchorSet(np.zeros((0, 3)), Modality.TEXT, anchors_mod.AnchorKind.STATIC)
+    empty = anchors_mod.AnchorSet(np.zeros((0, 3)), Modality.TEXT)
     with pytest.raises(AnchorError):
         class_distribution(np.zeros(3), empty)
     with pytest.raises(ConfigError):
@@ -64,21 +62,26 @@ def test_class_distribution_sums_to_one(rng):
 
 
 # ---------------------------------------------------------------------------
-# static loss
+# static loss: both halves of the anchor cross-entropy
+
+
+def static_loss(img, txt, labels, text_anchors, image_anchors, temperature=1.0):
+    return (_anchor_ce(img, labels, text_anchors, temperature)[0]
+            + _anchor_ce(txt, labels, image_anchors, temperature)[0])
 
 
 def test_static_loss_half_probabilities():
     # queries equidistant between the two anchors: p = 0.5 per side
     anchors = orthonormal_anchors(2, 4)
     query = l2_normalize(np.array([[1.0, 1.0, 0.0, 0.0]]))
-    loss = aligned_loss_static(query, query, np.array([0]), anchors, anchors)
+    loss = static_loss(query, query, np.array([0]), anchors, anchors)
     assert loss == pytest.approx(2 * math.log(2), abs=1e-12)
 
 
 def test_static_loss_single_class_zero():
     anchors = orthonormal_anchors(1, 3)
     batch = unit_rows(make_rng(0), 4, 3)
-    loss = aligned_loss_static(batch, batch, np.zeros(4, dtype=int), anchors, anchors)
+    loss = static_loss(batch, batch, np.zeros(4, dtype=int), anchors, anchors)
     assert loss == 0.0
 
 
@@ -86,7 +89,7 @@ def test_static_loss_matched_anchor_queries():
     anchors = orthonormal_anchors(2, 4)
     img = anchors.vectors[[0, 1]]
     txt = anchors.vectors[[0, 1]]
-    loss = aligned_loss_static(img, txt, np.array([0, 1]), anchors, anchors)
+    loss = static_loss(img, txt, np.array([0, 1]), anchors, anchors)
     assert loss == pytest.approx(2 * LN_1P_EXP_NEG1, abs=1e-12)
     assert loss == pytest.approx(0.62652, abs=5e-6)
 
@@ -95,7 +98,7 @@ def test_static_loss_label_out_of_range():
     anchors = orthonormal_anchors(2, 3)
     batch = unit_rows(make_rng(0), 2, 3)
     with pytest.raises(LabelError):
-        aligned_loss_static(batch, batch, np.array([0, 5]), anchors, anchors)
+        static_loss(batch, batch, np.array([0, 5]), anchors, anchors)
 
 
 def test_static_loss_nonnegative(rng):
@@ -103,24 +106,28 @@ def test_static_loss_nonnegative(rng):
         k = int(rng.integers(1, 6))
         img, txt = unit_rows(rng, 5, 6), unit_rows(rng, 5, 6)
         labels = rng.integers(0, k, 5)
-        loss = aligned_loss_static(img, txt, labels, random_anchors(rng, k, 6),
-                                   random_anchors(rng, k, 6, Modality.IMAGE),
-                                   temperature=float(rng.uniform(0.5, 20)))
+        loss = static_loss(img, txt, labels, random_anchors(rng, k, 6),
+                           random_anchors(rng, k, 6, Modality.IMAGE),
+                           temperature=float(rng.uniform(0.5, 20)))
         assert loss >= 0.0
 
 
 # ---------------------------------------------------------------------------
-# stochastic loss
+# stochastic loss: the in-batch contrastive term
+
+
+def stochastic_loss(img, txt, temperature=1.0):
+    return _contrastive(img, txt, temperature)[0]
 
 
 def test_stochastic_loss_batch_of_one(rng):
-    assert aligned_loss_stochastic(unit_rows(rng, 1, 4), unit_rows(rng, 1, 4)) == 0.0
+    assert stochastic_loss(unit_rows(rng, 1, 4), unit_rows(rng, 1, 4)) == 0.0
 
 
 def test_stochastic_loss_identity_similarity():
     # orthonormal rows paired with themselves: S = I at tau=1
     batch = np.eye(2)
-    loss = aligned_loss_stochastic(batch, batch)
+    loss = stochastic_loss(batch, batch)
     assert loss == pytest.approx(LN_1P_EXP_NEG1, abs=1e-12)
     assert loss == pytest.approx(0.31326, abs=5e-6)
 
@@ -129,13 +136,16 @@ def test_stochastic_loss_all_equal_entries():
     # identical image rows make every similarity equal: uniform softmax over 2
     row = l2_normalize(np.array([1.0, 1.0]))
     batch = np.stack([row, row])
-    loss = aligned_loss_stochastic(batch, batch)
+    loss = stochastic_loss(batch, batch)
     assert loss == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_stochastic_loss_unpaired(rng):
+    adapter = Adapter.zeros(4)
+    batch = LossBatch(unit_rows(rng, 3, 4), unit_rows(rng, 2, 4), np.zeros(3, dtype=int))
+    anchors = random_anchors(rng, 2, 4)
     with pytest.raises(ShapeError):
-        aligned_loss_stochastic(unit_rows(rng, 3, 4), unit_rows(rng, 2, 4))
+        loss_and_gradient(adapter, batch, anchors, anchors, LossConfig(w_static=0.0))
 
 
 @given(st.integers(2, 8), st.integers(0, 1000))
@@ -144,8 +154,8 @@ def test_stochastic_loss_permutation_invariant(b, seed):
     rng = make_rng(seed)
     img, txt = unit_rows(rng, b, 5), unit_rows(rng, b, 5)
     perm = make_rng(seed + 1).permutation(b)
-    base = aligned_loss_stochastic(img, txt, temperature=3.0)
-    permuted = aligned_loss_stochastic(img[perm], txt[perm], temperature=3.0)
+    base = stochastic_loss(img, txt, temperature=3.0)
+    permuted = stochastic_loss(img[perm], txt[perm], temperature=3.0)
     assert permuted == pytest.approx(base, abs=1e-10)
 
 
@@ -154,48 +164,65 @@ def test_stochastic_loss_permutation_invariant(b, seed):
 
 
 def test_total_is_weighted_sum(rng):
-    img, txt = unit_rows(rng, 4, 5), unit_rows(rng, 4, 5)
-    labels = rng.integers(0, 3, 4)
-    ta, ia = random_anchors(rng, 3, 5), random_anchors(rng, 3, 5, Modality.IMAGE)
-    report = aligned_loss_total(img, txt, labels, ta, ia, 2.0, w_static=0.7, w_stochastic=1.3)
+    h, b = 5, 4
+    batch = LossBatch(unit_rows(rng, b, h), unit_rows(rng, b, h), rng.integers(0, 3, b))
+    ta, ia = random_anchors(rng, 3, h), random_anchors(rng, 3, h, Modality.IMAGE)
+    adapter = Adapter.zeros(h)
+    report, _ = loss_and_gradient(adapter, batch, ta, ia,
+                                  LossConfig(temperature=2.0, w_static=0.7, w_stochastic=1.3))
     assert report.total == pytest.approx(0.7 * report.static_term + 1.3 * report.stochastic_term, abs=1e-12)
-    static_only = aligned_loss_total(img, txt, labels, ta, ia, 2.0, w_stochastic=0.0)
-    assert static_only.total == aligned_loss_static(img, txt, labels, ta, ia, 2.0)
+    static_only, _ = loss_and_gradient(adapter, batch, ta, ia,
+                                       LossConfig(temperature=2.0, w_stochastic=0.0))
+    assert static_only.total == static_loss(batch.image, batch.text, batch.labels, ta, ia, 2.0)
     assert static_only.stochastic_term == 0.0
 
 
+def baseline_and_static_only(adapter, batch, ta, ia, tau):
+    """Reports and gradients of the baseline and of the static-only aligned loss."""
+    base = loss_and_gradient(adapter, batch, ta, ia,
+                             LossConfig(mode=Mode.BASELINE_CE, temperature=tau))
+    static = loss_and_gradient(adapter, batch, ta, ia,
+                               LossConfig(mode=Mode.ALIGNED, temperature=tau, w_stochastic=0.0))
+    return base, static
+
+
 def test_text_ce_equals_image_term_exactly(rng):
+    # the baseline report is the image half of the static-only aligned report
     for _ in range(50):
         k = int(rng.integers(2, 6))
-        img, txt = unit_rows(rng, 6, 7), unit_rows(rng, 6, 7)
-        labels = rng.integers(0, k, 6)
+        adapter = Adapter(0.1 * rng.standard_normal(2 * (7 * 7 + 7)))
+        batch = LossBatch(unit_rows(rng, 6, 7), unit_rows(rng, 6, 7), rng.integers(0, k, 6))
         ta = random_anchors(rng, k, 7)
         ia = random_anchors(rng, k, 7, Modality.IMAGE)
         tau = float(rng.uniform(0.5, 30))
-        img_term, _ = static_alignment_terms(img, txt, labels, ta, ia, tau)
-        assert text_cross_entropy(img, labels, ta, tau) == img_term
+        (base, _), (static, _) = baseline_and_static_only(adapter, batch, ta, ia, tau)
+        img_term = _anchor_ce(adapter.encode_image(batch.image), batch.labels, ta, tau)[0]
+        txt_term = _anchor_ce(adapter.encode_text(batch.text), batch.labels, ia, tau)[0]
+        assert base.total == base.static_term == img_term
+        assert static.static_term == img_term + txt_term
 
 
 def test_text_ce_example():
     anchors = orthonormal_anchors(2, 2)
-    loss = text_cross_entropy(np.array([[1.0, 0.0]]), np.array([0]), anchors)
-    assert loss == pytest.approx(LN_1P_EXP_NEG1, abs=1e-12)
-    assert loss == pytest.approx(0.31326, abs=5e-6)
+    batch = LossBatch(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), np.array([0]))
+    report, _ = loss_and_gradient(Adapter.zeros(2), batch, anchors, None,
+                                  LossConfig(mode=Mode.BASELINE_CE))
+    assert report.total == pytest.approx(LN_1P_EXP_NEG1, abs=1e-12)
+    assert report.total == pytest.approx(0.31326, abs=5e-6)
 
 
 def test_gradient_subsumption(rng):
     # baseline-CE gradient == image block of the static-only aligned gradient
     h, k, b = 5, 3, 4
-    adapter = Adapter.from_flat(0.1 * rng.standard_normal(2 * (h * h + h)), h)
+    adapter = Adapter(0.1 * rng.standard_normal(2 * (h * h + h)))
     batch = LossBatch(unit_rows(rng, b, h), unit_rows(rng, b, h), rng.integers(0, k, b))
     ta, ia = random_anchors(rng, k, h), random_anchors(rng, k, h, Modality.IMAGE)
-    g_base = loss_gradient(adapter, batch, ta, ia, LossConfig(mode=Mode.BASELINE_CE, temperature=4.0))
-    g_static = loss_gradient(adapter, batch, ta, ia,
-                             LossConfig(mode=Mode.ALIGNED, temperature=4.0, w_stochastic=0.0))
-    np.testing.assert_array_equal(g_base.block("w_img"), g_static.block("w_img"))
-    np.testing.assert_array_equal(g_base.block("b_img"), g_static.block("b_img"))
-    np.testing.assert_array_equal(g_base.block("w_txt"), np.zeros((h, h)))
-    np.testing.assert_array_equal(g_base.block("b_txt"), np.zeros(h))
+    (_, g_base), (_, g_static) = baseline_and_static_only(adapter, batch, ta, ia, 4.0)
+    g_base, g_static = Adapter(g_base), Adapter(g_static)
+    np.testing.assert_array_equal(g_base.w_img, g_static.w_img)
+    np.testing.assert_array_equal(g_base.b_img, g_static.b_img)
+    np.testing.assert_array_equal(g_base.w_txt, np.zeros((h, h)))
+    np.testing.assert_array_equal(g_base.b_txt, np.zeros(h))
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +244,22 @@ def random_case(rng, mode):
                      w_mmd=float(rng.uniform(0.2, 2.0)),
                      kernel=KernelSpec(float(rng.uniform(0.5, 2.0)))
                      if mode is Mode.ALIGNED_MMD else None)
-    adapter = Adapter.from_flat(0.1 * rng.standard_normal(2 * (h * h + h)), h)
+    adapter = Adapter(0.1 * rng.standard_normal(2 * (h * h + h)))
     ta = random_anchors(rng, k, h)
     ia = random_anchors(rng, k, h, Modality.IMAGE)
     return adapter, batch, ta, ia, cfg
 
 
 def finite_difference(adapter, batch, ta, ia, cfg, step=1e-5):
-    flat = adapter.to_flat()
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        plus, minus = flat.copy(), flat.copy()
-        plus[i] += step
-        minus[i] -= step
-        f_plus = batch_loss(Adapter.from_flat(plus, adapter.dim), batch, ta, ia, cfg).total
-        f_minus = batch_loss(Adapter.from_flat(minus, adapter.dim), batch, ta, ia, cfg).total
+    params = adapter.params
+    grad = np.zeros_like(params)
+    for i in range(params.size):
+        saved = params[i]
+        params[i] = saved + step
+        f_plus = loss_and_gradient(adapter, batch, ta, ia, cfg)[0].total
+        params[i] = saved - step
+        f_minus = loss_and_gradient(adapter, batch, ta, ia, cfg)[0].total
+        params[i] = saved
         grad[i] = (f_plus - f_minus) / (2 * step)
     return grad
 
@@ -243,7 +271,7 @@ def test_gradient_matches_finite_differences(mode):
         adapter, batch, ta, ia, cfg = random_case(rng, mode)
         _, grad = loss_and_gradient(adapter, batch, ta, ia, cfg)
         fd = finite_difference(adapter, batch, ta, ia, cfg)
-        rel = np.max(np.abs(grad.values - fd)) / max(np.max(np.abs(fd)), 1e-8)
+        rel = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-8)
         assert rel < 1e-4
 
 
@@ -254,32 +282,45 @@ def test_gradient_stationary_single_class(rng):
     batch = LossBatch(unit_rows(rng, 3, h), unit_rows(rng, 3, h), np.zeros(3, dtype=int))
     ta = random_anchors(rng, 1, h)
     ia = random_anchors(rng, 1, h, Modality.IMAGE)
-    grad = loss_gradient(adapter, batch, ta, ia,
-                         LossConfig(mode=Mode.ALIGNED, w_stochastic=0.0))
-    assert np.linalg.norm(grad.values) < 1e-8
+    _, grad = loss_and_gradient(adapter, batch, ta, ia,
+                                LossConfig(mode=Mode.ALIGNED, w_stochastic=0.0))
+    assert np.linalg.norm(grad) < 1e-8
 
 
 def test_baseline_report_shape(rng):
     adapter, batch, ta, ia, cfg = random_case(rng, Mode.BASELINE_CE)
-    report = batch_loss(adapter, batch, ta, ia, cfg)
+    report, _ = loss_and_gradient(adapter, batch, ta, ia, cfg)
     assert report.stochastic_term == 0.0 and report.mmd_term == 0.0
     assert report.total == pytest.approx(cfg.w_static * report.static_term, abs=1e-12)
     assert report.batch_size == batch.image.shape[0]
 
 
-def test_mmd_mode_requires_target_and_kernel(rng):
+def test_mmd_mode_requires_target(rng):
     adapter, batch, ta, ia, cfg = random_case(rng, Mode.ALIGNED)
     bad = LossConfig(mode=Mode.ALIGNED_MMD, kernel=KernelSpec(1.0))
     with pytest.raises(ConfigError, match="target"):
-        batch_loss(adapter, batch, ta, ia, bad)
-    batch.target_image = batch.image
-    with pytest.raises(ConfigError, match="kernel"):
-        batch_loss(adapter, batch, ta, ia, LossConfig(mode=Mode.ALIGNED_MMD))
+        loss_and_gradient(adapter, batch, ta, ia, bad)
+
+
+def test_mmd_kernel_defaults_to_median_heuristic(rng):
+    # no kernel: the MMD term takes the median heuristic over the batch's
+    # anchor-aligned source and target rows, and reports that bandwidth
+    adapter, batch, ta, ia, cfg = random_case(rng, Mode.ALIGNED_MMD)
+    rows = [anchor_align(adapter.encode_image(x), ta, cfg.temperature)
+            for x in (batch.image, batch.target_image)]
+    sigma = median_heuristic(np.concatenate(rows))
+    report, grad = loss_and_gradient(adapter, batch, ta, ia,
+                                     dataclasses.replace(cfg, kernel=None))
+    expected, expected_grad = loss_and_gradient(adapter, batch, ta, ia,
+                                                dataclasses.replace(cfg, kernel=KernelSpec(sigma)))
+    assert report == expected
+    assert report.bandwidth == sigma
+    np.testing.assert_array_equal(grad, expected_grad)
 
 
 def test_mmd_term_in_total(rng):
     adapter, batch, ta, ia, cfg = random_case(rng, Mode.ALIGNED_MMD)
-    report = batch_loss(adapter, batch, ta, ia, cfg)
+    report, _ = loss_and_gradient(adapter, batch, ta, ia, cfg)
     assert report.mmd_term >= 0.0
     expected = (cfg.w_static * report.static_term
                 + cfg.w_stochastic * report.stochastic_term

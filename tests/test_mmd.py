@@ -6,7 +6,7 @@ import pytest
 from craft.core import ConfigError, ShapeError, make_rng
 from craft.dataio import SyntheticConfig, generate_synthetic
 from craft.mmd import (KernelSpec, anchor_align, median_heuristic, mmd2_biased,
-                       mmd2_biased_grad, mmd2_unbiased, mmd_loss,
+                       mmd2_biased_grad, mmd2_unbiased,
                        permutation_test, rbf_kernel)
 
 from conftest import orthonormal_anchors, random_anchors, unit_rows
@@ -159,7 +159,7 @@ def test_grad_value_matches_plain_estimator(rng):
 def test_anchor_align_basis_case():
     anchors = orthonormal_anchors(3, 3)
     aligned = anchor_align(anchors.vectors[1], anchors)
-    np.testing.assert_allclose(aligned.rows, [[0.0, 1.0, 0.0]], atol=1e-12)
+    np.testing.assert_allclose(aligned, [[0.0, 1.0, 0.0]], atol=1e-12)
 
 
 def test_anchor_align_matches_double_loop(rng):
@@ -168,13 +168,13 @@ def test_anchor_align_matches_double_loop(rng):
     aligned = anchor_align(feats, anchors, temperature=2.0)
     for i in range(6):
         for k in range(4):
-            assert aligned.rows[i, k] == pytest.approx(2.0 * feats[i] @ anchors.vectors[k], rel=1e-12)
+            assert aligned[i, k] == pytest.approx(2.0 * feats[i] @ anchors.vectors[k], rel=1e-12)
 
 
 def test_anchor_align_lipschitz_rows(rng):
     feats = unit_rows(rng, 10, 6)
     anchors = random_anchors(rng, 1, 6)
-    rows = anchor_align(feats, anchors).rows.ravel()
+    rows = anchor_align(feats, anchors).ravel()
     for i in range(10):
         for j in range(10):
             assert abs(rows[i] - rows[j]) <= np.linalg.norm(feats[i] - feats[j]) + 1e-12
@@ -182,7 +182,7 @@ def test_anchor_align_lipschitz_rows(rng):
 
 def test_anchor_align_bounds(rng):
     feats = unit_rows(rng, 8, 4)
-    rows = anchor_align(feats, random_anchors(rng, 5, 4), temperature=7.0).rows
+    rows = anchor_align(feats, random_anchors(rng, 5, 4), temperature=7.0)
     assert np.all(np.abs(rows) <= 7.0 + 1e-9)
 
 
@@ -192,13 +192,14 @@ def test_anchor_align_dim_mismatch(rng):
 
 
 # ---------------------------------------------------------------------------
-# mmd_loss and permutation test
+# MMD over anchor-aligned features, and the permutation test
 
 
 def test_mmd_loss_identical_batches(rng):
     feats = unit_rows(rng, 10, 6)
     anchors = random_anchors(rng, 4, 6)
-    assert mmd_loss(feats, feats.copy(), anchors, KernelSpec(1.0)) == 0.0
+    assert mmd2_biased(anchor_align(feats, anchors), anchor_align(feats.copy(), anchors),
+                       KernelSpec(1.0)) == 0.0
 
 
 def _generated_aligned_rows(seed, shift):
@@ -208,8 +209,8 @@ def _generated_aligned_rows(seed, shift):
                           domain_shift_magnitude=shift, seed=seed)
     source, target = generate_synthetic(cfg)
     anchors = build_static_text_anchors(source)
-    return (anchor_align(source.image_vectors(), anchors).rows,
-            anchor_align(target.image_vectors(), anchors).rows)
+    return (anchor_align(source.image_vectors(), anchors),
+            anchor_align(target.image_vectors(), anchors))
 
 
 def test_mmd_loss_orders_shift_magnitudes():

@@ -3,13 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from craft.adapter import (Adapter, AdapterSide, ParameterLayout, encode,
-                           read_checkpoint, write_checkpoint)
+from craft.adapter import Adapter, encode, param_count, read_checkpoint, write_checkpoint
 from craft.core import (ConfigError, FormatError, NormalizationError,
                         NumericError, ScheduleError, ShapeError, l2_normalize)
 from craft.dataio import SyntheticConfig, generate_synthetic
 from craft.experiments import build_training_anchors, reference_config, run_experiment
-from craft.losses import GradientVector, Mode
+from craft.losses import Mode
 from craft.train import TrainConfig, TrainHistory, cosine_lr, sgd_step, train
 
 from conftest import unit_rows
@@ -28,37 +27,43 @@ def test_zero_adapter_is_identity(rng):
 
 def test_encode_zero_vector_rejected():
     base = l2_normalize(np.array([1.0, 1.0]))
-    side = AdapterSide(np.zeros((2, 2)), -base)
     with pytest.raises(NormalizationError):
-        encode(side, base)
+        encode(np.zeros((2, 2)), -base, base)
 
 
 def test_encode_identity_weight_scale_invariant(rng):
     base = unit_rows(rng, 3, 4)
-    side = AdapterSide(np.eye(4), np.zeros(4))  # z = 2 * base
-    np.testing.assert_allclose(encode(side, base), base, atol=1e-12)
+    # W = I makes z = 2 * base
+    np.testing.assert_allclose(encode(np.eye(4), np.zeros(4), base), base, atol=1e-12)
 
 
 def test_encode_nonfinite_params_rejected():
-    side = AdapterSide(np.full((2, 2), np.nan), np.zeros(2))
     with pytest.raises(NumericError):
-        encode(side, np.array([1.0, 0.0]))
+        encode(np.full((2, 2), np.nan), np.zeros(2), np.array([1.0, 0.0]))
 
 
 def test_flat_roundtrip(rng):
-    flat = rng.standard_normal(2 * (3 * 3 + 3))
-    adapter = Adapter.from_flat(flat, 3)
-    np.testing.assert_array_equal(adapter.to_flat(), flat)
-    layout = ParameterLayout(3)
-    np.testing.assert_array_equal(layout.block(flat, "w_txt"), adapter.text.weight)
+    # the blocks are views into the flat vector, in CADP order
+    flat = rng.standard_normal(param_count(3))
+    adapter = Adapter(flat.copy())
+    assert adapter.dim == 3
+    np.testing.assert_array_equal(adapter.params, flat)
+    np.testing.assert_array_equal(adapter.w_img, flat[:9].reshape(3, 3))
+    np.testing.assert_array_equal(adapter.b_img, flat[9:12])
+    np.testing.assert_array_equal(adapter.w_txt, flat[12:21].reshape(3, 3))
+    np.testing.assert_array_equal(adapter.b_txt, flat[21:])
+    adapter.params[12] = 5.0
+    assert adapter.w_txt[0, 0] == 5.0
+    with pytest.raises(ShapeError):
+        Adapter(np.zeros(param_count(3) + 1))
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
-    adapter = Adapter.from_flat(rng.standard_normal(2 * (6 * 6 + 6)), 6)
+    adapter = Adapter(rng.standard_normal(param_count(6)))
     path = tmp_path / "adapter.cadp"
     write_checkpoint(adapter, path)
     back = read_checkpoint(path)
-    np.testing.assert_array_equal(back.to_flat(), adapter.to_flat())
+    np.testing.assert_array_equal(back.params, adapter.params)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -69,7 +74,7 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_checkpoint_truncated(tmp_path, rng):
-    adapter = Adapter.from_flat(rng.standard_normal(2 * (4 * 4 + 4)), 4)
+    adapter = Adapter(rng.standard_normal(param_count(4)))
     path = tmp_path / "trunc.cadp"
     write_checkpoint(adapter, path)
     path.write_bytes(path.read_bytes()[:-8])
@@ -97,19 +102,19 @@ def test_cosine_lr_out_of_range():
 
 
 def test_sgd_step_examples(rng):
-    adapter = Adapter.from_flat(np.ones(2 * (2 * 2 + 2)), 2)
-    layout = adapter.layout
-    zero_grad = GradientVector(np.zeros(layout.size), layout)
-    np.testing.assert_array_equal(sgd_step(adapter, zero_grad, 0.3).to_flat(), adapter.to_flat())
-    some_grad = GradientVector(np.full(layout.size, 0.5), layout)
-    np.testing.assert_array_equal(sgd_step(adapter, some_grad, 0.0).to_flat(), adapter.to_flat())
+    size = param_count(2)
+    adapter = Adapter(np.ones(size))
+    np.testing.assert_array_equal(sgd_step(adapter, np.zeros(size), 0.3).params, adapter.params)
+    some_grad = np.full(size, 0.5)
+    np.testing.assert_array_equal(sgd_step(adapter, some_grad, 0.0).params, adapter.params)
     stepped = sgd_step(adapter, some_grad, 0.1)
-    np.testing.assert_allclose(stepped.to_flat(), np.full(layout.size, 0.95), atol=1e-15)
+    np.testing.assert_allclose(stepped.params, np.full(size, 0.95), atol=1e-15)
+    np.testing.assert_array_equal(adapter.params, np.ones(size))  # the input is left as it was
 
 
 def test_sgd_step_layout_mismatch(rng):
     adapter = Adapter.zeros(3)
-    wrong = GradientVector(np.zeros(ParameterLayout(4).size), ParameterLayout(4))
+    wrong = np.zeros(param_count(4))
     with pytest.raises(ShapeError):
         sgd_step(adapter, wrong, 0.1)
 
@@ -150,7 +155,7 @@ def test_zero_lr_keeps_initialization():
     source, target, ta, ia = small_data()
     cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=1e-300, temperature=5.0, seed=1)
     adapter, history = train(source, None, ta, ia, cfg)
-    np.testing.assert_allclose(adapter.to_flat(), 0.0, atol=1e-290)
+    np.testing.assert_allclose(adapter.params, 0.0, atol=1e-290)
     assert len(history) == 1
 
 
@@ -159,7 +164,7 @@ def test_train_deterministic():
     cfg = TrainConfig(epochs=3, batch_size=4, temperature=5.0, seed=9)
     a1, h1 = train(source, None, ta, ia, cfg)
     a2, h2 = train(source, None, ta, ia, cfg)
-    np.testing.assert_array_equal(a1.to_flat(), a2.to_flat())
+    np.testing.assert_array_equal(a1.params, a2.params)
     assert [r.to_dict() for r in h1.records] == [r.to_dict() for r in h2.records]
 
 
@@ -185,7 +190,7 @@ def test_train_all_modes_run():
     for mode in Mode:
         cfg = TrainConfig(epochs=2, batch_size=4, temperature=5.0, seed=3, mode=mode)
         adapter, history = train(source, target, ta, ia, cfg)
-        assert np.all(np.isfinite(adapter.to_flat()))
+        assert np.all(np.isfinite(adapter.params))
         if mode is Mode.ALIGNED_MMD:
             assert history.records[0].mmd_term > 0.0
         else:
@@ -200,9 +205,9 @@ def test_baseline_updates_equal_static_image_updates():
     static_cfg = dataclasses.replace(base_cfg, mode=Mode.ALIGNED, w_stochastic=0.0)
     a_base, _ = train(source, None, ta, ia, base_cfg)
     a_static, _ = train(source, None, ta, ia, static_cfg)
-    np.testing.assert_array_equal(a_base.image.weight, a_static.image.weight)
-    np.testing.assert_array_equal(a_base.image.bias, a_static.image.bias)
-    np.testing.assert_array_equal(a_base.text.weight, np.zeros((source.dim, source.dim)))
+    np.testing.assert_array_equal(a_base.w_img, a_static.w_img)
+    np.testing.assert_array_equal(a_base.b_img, a_static.b_img)
+    np.testing.assert_array_equal(a_base.w_txt, np.zeros((source.dim, source.dim)))
 
 
 def test_frozen_bandwidth_option_runs():
@@ -210,10 +215,10 @@ def test_frozen_bandwidth_option_runs():
     cfg = TrainConfig(epochs=2, batch_size=4, temperature=5.0, seed=5,
                       mode=Mode.ALIGNED_MMD, freeze_bandwidth=True)
     adapter, history = train(source, target, ta, ia, cfg)
-    assert np.all(np.isfinite(adapter.to_flat()))
+    assert np.all(np.isfinite(adapter.params))
     cfg_fixed = dataclasses.replace(cfg, bandwidth=2.0, freeze_bandwidth=False)
     adapter2, _ = train(source, target, ta, ia, cfg_fixed)
-    assert np.all(np.isfinite(adapter2.to_flat()))
+    assert np.all(np.isfinite(adapter2.params))
 
 
 def test_history_jsonl_roundtrip(tmp_path):
