@@ -21,9 +21,11 @@ if _threads:
                  "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(_var, _threads)
 
+import numpy as np  # noqa: E402
+
 from . import experiments  # noqa: E402
 from .adapter import read_checkpoint, write_checkpoint  # noqa: E402
-from .anchors import read_anchors, write_anchors  # noqa: E402
+from .anchors import build_static_text_anchors, read_anchors, write_anchors  # noqa: E402
 from .core import CraftError, ConfigError, AnchorError  # noqa: E402
 from .dataio import generate_synthetic, read_embeddings, write_embeddings  # noqa: E402
 from .evaluation import confusion, confusion_csv, format_pct  # noqa: E402
@@ -111,7 +113,6 @@ def cmd_eval(args) -> int:
     for name, emb_set in prepared.eval_sets.items():
         anchors = prepared.text_anchors
         if cfg.kind == "base-to-novel":
-            from .anchors import build_static_text_anchors
             anchors = build_static_text_anchors(emb_set, adapter.encode_text)
         matrix = confusion(adapter, emb_set, anchors, cfg.train.temperature)
         out.with_name(f"{out.stem}_confusion_{name}.csv").write_text(confusion_csv(matrix))
@@ -152,7 +153,6 @@ def cmd_mmd(args) -> int:
         raise AnchorError(f"{args.anchors} holds no text anchors")
     rows_a = anchor_align(set_a.image_vectors(), text_anchors, args.temperature)
     rows_b = anchor_align(set_b.image_vectors(), text_anchors, args.temperature)
-    import numpy as np
     kernel = KernelSpec(median_heuristic(np.concatenate([rows_a, rows_b])))
     seed = args.seed if args.seed is not None else 0
     result = {

@@ -76,6 +76,10 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # Vector math
 
+# Outside these norms the squared norm nears the float64 subnormal range
+# (< 2.2e-308), where it loses bits, or overflows (> 1.8e308).
+_SAFE_NORMS = (1e-150, 1e150)
+
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
     """Scale ``v`` (a vector, or a matrix row-wise) to unit Euclidean norm.
@@ -83,7 +87,15 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     Raises NormalizationError on an exactly-zero vector.
     """
     v = np.asarray(v, dtype=np.float64)
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # an overflowing row is rescaled below
+        norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    unsafe = (norms < _SAFE_NORMS[0]) | (norms > _SAFE_NORMS[1])
+    if np.any(unsafe):
+        # divide those rows by their largest magnitude first; rows with a
+        # safe norm keep their bits
+        peak = np.max(np.abs(v), axis=-1, keepdims=True)
+        v = np.where(unsafe, v / np.where(peak == 0.0, 1.0, peak), v)
+        norms = np.where(unsafe, np.linalg.norm(v, axis=-1, keepdims=True), norms)
     if np.any(norms == 0.0):
         raise NormalizationError("cannot normalize a zero vector")
     return v / norms
@@ -126,15 +138,65 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=1, keepdims=True)
 
 
+# Rows per side of a distance tile: tiles are (TILE, TILE) float64 arrays
+# of 2 MiB, whatever the size of the two sets.
+TILE = 512
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
+
+
+def _gram_tile(x: np.ndarray, y: np.ndarray, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of ``x`` and ``y``, whose squared
+    norms are ``xx`` and ``yy``; see ``pairwise_sq_dists``."""
+    cross = x @ np.ascontiguousarray(y.T)
+    cross += (y @ np.ascontiguousarray(x.T)).T
+    norms = xx[:, None] + yy[None, :]
+    d2 = np.subtract(norms, cross, out=cross)
+    norms *= (2 * x.shape[1] + 8) * np.finfo(np.float64).eps
+    d2[d2 <= norms] = 0.0
+    return d2
+
+
+def sq_dist_tiles(x: np.ndarray, y: np.ndarray, upper: bool = False):
+    """Yield ``(i, j, d2)``, where ``d2`` is the tile
+    ``pairwise_sq_dists(x, y)[i:i + TILE, j:j + TILE]``, bitwise, computed on
+    its own. With ``upper`` (for ``y`` the same set as ``x``) only the tiles
+    with ``j >= i`` come."""
+    x, y = _rows(x), _rows(y)
+    if x.shape[1] != y.shape[1]:
+        raise ShapeError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    xx = np.einsum("ij,ij->i", x, x)
+    yy = np.einsum("ij,ij->i", y, y)
+    for i in range(0, x.shape[0], TILE):
+        for j in range(i if upper else 0, y.shape[0], TILE):
+            yield i, j, _gram_tile(x[i:i + TILE], y[j:j + TILE], xx[i:i + TILE], yy[j:j + TILE])
+
+
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """All squared Euclidean distances between rows of ``x`` (m,d) and ``y`` (n,d).
 
-    Computed elementwise (not via the x^2+y^2-2xy trick) so that
-    ``result[i, j]`` is bitwise equal under swapping the two inputs.
+    Gram form ``|x_i|^2 + |y_j|^2 - (x_i.y_j + y_j.x_i)``, one
+    (TILE, TILE) tile at a time (see ``sq_dist_tiles``). Both cross products
+    are taken, each as a GEMM on contiguous operands (``x @ x.T`` would go to
+    SYRK, which rounds differently), and added; floating-point addition
+    commutes, so swapping the inputs transposes each tile, and the result,
+    bitwise.
+
+    Entries at or below the form's own rounding bound
+    ``(2d + 8) eps (|x_i|^2 + |y_j|^2)`` (eps = 2^-52) are set to 0: there
+    the computed value cannot be told from zero. This makes coincident rows
+    give exactly 0 (and MMD^2(X, X) exactly 0 downstream) and every entry
+    >= 0.
+
+    Holds the (m, n) result and the temporaries of one tile.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if x.shape[1] != y.shape[1]:
-        raise ShapeError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    diff = x[:, None, :] - y[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    x, y = _rows(x), _rows(y)
+    tiles = sq_dist_tiles(x, y)
+    if 0 < x.shape[0] <= TILE and 0 < y.shape[0] <= TILE:  # one tile
+        return next(tiles)[2]
+    d2 = np.empty((x.shape[0], y.shape[0]))
+    for i, j, tile in tiles:
+        d2[i:i + TILE, j:j + TILE] = tile
+    return d2

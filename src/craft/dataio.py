@@ -346,17 +346,29 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
     if version != CEMB_VERSION:
         raise FormatError(f"unsupported version {version} at offset 4")
     class_names = []
-    for _ in range(num_classes):
+    for c in range(num_classes):
         (length,) = struct.unpack_from("<H", data, need(2, "class-name length"))
         start = need(length, "class-name bytes")
-        class_names.append(data[start:start + length].decode("utf-8"))
+        try:
+            class_names.append(data[start:start + length].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"class name {c} is not valid UTF-8 at offset {start + exc.start}"
+                              ) from None
+
+    # the header comes from outside: check the file length it implies
+    # before allocating for it
+    vec_bytes = 4 * dim
+    records_bytes = count * (_REC_HEAD.size + vec_bytes)
+    if records_bytes > len(data) - off:
+        raise FormatError(f"truncated file: header declares {count} records of dim {dim} "
+                          f"({records_bytes} bytes) at offset {off}, "
+                          f"but {len(data) - off} bytes remain")
 
     vectors = np.empty((count, dim), dtype=np.float64)
     class_ids = np.empty(count, dtype=np.int64)
     modalities = np.empty(count, dtype=np.uint8)
     domains = np.empty(count, dtype=np.uint8)
     group_ids = np.empty(count, dtype=np.int64)
-    vec_bytes = 4 * dim
     for i in range(count):
         at = need(_REC_HEAD.size, f"record {i} header")
         cid, mod, dom, gid = _REC_HEAD.unpack_from(data, at)

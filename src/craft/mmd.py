@@ -3,13 +3,14 @@ anchor-aligned feature projection, and the permutation two-sample test."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .anchors import AnchorSet
-from .core import ConfigError, ShapeError, pairwise_sq_dists
+from .core import TILE, ConfigError, NumericError, ShapeError, pairwise_sq_dists, sq_dist_tiles
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,12 @@ class KernelSpec:
             raise ConfigError(f"kernel bandwidth must be finite and > 0, got {self.bandwidth}")
 
     def matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.exp(pairwise_sq_dists(x, y) / (-2.0 * self.bandwidth ** 2))
+        return self.of_sq_dists(pairwise_sq_dists(x, y))
+
+    def of_sq_dists(self, d2: np.ndarray) -> np.ndarray:
+        """Kernel values of the squared distances ``d2``, computed in place."""
+        np.divide(d2, -2.0 * self.bandwidth ** 2, out=d2)
+        return np.exp(d2, out=d2)
 
 
 def rbf_kernel(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
@@ -32,24 +38,103 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
     return float(spec.matrix(np.atleast_2d(x), np.atleast_2d(y))[0, 0])
 
 
+# A non-negative float64's bits shifted right by this keep its exponent and
+# its 6 leading mantissa bits: 2^17 buckets, 64 per binade, in the order of
+# the values.
+_BUCKET_SHIFT = 46
+
+
+def _upper_pairs(samples: np.ndarray):
+    """The squared distances of the pairs i < j of ``samples``, tile by tile."""
+    for i, j, d2 in sq_dist_tiles(samples, samples, upper=True):
+        yield d2[np.triu_indices(len(d2), k=1)] if i == j else d2.ravel()
+
+
+def _buckets(d2: np.ndarray) -> np.ndarray:
+    return d2.view(np.int64) >> _BUCKET_SHIFT
+
+
+def _in_buckets(d2: np.ndarray, first: int, last: int) -> np.ndarray:
+    b = _buckets(d2)
+    return d2[(b >= first) & (b <= last)]
+
+
 def median_heuristic(samples: np.ndarray) -> float:
     """sigma = sqrt(median of squared pairwise distances / 2); 1.0 when all
-    points coincide."""
+    points coincide. Raises NumericError on a NaN or infinite sample.
+
+    The median is exact: that of the upper triangle of
+    ``pairwise_sq_dists(samples, samples)``. Up to TILE samples that is one
+    tile. Beyond, a first pass over the upper tiles counts the pairs per
+    bucket of leading bits and a second keeps only the one or two buckets
+    that hold the middle ranks, so memory stays at a few tiles unless most
+    pairs share their leading bits.
+    """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n = samples.shape[0]
     if n < 2:
         raise ConfigError("median heuristic needs at least 2 samples")
-    d2 = pairwise_sq_dists(samples, samples)
-    pairs = d2[np.triu_indices(n, k=1)]
-    med = float(np.median(pairs))
+    if not np.all(np.isfinite(samples)):
+        # partition would sort NaN distances last and hide them
+        raise NumericError("median heuristic of non-finite samples")
+    p = n * (n - 1) // 2
+    if n <= TILE:
+        # one tile, bitwise symmetric: sorted, its off-diagonal entries are
+        # the p pairs each twice; behind the n diagonal entries (set to -1)
+        # the two middle pairs sit at n+p-1 and n+p, for odd and even p alike
+        d2 = pairwise_sq_dists(samples, samples)
+        np.fill_diagonal(d2, -1.0)
+        pairs, ranks = d2.ravel(), np.array([n + p - 1, n + p])
+    else:
+        ranks = np.array([(p - 1) // 2, p // 2])  # the middle one or two, 0-based
+        # d2 >= 0, so its bits sort as its values
+        counts = sum(np.bincount(_buckets(d2), minlength=1 << 17) for d2 in _upper_pairs(samples))
+        ends = np.cumsum(counts)
+        first, last = np.searchsorted(ends, ranks, side="right")
+        ranks -= ends[first] - counts[first]
+        pairs = np.concatenate([_in_buckets(d2, first, last) for d2 in _upper_pairs(samples)])
+    pairs.partition(ranks)
+    med = 0.5 * (pairs[ranks[0]] + pairs[ranks[1]])
     if med == 0.0:
         return 1.0
     return math.sqrt(med / 2.0)
 
 
 # ---------------------------------------------------------------------------
-# Estimators. Sums use math.fsum (exact up to final rounding), which makes
-# mmd2_biased(X, X) == 0.0 and the (X, Y) <-> (Y, X) symmetry hold exactly.
+# Estimators. A kernel matrix is summed tile by tile (the tiles of
+# pairwise_sq_dists), with a transpose-invariant sum at both levels: each
+# tile's sum adds numpy's pairwise sums of the tile and of its contiguous
+# transpose, and the grid of tile sums is summed the same way. Since
+# pairwise_sq_dists is swap-bitwise tile by tile, sum K(X, Y) == sum K(Y, X)
+# bitwise, which makes mmd2_biased(X, Y) == mmd2_biased(Y, X) exactly; and
+# since K(X, X) is the same matrix whichever slot X fills,
+# mmd2_biased(X, X) == 0.0. Memory is that of one tile.
+
+
+def _sym_sum(a: np.ndarray) -> float:
+    a = np.ascontiguousarray(a)
+    return 0.5 * (float(a.sum()) + float(np.ascontiguousarray(a.T).sum()))
+
+
+def _tiled_sum(tiles, m: int, n: int) -> float:
+    """Sum of an (m, n) kernel matrix given as its ``(i, j, tile)``."""
+    sums = np.empty((-(-m // TILE), -(-n // TILE)))
+    for i, j, k in tiles:
+        sums[i // TILE, j // TILE] = _sym_sum(k)
+    return _sym_sum(sums)
+
+
+def _kernel_sum(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
+    """Sum of K(x, y), without holding the (m, n) matrix."""
+    tiles = ((i, j, kernel.of_sq_dists(d2)) for i, j, d2 in sq_dist_tiles(x, y))
+    return _tiled_sum(tiles, x.shape[0], y.shape[0])
+
+
+def _matrix_sum(k: np.ndarray) -> float:
+    """Sum of the kernel matrix ``k``: the bits of ``_kernel_sum``."""
+    m, n = k.shape
+    tiles = ((i, j, k[i:i + TILE, j:j + TILE]) for i in range(0, m, TILE) for j in range(0, n, TILE))
+    return _tiled_sum(tiles, m, n)
 
 
 def _check_sets(x: np.ndarray, y: np.ndarray, min_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -66,9 +151,9 @@ def mmd2_biased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
     """V-statistic estimate of MMD^2; non-negative, zero when x == y."""
     x, y = _check_sets(x, y, 1)
     m, n = x.shape[0], y.shape[0]
-    xx = math.fsum(kernel.matrix(x, x).ravel()) / (m * m)
-    yy = math.fsum(kernel.matrix(y, y).ravel()) / (n * n)
-    xy = math.fsum(kernel.matrix(x, y).ravel()) / (m * n)
+    xx = _kernel_sum(x, x, kernel) / (m * m)
+    yy = _kernel_sum(y, y, kernel) / (n * n)
+    xy = _kernel_sum(x, y, kernel) / (m * n)
     return xx + yy - 2.0 * xy
 
 
@@ -77,11 +162,11 @@ def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
     be negative."""
     x, y = _check_sets(x, y, 2)
     m, n = x.shape[0], y.shape[0]
-    kxx = kernel.matrix(x, x)
-    kyy = kernel.matrix(y, y)
-    xx = (math.fsum(kxx.ravel()) - math.fsum(np.diag(kxx))) / (m * (m - 1))
-    yy = (math.fsum(kyy.ravel()) - math.fsum(np.diag(kyy))) / (n * (n - 1))
-    xy = math.fsum(kernel.matrix(x, y).ravel()) / (m * n)
+    # the self-terms are k(x_i, x_i) = exp(0) = 1: pairwise_sq_dists gives a
+    # row exactly 0 with itself
+    xx = (_kernel_sum(x, x, kernel) - m) / (m * (m - 1))
+    yy = (_kernel_sum(y, y, kernel) - n) / (n * (n - 1))
+    xy = _kernel_sum(x, y, kernel) / (m * n)
     return xx + yy - 2.0 * xy
 
 
@@ -97,8 +182,8 @@ def mmd2_biased_grad(x: np.ndarray, y: np.ndarray, kernel: KernelSpec
     kxx = kernel.matrix(x, x)
     kyy = kernel.matrix(y, y)
     kxy = kernel.matrix(x, y)
-    value = (math.fsum(kxx.ravel()) / (m * m) + math.fsum(kyy.ravel()) / (n * n)
-             - 2.0 * math.fsum(kxy.ravel()) / (m * n))
+    value = (_matrix_sum(kxx) / (m * m) + _matrix_sum(kyy) / (n * n)
+             - 2.0 * _matrix_sum(kxy) / (m * n))
     # d k(a, b) / d a = k(a, b) (b - a) / sigma^2
     gx = (2.0 / (m * m)) * inv_s2 * (kxx @ x - kxx.sum(axis=1)[:, None] * x) \
         - (2.0 / (m * n)) * inv_s2 * (kxy @ y - kxy.sum(axis=1)[:, None] * x)
@@ -124,25 +209,34 @@ def anchor_align(features: np.ndarray, static_text_anchors: AnchorSet,
 # ---------------------------------------------------------------------------
 # Permutation two-sample test
 
+_PERM_BLOCK = 256  # weight rows per GEMM: O(_PERM_BLOCK * N) memory
+
 
 def permutation_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
                      n_perms: int, rng: np.random.Generator) -> float:
     """p-value of the biased-MMD^2 two-sample test under label permutation,
-    with +1 smoothing in numerator and denominator."""
+    with +1 smoothing in numerator and denominator.
+
+    A split is a weight row w (+1/m on the x side, -1/n on the y side) over
+    the pooled samples, and its statistic is the quadratic form w K w. Row 0
+    is the observed split and rows 1..n_perms the permuted ones, so all
+    statistics come from one expression, evaluated in fixed-size blocks of
+    rows as rowsum((W K) * W).
+    """
     if n_perms < 100:
         raise ConfigError("n_perms must be >= 100")
     x, y = _check_sets(x, y, 1)
     m, n = x.shape[0], y.shape[0]
-    observed = mmd2_biased(x, y, kernel)
     pooled = np.concatenate([x, y])
     k_pooled = kernel.matrix(pooled, pooled)
-    exceed = 0
-    for _ in range(n_perms):
-        perm = rng.permutation(m + n)
-        xi, yi = perm[:m], perm[m:]
-        kxx = k_pooled[np.ix_(xi, xi)].sum() / (m * m)
-        kyy = k_pooled[np.ix_(yi, yi)].sum() / (n * n)
-        kxy = k_pooled[np.ix_(xi, yi)].sum() / (m * n)
-        if kxx + kyy - 2.0 * kxy >= observed:
-            exceed += 1
+    splits = itertools.chain([np.arange(m + n)],
+                             (rng.permutation(m + n) for _ in range(n_perms)))
+    stats = np.empty(1 + n_perms)
+    for start in range(0, stats.size, _PERM_BLOCK):
+        w = np.empty((min(_PERM_BLOCK, stats.size - start), m + n))
+        for row, split in zip(w, splits):
+            row[split[:m]] = 1.0 / m
+            row[split[m:]] = -1.0 / n
+        stats[start:start + len(w)] = np.einsum("ij,ij->i", w @ k_pooled, w)
+    exceed = int(np.count_nonzero(stats[1:] >= stats[0]))
     return (1 + exceed) / (1 + n_perms)

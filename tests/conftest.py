@@ -38,3 +38,15 @@ def toy_embedding_set(vectors, class_ids, modalities, num_classes=None, group_id
         domains if domains is not None else np.zeros(n, dtype=np.uint8),
         group_ids if group_ids is not None else np.zeros(n, dtype=np.int64),
         [f"class_{i:03d}" for i in range(k)])
+
+
+def blas_shaped_pairs(seed, cases):
+    """Seeded (x, y) pairs at shapes where BLAS blocks and switches kernels:
+    m, n up to 700, d up to 300, input scales 0.1-30."""
+    rng = make_rng(seed)
+    for _ in range(cases):
+        m, n = (int(v) for v in rng.integers(1, 701, size=2))
+        d = int(rng.integers(1, 301))
+        scale = float(rng.uniform(0.1, 30.0))
+        yield (scale * rng.standard_normal((m, d)),
+               scale * (rng.standard_normal((n, d)) + 0.1))

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -194,6 +195,36 @@ def test_nan_vector_is_data_error(tmp_path):
     assert error["error"] == "FormatError"
     assert "record 0 is not unit-normalized" in error["message"]
     assert not out.exists()
+
+
+def _anchors_data_error(tmp_path, payload):
+    """Run ``craft anchors`` on a CEMB ``payload``; return its one JSON error."""
+    path = tmp_path / "bad.cemb"
+    path.write_bytes(payload)
+    out = tmp_path / "anchors.cemb"
+    result = run_cli("anchors", "--data", str(path), "--out", str(out))
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr and "MemoryError" not in result.stderr
+    error = json.loads(result.stderr)  # exactly one JSON object
+    assert error["error"] == "FormatError"
+    assert not out.exists()
+    return error
+
+
+def test_huge_record_count_header_is_data_error(tmp_path):
+    # a header promising 2^32-1 records of dim 2^20 followed by no records
+    payload = b"CEMB" + struct.pack("<IIII", 1, 0xFFFFFFFF, 1 << 20, 1)
+    payload += struct.pack("<H", 1) + b"x"
+    error = _anchors_data_error(tmp_path, payload)
+    assert "truncated" in error["message"] and "offset 23" in error["message"]
+
+
+def test_bad_utf8_class_name_is_data_error(tmp_path):
+    payload = b"CEMB" + struct.pack("<IIII", 1, 1, 2, 1)
+    payload += struct.pack("<H", 3) + b"a\xffb"
+    payload += struct.pack("<IBBH", 0, 0, 0, 0) + struct.pack("<ff", 0.6, 0.8)
+    error = _anchors_data_error(tmp_path, payload)
+    assert "UTF-8" in error["message"] and "offset 23" in error["message"]
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from craft.core import (NormalizationError, NumericError, ShapeError,
+from craft.core import (TILE, NormalizationError, NumericError, ShapeError,
                         inner_product, l2_normalize, make_rng,
-                        pairwise_sq_dists, softmax)
+                        pairwise_sq_dists, softmax, sq_dist_tiles)
+
+from conftest import blas_shaped_pairs
 
 finite_vectors = arrays(np.float64, st.integers(1, 8),
                         elements=st.floats(-1e3, 1e3, allow_nan=False))
@@ -30,6 +32,9 @@ def test_l2_normalize_unit_norm_and_direction(rng):
 
 
 @given(finite_vectors)
+@example(np.array([2.2e-159]))  # squared norms in the subnormal range
+@example(np.array([1e-160]))
+@example(np.array([1e200]))  # squared norm overflows
 @settings(max_examples=200)
 def test_l2_normalize_idempotent(v):
     if np.linalg.norm(v) == 0.0:
@@ -109,3 +114,31 @@ def test_pairwise_sq_dists_matches_naive(rng):
             assert d2[i, j] == pytest.approx(np.sum((x[i] - y[j]) ** 2), rel=1e-12)
     # entrywise symmetric under swapping, bitwise
     np.testing.assert_array_equal(pairwise_sq_dists(y, x), d2.T)
+
+
+def test_pairwise_sq_dists_exact_at_blas_shapes():
+    for x, y in blas_shaped_pairs(11, 12):
+        d2 = pairwise_sq_dists(x, y)
+        np.testing.assert_array_equal(pairwise_sq_dists(y, x), d2.T)
+        assert d2.min() >= 0.0
+        self_d2 = pairwise_sq_dists(x, x.copy())
+        # the same GEMMs whether or not both arguments are one buffer
+        np.testing.assert_array_equal(pairwise_sq_dists(x, x), self_d2)
+        np.testing.assert_array_equal(self_d2, self_d2.T)
+        assert np.all(np.diag(self_d2) == 0.0)
+
+
+def test_sq_dist_tiles_are_the_tiles_of_pairwise_sq_dists():
+    rng = make_rng(12)
+    x, y = rng.standard_normal((TILE + 190, 37)), rng.standard_normal((2 * TILE + 70, 37))
+    d2 = pairwise_sq_dists(x, y)
+    tiles = list(sq_dist_tiles(x, y))
+    assert [(i, j) for i, j, _ in tiles] == [(i, j) for i in (0, TILE) for j in (0, TILE, 2 * TILE)]
+    for i, j, tile in tiles:
+        np.testing.assert_array_equal(tile, d2[i:i + TILE, j:j + TILE])
+    # upper: the tiles with j >= i of a set with itself
+    upper = [(i, j) for i, j, _ in sq_dist_tiles(y, y, upper=True)]
+    assert upper == [(0, 0), (0, TILE), (0, 2 * TILE), (TILE, TILE), (TILE, 2 * TILE),
+                     (2 * TILE, 2 * TILE)]
+    with pytest.raises(ShapeError):
+        pairwise_sq_dists(x, y[:, :5])

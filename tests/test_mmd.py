@@ -1,15 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from craft.core import ConfigError, ShapeError, make_rng
+from craft.core import TILE, ConfigError, NumericError, ShapeError, make_rng, pairwise_sq_dists
 from craft.dataio import SyntheticConfig, generate_synthetic
 from craft.mmd import (KernelSpec, anchor_align, median_heuristic, mmd2_biased,
                        mmd2_biased_grad, mmd2_unbiased,
                        permutation_test, rbf_kernel)
 
-from conftest import orthonormal_anchors, random_anchors, unit_rows
+from conftest import blas_shaped_pairs, orthonormal_anchors, random_anchors, unit_rows
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +55,50 @@ def test_median_heuristic_matches_bruteforce(rng):
         assert median_heuristic(samples) == pytest.approx(math.sqrt(np.median(d2) / 2.0), rel=1e-12)
 
 
+def test_median_heuristic_is_upper_triangle_median():
+    # odd (n = 2, 3, 6, 7, 699) and even (n = 4, 5, 8, 700) pair counts
+    rng = make_rng(21)
+    for n in (2, 3, 4, 5, 6, 7, 8, 699, 700):
+        samples = float(rng.uniform(0.1, 30.0)) * rng.standard_normal((n, int(rng.integers(1, 301))))
+        d2 = pairwise_sq_dists(samples, samples)
+        assert median_heuristic(samples) == math.sqrt(np.median(d2[np.triu_indices(n, k=1)]) / 2.0)
+
+
+def test_median_heuristic_tiled_rows_fallback():
+    rng = make_rng(22)
+    for x, _ in blas_shaped_pairs(23, 12):
+        assert median_heuristic(np.tile(x[0], (int(rng.integers(2, 50)), 1))) == 1.0
+
+
+def test_median_heuristic_beyond_one_tile_with_ties():
+    # many equal distances put most pairs into the middle buckets
+    rng = make_rng(26)
+    points = rng.standard_normal((3, 5))
+    for n in (TILE + 1, TILE + 188):
+        samples = points[rng.integers(0, 3, size=n)]
+        d2 = pairwise_sq_dists(samples, samples)
+        assert median_heuristic(samples) == math.sqrt(np.median(d2[np.triu_indices(n, k=1)]) / 2.0)
+    assert median_heuristic(np.tile(points[0], (TILE + 88, 1))) == 1.0
+    # the two middle pairs in different buckets: 1 point at 0, 252 at 1 and
+    # 276 near 3 give 69,828 of 139,656 pairs below 1.5 and the rest above 4
+    samples = np.concatenate([[0.0], np.ones(252), 3.0 + rng.uniform(0.0, 0.01, 276)])[:, None]
+    d2 = pairwise_sq_dists(samples, samples)
+    pairs = d2[np.triu_indices(len(samples), k=1)]
+    assert np.sum(pairs < 1.5) == len(pairs) // 2
+    assert median_heuristic(samples) == math.sqrt(np.median(pairs) / 2.0)
+
+
 def test_median_heuristic_needs_two(rng):
     with pytest.raises(ConfigError):
         median_heuristic(rng.standard_normal((1, 3)))
+
+
+def test_median_heuristic_rejects_non_finite(rng):
+    for bad in (np.nan, np.inf):
+        samples = rng.standard_normal((9, 3))
+        samples[4, 1] = bad
+        with pytest.raises(NumericError):
+            median_heuristic(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +126,54 @@ def test_mmd2_biased_symmetry_exact(rng):
         y = rng.standard_normal((int(rng.integers(1, 12)), 3))
         kernel = KernelSpec(float(rng.uniform(0.3, 3.0)))
         assert mmd2_biased(x, y, kernel) == mmd2_biased(y, x, kernel)
+
+
+def test_mmd2_exact_at_blas_shapes():
+    for x, y in blas_shaped_pairs(24, 10):
+        kernel = KernelSpec(median_heuristic(np.concatenate([x, y])))
+        assert mmd2_biased(x, x, kernel) == 0.0
+        assert mmd2_biased(x, x.copy(), kernel) == 0.0
+        assert mmd2_biased(x, y, kernel) == mmd2_biased(y, x, kernel)
+        if min(len(x), len(y)) >= 2:
+            assert mmd2_unbiased(x, y, kernel) == mmd2_unbiased(y, x, kernel)
+
+
+def test_kernel_layer_memory_bounded_at_clip_eval_shape():
+    # the OOD diagnostic at clip scale: 2400 anchor-aligned rows with K=100,
+    # 400 source vs 2000 target; the peak stays within three 2400^2 float64
+    # matrices (an (m, n, d) difference tensor would need 4.6 GB)
+    rng = make_rng(25)
+    rows = rng.standard_normal((2400, 100))
+    bound = 3 * 2400 * 2400 * 8
+    tracemalloc.start()
+    try:
+        kernel = KernelSpec(median_heuristic(rows))
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak < bound
+        tracemalloc.reset_peak()
+        mmd2_biased(rows[:400], rows[400:], kernel)
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak < bound
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_layer_memory_is_a_few_tiles():
+    # the bandwidth and the estimators hold a few (TILE, TILE) tiles at a
+    # time, not the (m, n) matrices
+    rows = make_rng(27).standard_normal((2400, 100))
+    kernel = KernelSpec(10.0)
+    bound = 8 * TILE * TILE * 8
+    for estimate in (lambda: median_heuristic(rows),
+                     lambda: mmd2_biased(rows[:400], rows[400:], kernel),
+                     lambda: mmd2_unbiased(rows[:400], rows[400:], kernel)):
+        tracemalloc.start()
+        try:
+            estimate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def test_mmd2_biased_nonnegative(rng):
@@ -150,6 +240,9 @@ def test_grad_value_matches_plain_estimator(rng):
     value, gx, gy = mmd2_biased_grad(x, y, kernel)
     assert value == mmd2_biased(x, y, kernel)
     assert gx.shape == x.shape and gy.shape == y.shape
+    # beyond one tile: the full matrices are summed over the same tiles
+    x, y = rng.standard_normal((TILE + 90, 4)), rng.standard_normal((TILE + 30, 4))
+    assert mmd2_biased_grad(x, y, kernel)[0] == mmd2_biased(x, y, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +356,35 @@ def test_permutation_test_separated_rejects():
         p = permutation_test(x, y, KernelSpec(median_heuristic(np.concatenate([x, y]))),
                              150, make_rng(seed, 8))
         assert p <= 0.01
+
+
+def _one_at_a_time_permutation_test(x, y, kernel, n_perms, rng):
+    """Reference: the quadratic form w K w of one split at a time, with
+    w = +1/m on the x side and -1/n on the y side."""
+    m, n = len(x), len(y)
+    pooled = np.concatenate([x, y])
+    k = kernel.matrix(pooled, pooled)
+
+    def statistic(split):
+        w = np.empty(m + n)
+        w[split[:m]] = 1.0 / m
+        w[split[m:]] = -1.0 / n
+        return float(np.sum((w @ k) * w))
+
+    observed = statistic(np.arange(m + n))
+    exceed = sum(statistic(rng.permutation(m + n)) >= observed for _ in range(n_perms))
+    return (1 + exceed) / (1 + n_perms)
+
+
+def test_permutation_test_matches_one_at_a_time_reference():
+    # 600 permutations span three weight-row blocks
+    for seed, (m, n, shift) in enumerate(((30, 45, 0.0), (40, 40, 0.3), (25, 60, 0.6))):
+        r = make_rng(seed, 9)
+        x, y = r.standard_normal((m, 3)), r.standard_normal((n, 3)) + shift
+        kernel = KernelSpec(median_heuristic(np.concatenate([x, y])))
+        p = permutation_test(x, y, kernel, 600, make_rng(seed, 10))
+        assert p == _one_at_a_time_permutation_test(x, y, kernel, 600, make_rng(seed, 10))
+        assert 1.0 / 601.0 < p < 1.0
 
 
 def test_permutation_test_needs_enough_perms(rng):
