@@ -1,9 +1,10 @@
 """Command-line front end: gen, anchors, train, eval, mmd.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error.
-Errors are emitted as one JSON object on stderr. CRAFT_THREADS caps the
-numerical backend's thread pool and must take effect before numpy loads,
-hence the env shim ahead of the heavy imports.
+Errors are emitted as one JSON object on stderr. CRAFT_THREADS, a positive
+integer, caps the numerical backend's thread pool and must take effect
+before numpy loads, hence the env shim ahead of the heavy imports; main()
+rejects any other value.
 """
 
 from __future__ import annotations
@@ -15,8 +16,13 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-_threads = os.environ.get("CRAFT_THREADS")
-if _threads:
+
+def _valid_threads(value: str) -> bool:
+    return value.isascii() and value.isdigit() and int(value) > 0
+
+
+_threads = os.environ.get("CRAFT_THREADS", "")
+if _valid_threads(_threads):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(_var, _threads)
@@ -25,7 +31,7 @@ import numpy as np  # noqa: E402
 
 from . import experiments  # noqa: E402
 from .adapter import read_checkpoint, write_checkpoint  # noqa: E402
-from .anchors import build_static_text_anchors, read_anchors, write_anchors  # noqa: E402
+from .anchors import read_anchors, write_anchors  # noqa: E402
 from .core import CraftError, ConfigError, AnchorError  # noqa: E402
 from .dataio import generate_synthetic, read_embeddings, write_embeddings  # noqa: E402
 from .evaluation import confusion, confusion_csv, format_pct  # noqa: E402
@@ -110,11 +116,9 @@ def cmd_eval(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     out.with_suffix(".txt").write_text(_report_text(report) + "\n")
+    anchors = experiments.eval_text_anchors(cfg, prepared, adapter)
     for name, emb_set in prepared.eval_sets.items():
-        anchors = prepared.text_anchors
-        if cfg.kind == "base-to-novel":
-            anchors = build_static_text_anchors(emb_set, adapter.encode_text)
-        matrix = confusion(adapter, emb_set, anchors, cfg.train.temperature)
+        matrix = confusion(adapter, emb_set, anchors[name], cfg.train.temperature)
         out.with_name(f"{out.stem}_confusion_{name}.csv").write_text(confusion_csv(matrix))
     print(json.dumps({"report": str(out)}, sort_keys=True))
     return 0
@@ -222,6 +226,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        threads = os.environ.get("CRAFT_THREADS")
+        if threads and not _valid_threads(threads):
+            raise ConfigError(f"CRAFT_THREADS must be a positive integer, got {threads!r}")
         return args.func(args)
     except CraftError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc),

@@ -101,27 +101,6 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / norms
 
 
-def inner_product(u: np.ndarray, v: np.ndarray) -> float:
-    """Euclidean dot product of two equal-dimension vectors."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ShapeError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(np.dot(u, v))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax (max-subtracted) over a 1-D array of finite logits."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.size == 0:
-        raise NumericError("softmax of empty logits")
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("softmax of non-finite logits")
-    shifted = logits - np.max(logits)
-    e = np.exp(shifted)
-    return e / np.sum(e)
-
-
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of a 2-D logit matrix, max-subtracted for stability."""
     logits = np.asarray(logits, dtype=np.float64)

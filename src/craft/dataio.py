@@ -8,9 +8,10 @@ CEMB layout (little-endian):
     u32    dim
     u32    num_classes
     per class name: u16 byte length + UTF-8 bytes
-    per record: u32 class_id, u8 modality (0=image, 1=text),
-                u8 domain (0=in-domain, 1=out-of-domain), u16 group_id,
-                dim * float32 vector
+    per record (numpy dtype ``_record_dtype(dim)``): u32 class_id,
+                u8 modality (0=image, 1=text), u8 domain (0=in-domain,
+                1=out-of-domain), u16 group_id, dim * float32 vector;
+                dim is at most MAX_DIM
 """
 
 from __future__ import annotations
@@ -89,6 +90,10 @@ class EmbeddingSet:
                 raise FormatError(f"{name} length {arr.shape} does not match {n} records")
         if n and (self.class_ids.min() < 0 or self.class_ids.max() >= self.num_classes):
             raise FormatError("class_id outside declared class vocabulary")
+        for arr, name in ((self.modalities, "modality"), (self.domains, "domain")):
+            bad = np.flatnonzero((arr != 0) & (arr != 1))
+            if bad.size:
+                raise FormatError(f"record {bad[0]}: {name} {arr[bad[0]]} is not 0 or 1")
         norms = np.linalg.norm(self.vectors, axis=1)
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= LOAD_NORM_TOL))  # NaN norms fail too
         if bad.size:
@@ -292,38 +297,43 @@ def few_shot_split(emb_set: EmbeddingSet, shots: int, rng: np.random.Generator
     return sampled, heldout
 
 
-def few_shot_sample(emb_set: EmbeddingSet, shots: int, rng: np.random.Generator) -> EmbeddingSet:
-    """The sampled half of :func:`few_shot_split`."""
-    return few_shot_split(emb_set, shots, rng)[0]
-
-
 # ---------------------------------------------------------------------------
 # CEMB reader / writer
 
 _HEADER = struct.Struct("<4sIIII")
-_REC_HEAD = struct.Struct("<IBBH")
+# 8 + 4 * dim bytes per record must fit a C int to make a numpy dtype
+MAX_DIM = 536_870_909
+
+
+def _record_dtype(dim: int) -> np.dtype:
+    """One CEMB record: the per-record layout of the module docstring."""
+    return np.dtype([("class_id", "<u4"), ("modality", "u1"), ("domain", "u1"),
+                     ("group_id", "<u2"), ("vector", "<f4", (dim,))])
 
 
 def write_embeddings(emb_set: EmbeddingSet, path: str | Path) -> None:
     """Serialize to CEMB. Vectors are narrowed to float32."""
     emb_set.validate()
-    out = bytearray()
-    out += _HEADER.pack(CEMB_MAGIC, CEMB_VERSION, len(emb_set), emb_set.dim,
-                        emb_set.num_classes)
+    bad = np.flatnonzero((emb_set.group_ids < 0) | (emb_set.group_ids > 0xFFFF))
+    if bad.size:
+        raise FormatError(f"group_id {emb_set.group_ids[bad[0]]} does not fit in u16")
+    head = bytearray(_HEADER.pack(CEMB_MAGIC, CEMB_VERSION, len(emb_set), emb_set.dim,
+                                  emb_set.num_classes))
     for name in emb_set.class_names:
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise FormatError(f"class name too long ({len(raw)} bytes)")
-        out += struct.pack("<H", len(raw)) + raw
-    vectors32 = emb_set.vectors.astype("<f4")
-    for i in range(len(emb_set)):
-        gid = int(emb_set.group_ids[i])
-        if not 0 <= gid <= 0xFFFF:
-            raise FormatError(f"group_id {gid} does not fit in u16")
-        out += _REC_HEAD.pack(int(emb_set.class_ids[i]), int(emb_set.modalities[i]),
-                              int(emb_set.domains[i]), gid)
-        out += vectors32[i].tobytes()
-    Path(path).write_bytes(bytes(out))
+        head += struct.pack("<H", len(raw)) + raw
+    rec = _record_dtype(emb_set.dim)
+    out = np.empty(len(head) + len(emb_set) * rec.itemsize, dtype=np.uint8)
+    out[:len(head)] = np.frombuffer(head, dtype=np.uint8)
+    records = out[len(head):].view(rec)
+    records["class_id"] = emb_set.class_ids
+    records["modality"] = emb_set.modalities
+    records["domain"] = emb_set.domains
+    records["group_id"] = emb_set.group_ids
+    records["vector"] = emb_set.vectors
+    Path(path).write_bytes(out)
 
 
 def read_embeddings(path: str | Path) -> EmbeddingSet:
@@ -357,37 +367,31 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
 
     # the header comes from outside: check the file length it implies
     # before allocating for it
-    vec_bytes = 4 * dim
-    records_bytes = count * (_REC_HEAD.size + vec_bytes)
+    records_bytes = count * (8 + 4 * dim)  # _record_dtype(dim).itemsize, not built yet
     if records_bytes > len(data) - off:
         raise FormatError(f"truncated file: header declares {count} records of dim {dim} "
                           f"({records_bytes} bytes) at offset {off}, "
                           f"but {len(data) - off} bytes remain")
-
-    vectors = np.empty((count, dim), dtype=np.float64)
-    class_ids = np.empty(count, dtype=np.int64)
-    modalities = np.empty(count, dtype=np.uint8)
-    domains = np.empty(count, dtype=np.uint8)
-    group_ids = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        at = need(_REC_HEAD.size, f"record {i} header")
-        cid, mod, dom, gid = _REC_HEAD.unpack_from(data, at)
-        if cid >= num_classes:
-            raise FormatError(f"record {i}: class_id {cid} >= num_classes {num_classes} at offset {at}")
-        if mod not in (0, 1):
-            raise FormatError(f"record {i}: bad modality byte {mod} at offset {at + 4}")
-        if dom not in (0, 1):
-            raise FormatError(f"record {i}: bad domain byte {dom} at offset {at + 5}")
-        start = need(vec_bytes, f"record {i} vector")
-        vectors[i] = np.frombuffer(data, dtype="<f4", count=dim, offset=start)
-        class_ids[i] = cid
-        modalities[i] = mod
-        domains[i] = dom
-        group_ids[i] = gid
+    if dim > MAX_DIM:
+        raise FormatError(f"dim {dim} above the largest supported {MAX_DIM} at offset 12")
+    rec = _record_dtype(dim)
+    records = np.frombuffer(data, dtype=rec, count=count, offset=off)
+    cid, mod, dom = records["class_id"], records["modality"], records["domain"]
+    bad = np.flatnonzero((cid >= num_classes) | (mod > 1) | (dom > 1))
+    if bad.size:  # the first bad record, its first bad field
+        i = int(bad[0])
+        at = off + i * rec.itemsize
+        if cid[i] >= num_classes:
+            raise FormatError(f"record {i}: class_id {cid[i]} >= num_classes {num_classes} at offset {at}")
+        if mod[i] > 1:
+            raise FormatError(f"record {i}: bad modality byte {mod[i]} at offset {at + 4}")
+        raise FormatError(f"record {i}: bad domain byte {dom[i]} at offset {at + 5}")
+    off += records_bytes
     if off != len(data):
         raise FormatError(f"{len(data) - off} trailing bytes at offset {off}")
 
-    result = EmbeddingSet(vectors, class_ids, modalities, domains, group_ids,
+    result = EmbeddingSet(records["vector"].astype(np.float64), cid.astype(np.int64),
+                          mod.copy(), dom.copy(), records["group_id"].astype(np.int64),
                           class_names)
     result.validate()
     return result

@@ -11,15 +11,15 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .adapter import Adapter
-from .anchors import AnchorSet, build_static_text_anchors
-from .core import EvalError, ShapeError, SplitError
+from .anchors import AnchorSet
+from .core import EvalError, SplitError
 from .dataio import EmbeddingSet, Modality, write_embeddings
-from .losses import class_distribution
+from .mmd import anchor_align
 
 
 @dataclass
@@ -56,19 +56,11 @@ def format_pct(value: float) -> str:
 # Prediction
 
 
-def predict(image_feature: np.ndarray, static_text_anchors: AnchorSet,
-            temperature: float = 1.0) -> int:
-    """Most probable class of one image feature; ties go to the lowest id."""
-    return class_distribution(image_feature, static_text_anchors, temperature).query_class
-
-
 def predict_batch(features: np.ndarray, static_text_anchors: AnchorSet,
                   temperature: float = 1.0) -> np.ndarray:
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if features.shape[1] != static_text_anchors.dim:
-        raise ShapeError(f"feature dim {features.shape[1]} != anchor dim {static_text_anchors.dim}")
-    logits = temperature * features @ static_text_anchors.vectors.T
-    return np.argmax(logits, axis=1)
+    """Most probable class of each feature row: the argmax of its anchor
+    logits; ties go to the lowest id."""
+    return np.argmax(anchor_align(features, static_text_anchors, temperature), axis=1)
 
 
 def _image_predictions(adapter: Adapter, emb_set: EmbeddingSet,
@@ -104,21 +96,14 @@ def confusion(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: Anch
 # ---------------------------------------------------------------------------
 # Harnesses
 
-AnchorBuilder = Callable[[EmbeddingSet, Callable[[np.ndarray], np.ndarray]], AnchorSet]
-
-
 def base_to_novel(adapter: Adapter, base_set: EmbeddingSet, novel_set: EmbeddingSet,
-                  anchor_builder: AnchorBuilder | None = None,
+                  base_anchors: AnchorSet, novel_anchors: AnchorSet,
                   temperature: float = 1.0) -> dict[str, float]:
     """Accuracy on held-out base classes and on disjoint novel classes, each
-    against text anchors built from that split's frozen text records passed
-    through the trained text adapter."""
+    against its own split's text anchors (see ``experiments.eval_text_anchors``)."""
     overlap = set(base_set.class_names) & set(novel_set.class_names)
     if overlap:
         raise SplitError(f"base and novel share classes: {sorted(overlap)[:3]}")
-    builder = anchor_builder or build_static_text_anchors
-    base_anchors = builder(base_set, adapter.encode_text)
-    novel_anchors = builder(novel_set, adapter.encode_text)
     return {
         "base_accuracy": accuracy(adapter, base_set, base_anchors, temperature),
         "novel_accuracy": accuracy(adapter, novel_set, novel_anchors, temperature),

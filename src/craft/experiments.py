@@ -205,17 +205,29 @@ def _domain_mmd_diagnostics(adapter: Adapter, source_test: EmbeddingSet,
     }
 
 
+def eval_text_anchors(cfg: RunConfig, prepared: PreparedExperiment, adapter: Adapter
+                      ) -> dict[str, AnchorSet]:
+    """The text anchors that score each eval set, by name. Base-to-novel:
+    each split's own frozen text records through the trained text adapter,
+    so novel classes get anchors. Other kinds: the training text anchors."""
+    if cfg.kind == "base-to-novel":
+        return {name: build_static_text_anchors(emb_set, adapter.encode_text)
+                for name, emb_set in prepared.eval_sets.items()}
+    return {name: prepared.text_anchors for name in prepared.eval_sets}
+
+
 def evaluate_prepared(cfg: RunConfig, prepared: PreparedExperiment, adapter: Adapter
                       ) -> dict:
     """Kind-specific report as a JSON-ready dict."""
     tau = cfg.train.temperature
+    sets = prepared.eval_sets
+    anchors = eval_text_anchors(cfg, prepared, adapter)
     report: dict = {"kind": cfg.kind, "mode": cfg.train.mode.value, "seed": cfg.seed}
     if cfg.kind == "base-to-novel":
-        report.update(base_to_novel(adapter, prepared.eval_sets["base"],
-                                    prepared.eval_sets["novel"], temperature=tau))
+        report.update(base_to_novel(adapter, sets["base"], sets["novel"],
+                                    anchors["base"], anchors["novel"], tau))
     elif cfg.kind == "group-robustness":
-        group = group_accuracy_report(adapter, prepared.eval_sets["heldout"],
-                                      prepared.text_anchors, tau)
+        group = group_accuracy_report(adapter, sets["heldout"], anchors["heldout"], tau)
         report["group"] = {
             "per_group_accuracy": {str(k): v for k, v in group.per_group_accuracy.items()},
             "worst_group": group.worst_group,
@@ -223,16 +235,14 @@ def evaluate_prepared(cfg: RunConfig, prepared: PreparedExperiment, adapter: Ada
             "gap": group.gap,
         }
     else:
-        ood = ood_suite(adapter, prepared.eval_sets["source"],
-                        [prepared.eval_sets["target"]], prepared.text_anchors, tau)
+        ood = ood_suite(adapter, sets["source"], [sets["target"]], anchors["source"], tau)
         report["ood"] = {
             "source_accuracy": ood.source_accuracy,
             "target_accuracies": ood.target_accuracies,
             "target_average": ood.target_average,
         }
         report["domain_mmd2"] = _domain_mmd_diagnostics(
-            adapter, prepared.eval_sets["source"], prepared.eval_sets["target"],
-            prepared.text_anchors, tau)
+            adapter, sets["source"], sets["target"], prepared.text_anchors, tau)
     return report
 
 

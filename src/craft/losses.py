@@ -20,7 +20,7 @@ import numpy as np
 from .adapter import Adapter, encode_with_cache
 from .anchors import AnchorSet
 from .core import (AnchorError, ConfigError, LabelError, NumericError,
-                   ShapeError, log_softmax_rows, softmax, softmax_rows)
+                   ShapeError, log_softmax_rows, softmax_rows)
 from .mmd import KernelSpec, anchor_align, median_heuristic, mmd2_biased_grad
 
 
@@ -32,16 +32,6 @@ class Mode(Enum):
     ALIGNED = "aligned"
     ALIGNED_MMD = "aligned-mmd"
     ORACLE = "oracle"
-
-
-@dataclass
-class ClassDistribution:
-    """Softmax class probabilities of one query against the opposite
-    modality's anchors; ``query_class`` is the modal class (ties break to
-    the lowest id)."""
-
-    probs: np.ndarray
-    query_class: int
 
 
 @dataclass
@@ -79,20 +69,6 @@ class LossConfig:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
 
 
-def class_distribution(query: np.ndarray, anchors: AnchorSet,
-                       temperature: float = 1.0) -> ClassDistribution:
-    """Softmax over temperature-scaled inner products with the anchors."""
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
-    if len(anchors) == 0:
-        raise AnchorError("empty anchor set")
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (anchors.dim,):
-        raise ShapeError(f"query shape {query.shape} != anchor dim ({anchors.dim},)")
-    probs = softmax(temperature * anchors.vectors @ query)
-    return ClassDistribution(probs=probs, query_class=int(np.argmax(probs)))
-
-
 # ---------------------------------------------------------------------------
 # Loss terms. Each returns its unweighted value and its gradient with respect
 # to the encoded features it reads; loss_and_gradient applies the weights.
@@ -100,7 +76,7 @@ def class_distribution(query: np.ndarray, anchors: AnchorSet,
 
 def _anchor_ce(feats: np.ndarray, labels: np.ndarray, anchors: AnchorSet,
                temperature: float) -> tuple[float, np.ndarray]:
-    """Batch mean of -log softmax(tau <feat, anchor_k>)[label]."""
+    """Batch mean of -log_softmax_rows(tau <feat, anchor_k>)[label]."""
     if labels.shape != (feats.shape[0],):
         raise ShapeError(f"{labels.shape[0] if labels.ndim else 0} labels for {feats.shape[0]} samples")
     if len(anchors) == 0:
@@ -109,7 +85,7 @@ def _anchor_ce(feats: np.ndarray, labels: np.ndarray, anchors: AnchorSet,
         raise LabelError(f"label out of range [0, {len(anchors)})")
     b = feats.shape[0]
     rows = np.arange(b)
-    logits = temperature * feats @ anchors.vectors.T
+    logits = anchor_align(feats, anchors, temperature)
     value = float(np.mean(-log_softmax_rows(logits)[rows, labels]))
     p = softmax_rows(logits)
     p[rows, labels] -= 1.0

@@ -32,12 +32,6 @@ class KernelSpec:
         return np.exp(d2, out=d2)
 
 
-def rbf_kernel(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
-    """Kernel value for a single pair of vectors."""
-    spec = KernelSpec(bandwidth)
-    return float(spec.matrix(np.atleast_2d(x), np.atleast_2d(y))[0, 0])
-
-
 # A non-negative float64's bits shifted right by this keep its exponent and
 # its 6 leading mantissa bits: 2^17 buckets, 64 per binade, in the order of
 # the values.

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import struct
@@ -78,6 +79,34 @@ def test_pipeline_artifacts(pipeline):
     assert report.with_suffix(".txt").exists()
     assert (report.parent / "report_confusion_base.csv").exists()
     assert (report.parent / "report_confusion_novel.csv").exists()
+
+
+def confusion_accuracy(path: Path) -> float:
+    """trace / total of a confusion CSV."""
+    rows = [[int(v) for v in row[1:]] for row in list(csv.reader(path.open()))[1:]]
+    return sum(row[i] for i, row in enumerate(rows)) / sum(map(sum, rows))
+
+
+def test_confusion_csvs_match_report(pipeline):
+    # each set's confusion matrix is scored against the anchors its report
+    # accuracy used: per-split adapter anchors for base-to-novel, the
+    # training anchors for ood
+    tmp_path, config, data, ckpt, report, _ = pipeline
+    doc = json.loads(report.read_text())
+    for name in ("base", "novel"):
+        csv_path = report.parent / f"report_confusion_{name}.csv"
+        assert confusion_accuracy(csv_path) == doc[f"{name}_accuracy"]
+    ood_ckpt, ood_report = tmp_path / "ood.cadp", tmp_path / "ood" / "report.json"
+    for args in (("train", "--config", str(config), "--data", str(data), "--out", str(ood_ckpt)),
+                 ("eval", "--config", str(config), "--checkpoint", str(ood_ckpt),
+                  "--data", str(data), "--out", str(ood_report))):
+        result = run_cli(*args, "--kind", "ood")
+        assert result.returncode == 0, result.stderr
+    doc = json.loads(ood_report.read_text())
+    expected = {"source": doc["ood"]["source_accuracy"],
+                "target": doc["ood"]["target_accuracies"][0]}
+    for name, accuracy in expected.items():
+        assert confusion_accuracy(ood_report.parent / f"report_confusion_{name}.csv") == accuracy
 
 
 def test_mmd_output_fields(pipeline):
@@ -219,6 +248,15 @@ def test_huge_record_count_header_is_data_error(tmp_path):
     assert "truncated" in error["message"] and "offset 23" in error["message"]
 
 
+def test_huge_dim_header_is_data_error(tmp_path):
+    # dim 2^32-1: no record of it fits a numpy dtype, even when none follow
+    for count, where in ((0, "offset 12"), (1, "offset 23")):
+        payload = b"CEMB" + struct.pack("<IIII", 1, count, 0xFFFFFFFF, 1)
+        payload += struct.pack("<H", 1) + b"x"
+        error = _anchors_data_error(tmp_path, payload)
+        assert where in error["message"]
+
+
 def test_bad_utf8_class_name_is_data_error(tmp_path):
     payload = b"CEMB" + struct.pack("<IIII", 1, 1, 2, 1)
     payload += struct.pack("<H", 3) + b"a\xffb"
@@ -247,6 +285,17 @@ def test_craft_threads_env_accepted(tmp_path):
     json.loads(result.stdout)
     assert (out / "source.cemb").is_file()
     assert (out / "target.cemb").is_file()
+
+
+@pytest.mark.parametrize("value", ["0", "abc", "-3"])
+def test_craft_threads_must_be_positive_integer(tmp_path, value):
+    anchors = tmp_path / "anchors.cemb"
+    result = run_cli("mmd", "--a", "a.cemb", "--b", "b.cemb", "--anchors", str(anchors),
+                     env={"CRAFT_THREADS": value}, unset=THREAD_VARS)
+    assert result.returncode == 2, result.stderr
+    error = json.loads(result.stderr)  # exactly one JSON object
+    assert error["error"] == "ConfigError" and "CRAFT_THREADS" in error["message"]
+    assert result.stdout == ""
 
 
 def strip_timestamp(path: Path) -> str:

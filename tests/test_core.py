@@ -6,9 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from craft.core import (TILE, NormalizationError, NumericError, ShapeError,
-                        inner_product, l2_normalize, make_rng,
-                        pairwise_sq_dists, softmax, sq_dist_tiles)
+from craft.core import (TILE, NormalizationError, ShapeError, l2_normalize, make_rng,
+                        pairwise_sq_dists, softmax_rows, sq_dist_tiles)
 
 from conftest import blas_shaped_pairs
 
@@ -43,43 +42,28 @@ def test_l2_normalize_idempotent(v):
     np.testing.assert_allclose(l2_normalize(once), once, atol=1e-9)
 
 
-def test_inner_product_examples():
-    assert inner_product(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert inner_product(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
-    assert inner_product(np.array([0.6, 0.8]), np.array([0.8, 0.6])) == pytest.approx(0.96, abs=1e-12)
-    with pytest.raises(ShapeError):
-        inner_product(np.zeros(2), np.zeros(3))
-
-
 def test_softmax_examples():
-    np.testing.assert_allclose(softmax(np.array([5.0])), [1.0])
-    np.testing.assert_allclose(softmax(np.zeros(3)), np.full(3, 1 / 3))
+    np.testing.assert_allclose(softmax_rows(np.array([[5.0]])), [[1.0]])
+    np.testing.assert_allclose(softmax_rows(np.zeros((2, 3))), np.full((2, 3), 1 / 3))
     expected = np.array([math.exp(1.0), math.exp(0.0)])
     expected /= expected.sum()
-    np.testing.assert_allclose(softmax(np.array([1.0, 0.0])), expected, atol=1e-12)
-    np.testing.assert_allclose(softmax(np.array([1.0, 0.0])), [0.73106, 0.26894], atol=5e-6)
-
-
-def test_softmax_errors():
-    with pytest.raises(NumericError):
-        softmax(np.array([]))
-    with pytest.raises(NumericError):
-        softmax(np.array([1.0, np.nan]))
-    with pytest.raises(NumericError):
-        softmax(np.array([np.inf, 0.0]))
+    np.testing.assert_allclose(softmax_rows(np.array([[1.0, 0.0]])), [expected], atol=1e-12)
+    np.testing.assert_allclose(softmax_rows(np.array([[1.0, 0.0], [0.0, 1.0]])),
+                               [[0.73106, 0.26894], [0.26894, 0.73106]], atol=5e-6)
 
 
 @given(arrays(np.float64, st.integers(1, 10), elements=st.floats(-50, 50)),
        st.floats(-100, 100, allow_nan=False))
 @settings(max_examples=200)
 def test_softmax_shift_invariance(logits, shift):
-    np.testing.assert_allclose(softmax(logits + shift), softmax(logits), atol=1e-9)
+    np.testing.assert_allclose(softmax_rows(logits[None] + shift), softmax_rows(logits[None]),
+                               atol=1e-9)
 
 
 def test_softmax_basic_contract(rng):
     for _ in range(20):
-        p = softmax(rng.standard_normal(rng.integers(1, 12)))
-        assert abs(p.sum() - 1.0) < 1e-6
+        p = softmax_rows(rng.standard_normal((3, rng.integers(1, 12))))
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(p > 0) and np.all(p < 1 + 1e-12)
 
 

@@ -2,13 +2,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from craft.anchors import kmeans
 from craft.core import ConfigError, FormatError, SplitError, make_rng
-from craft.dataio import (Domain, Modality, SyntheticConfig, few_shot_sample,
-                          few_shot_split, generate_synthetic, read_embeddings,
+from craft.dataio import (MAX_DIM, Domain, Modality, SyntheticConfig, few_shot_split,
+                          generate_synthetic, read_embeddings,
                           split_base_novel, write_embeddings)
 
 from conftest import toy_embedding_set
@@ -153,7 +153,7 @@ def test_split_partitions_classes(k, fraction):
 
 def test_few_shot_16_of_32():
     source, _ = generate_synthetic(small_cfg(samples_per_class_per_modality=32))
-    sampled = few_shot_sample(source, 16, make_rng(5))
+    sampled = few_shot_split(source, 16, make_rng(5))[0]
     for c in range(source.num_classes):
         for modality in (Modality.IMAGE, Modality.TEXT):
             count = np.sum((sampled.class_ids == c) & sampled.modality_mask(modality))
@@ -162,15 +162,15 @@ def test_few_shot_16_of_32():
 
 def test_few_shot_all_available_is_identity():
     source, _ = generate_synthetic(small_cfg())
-    sampled = few_shot_sample(source, 10_000, make_rng(5))
+    sampled = few_shot_split(source, 10_000, make_rng(5))[0]
     np.testing.assert_array_equal(sampled.vectors, source.vectors)
     np.testing.assert_array_equal(sampled.class_ids, source.class_ids)
 
 
 def test_few_shot_deterministic():
     source, _ = generate_synthetic(small_cfg())
-    a = few_shot_sample(source, 3, make_rng(5))
-    b = few_shot_sample(source, 3, make_rng(5))
+    a = few_shot_split(source, 3, make_rng(5))[0]
+    b = few_shot_split(source, 3, make_rng(5))[0]
     np.testing.assert_array_equal(a.vectors, b.vectors)
 
 
@@ -193,7 +193,7 @@ def test_few_shot_missing_class_warns_not_raises():
 def test_few_shot_shots_must_be_positive():
     emb = make_many_class_set(3)
     with pytest.raises(ConfigError):
-        few_shot_sample(emb, 0, make_rng(0))
+        few_shot_split(emb, 0, make_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +221,28 @@ def test_roundtrip_bitwise_stable_after_first_write(tmp_path):
     once = read_embeddings(p1)
     write_embeddings(once, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_codec_matches_per_record_struct_layout(tmp_path):
+    # the reference: header, names, then each record packed on its own
+    source, _ = generate_synthetic(small_cfg(group_spurious_strength=0.4,
+                                             domain_shift_magnitude=0.5))
+    source.group_ids[::7] = 0xFFFF
+    source.domains[::3] = 1
+    expected = b"CEMB" + struct.pack("<IIII", 1, len(source), source.dim, source.num_classes)
+    expected += b"".join(struct.pack("<H", len(n)) + n.encode() for n in source.class_names)
+    for i in range(len(source)):
+        expected += struct.pack("<IBBH", source.class_ids[i], source.modalities[i],
+                                source.domains[i], source.group_ids[i])
+        expected += struct.pack(f"<{source.dim}f", *source.vectors[i])
+    path = tmp_path / "layout.cemb"
+    write_embeddings(source, path)
+    assert path.read_bytes() == expected
+    back = read_embeddings(path)
+    np.testing.assert_array_equal(back.group_ids, source.group_ids)
+    np.testing.assert_array_equal(back.domains, source.domains)
+    for column in ("class_ids", "modalities", "domains", "group_ids"):
+        assert getattr(back, column).dtype == getattr(source, column).dtype
 
 
 def test_bad_magic(tmp_path):
@@ -308,3 +330,124 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError, match="trailing"):
         read_embeddings(path)
+
+
+# ---------------------------------------------------------------------------
+# CEMB record faults: the error names the first bad record in file order,
+# then its first bad field in layout order (class_id, modality, domain)
+
+
+def _two_record_fault(tmp_path, *edits):
+    """Read a two-record file of dim 2 after setting single bytes: ``edits``
+    are (record, byte within the record, value); returns the error message."""
+    emb = toy_embedding_set(np.eye(2), [0, 1], [0, 1], num_classes=2)
+    path = tmp_path / "faults.cemb"
+    write_embeddings(emb, path)
+    raw = bytearray(path.read_bytes())
+    first = 20 + sum(2 + len(n) for n in emb.class_names)  # 42
+    for record, at, value in edits:
+        raw[first + record * 16 + at] = value
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as info:
+        read_embeddings(path)
+    return str(info.value)
+
+
+def test_bad_modality_byte_rejected(tmp_path):
+    assert _two_record_fault(tmp_path, (0, 4, 2)) == "record 0: bad modality byte 2 at offset 46"
+
+
+def test_bad_domain_byte_rejected(tmp_path):
+    assert _two_record_fault(tmp_path, (1, 5, 7)) == "record 1: bad domain byte 7 at offset 63"
+
+
+def test_first_of_two_bad_records_named(tmp_path):
+    message = _two_record_fault(tmp_path, (1, 0, 9), (0, 5, 3))
+    assert message == "record 0: bad domain byte 3 at offset 47"
+
+
+def test_first_of_two_bad_fields_named(tmp_path):
+    message = _two_record_fault(tmp_path, (1, 5, 4), (1, 4, 5), (1, 0, 9))
+    assert message == "record 1: class_id 9 >= num_classes 2 at offset 58"
+    message = _two_record_fault(tmp_path, (1, 5, 4), (1, 4, 5))
+    assert message == "record 1: bad modality byte 5 at offset 62"
+
+
+@pytest.mark.parametrize("column, value", [("modalities", 2), ("domains", 7)])
+def test_write_refuses_what_read_refuses(tmp_path, column, value):
+    emb = toy_embedding_set(np.eye(2), [0, 1], [0, 1], num_classes=2)
+    getattr(emb, column)[1] = value
+    path = tmp_path / "refused.cemb"
+    with pytest.raises(FormatError, match=f"record 1: .* {value} is not 0 or 1"):
+        write_embeddings(emb, path)
+    assert not path.exists()
+
+
+def test_group_id_must_fit_u16(tmp_path):
+    emb = toy_embedding_set(np.eye(2), [0, 1], [0, 1], num_classes=2,
+                            group_ids=np.array([0xFFFF, 0x10000]))
+    path = tmp_path / "groups.cemb"
+    with pytest.raises(FormatError, match="group_id 65536 does not fit in u16"):
+        write_embeddings(emb, path)
+    assert not path.exists()
+
+
+def _header(count, dim, num_classes=1):
+    return (b"CEMB" + struct.pack("<IIII", 1, count, dim, num_classes)
+            + b"".join(struct.pack("<H", 1) + b"x" for _ in range(num_classes)))
+
+
+def test_dim_limit(tmp_path):
+    path = tmp_path / "dim.cemb"
+    path.write_bytes(_header(0, MAX_DIM))
+    assert read_embeddings(path).dim == MAX_DIM
+    for dim in (MAX_DIM + 1, 2**32 - 1):
+        path.write_bytes(_header(0, dim))
+        with pytest.raises(FormatError, match="at offset 12"):
+            read_embeddings(path)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: bytes of a small valid file truncated, extended or overwritten,
+# header included, are read into a valid set or refused with FormatError
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+_VALID = (_header(3, 3, num_classes=2)
+          + b"".join(struct.pack("<IBBH", c, m, d, g) + struct.pack("<fff", *v)
+                     for c, m, d, g, v in ((0, 0, 0, 0, (1.0, 0.0, 0.0)),
+                                           (1, 1, 0, 3, (0.0, 0.6, 0.8)),
+                                           (1, 0, 1, 0, (0.0, 0.0, 1.0)))))
+
+_edits = st.lists(st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, len(_VALID))),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=24)),
+    st.tuples(st.just("overwrite"), st.integers(0, len(_VALID) - 1),
+              st.binary(min_size=1, max_size=8))), min_size=1, max_size=3)
+
+
+@given(_edits)
+@example([("overwrite", 8, struct.pack("<II", 0, 2**32 - 1))])
+@example([("overwrite", 8, struct.pack("<II", 1, 2**32 - 1))])
+@example([("overwrite", 16, struct.pack("<I", 2**32 - 1))])
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_cemb_is_read_or_refused(fuzz_dir, edits):
+    raw = bytearray(_VALID)
+    for edit in edits:
+        if edit[0] == "truncate":
+            del raw[edit[1]:]
+        elif edit[0] == "extend":
+            raw += edit[1]
+        else:
+            raw[edit[1]:edit[1] + len(edit[2])] = edit[2]
+    path = fuzz_dir / "fuzzed.cemb"
+    path.write_bytes(bytes(raw))
+    try:
+        emb = read_embeddings(path)
+    except FormatError:
+        return
+    emb.validate()

@@ -3,13 +3,12 @@ import pytest
 
 from craft.adapter import Adapter
 from craft.anchors import build_static_text_anchors
-from craft.core import EvalError, SplitError, l2_normalize
+from craft.core import EvalError, ShapeError, SplitError, l2_normalize
 from craft.dataio import (Modality, SyntheticConfig, generate_synthetic,
                           read_embeddings, split_base_novel)
 from craft.evaluation import (accuracy, base_to_novel, confusion, confusion_csv,
                               dump_features, format_pct, group_accuracy_report,
-                              group_metrics, ood_report, ood_suite, predict,
-                              predict_batch)
+                              group_metrics, ood_report, ood_suite, predict_batch)
 
 from conftest import orthonormal_anchors, random_anchors, toy_embedding_set, unit_rows
 
@@ -28,25 +27,28 @@ def separable_set():
 
 def test_predict_matches_anchor():
     anchors = orthonormal_anchors(3, 3)
-    assert predict(anchors.vectors[2], anchors) == 2
+    np.testing.assert_array_equal(predict_batch(anchors.vectors, anchors), [0, 1, 2])
+    assert predict_batch(anchors.vectors[2], anchors).tolist() == [2]
+    with pytest.raises(ShapeError):
+        predict_batch(np.zeros((2, 4)), anchors)
 
 
 def test_predict_single_class(rng):
     anchors = random_anchors(rng, 1, 4)
-    assert predict(unit_rows(rng, 1, 4)[0], anchors) == 0
+    np.testing.assert_array_equal(predict_batch(unit_rows(rng, 5, 4), anchors), 0)
 
 
 def test_predict_temperature_invariant(rng):
     anchors = random_anchors(rng, 5, 6)
-    for _ in range(50):
-        feature = unit_rows(rng, 1, 6)[0]
-        assert predict(feature, anchors, 1.0) == predict(feature, anchors, 100.0)
+    features = unit_rows(rng, 50, 6)
+    np.testing.assert_array_equal(predict_batch(features, anchors, 1.0),
+                                  predict_batch(features, anchors, 100.0))
 
 
 def test_predict_tie_breaks_low():
-    anchors = orthonormal_anchors(2, 2)
-    query = l2_normalize(np.array([1.0, 1.0]))
-    assert predict(query, anchors) == 0
+    anchors = orthonormal_anchors(3, 3)
+    queries = l2_normalize(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]))
+    np.testing.assert_array_equal(predict_batch(queries, anchors), [0, 1, 0])
 
 
 def test_accuracy_perfect_and_permuted():
@@ -86,7 +88,10 @@ def test_base_to_novel_untrained_equals_zero_shot():
         num_classes=6, dim=8, samples_per_class_per_modality=8,
         cluster_spread=0.2, cross_modal_noise=0.3, seed=5))
     base, novel = split_base_novel(source, 0.5)
-    result = base_to_novel(Adapter.zeros(8), base, novel, temperature=10.0)
+    untrained = Adapter.zeros(8)
+    result = base_to_novel(untrained, base, novel,
+                           build_static_text_anchors(base, untrained.encode_text),
+                           build_static_text_anchors(novel, untrained.encode_text), 10.0)
     for split in (base, novel):
         anchors = build_static_text_anchors(split)
         expected = accuracy(Adapter.zeros(8), split, anchors, 10.0)
@@ -96,8 +101,9 @@ def test_base_to_novel_untrained_equals_zero_shot():
 
 def test_base_to_novel_overlap_rejected():
     emb = separable_set()
+    anchors = orthonormal_anchors(4, 4)
     with pytest.raises(SplitError):
-        base_to_novel(Adapter.zeros(4), emb, emb)
+        base_to_novel(Adapter.zeros(4), emb, emb, anchors, anchors)
 
 
 # ---------------------------------------------------------------------------

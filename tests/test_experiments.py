@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
-from craft.core import ConfigError
+from craft.adapter import Adapter
+from craft.anchors import build_static_text_anchors
+from craft.core import ConfigError, make_rng
 from craft.dataio import generate_synthetic
-from craft.experiments import (load_run_config, prepare, reference_config,
+from craft.experiments import (eval_text_anchors, load_run_config, prepare, reference_config,
                                run_config_from_dict, run_experiment)
 from craft.losses import Mode
 
@@ -91,6 +94,27 @@ def test_prepare_ood_carries_target():
     prep = prepare(cfg, source, target)
     assert set(prep.eval_sets) == {"source", "target"}
     assert prep.train_target is target
+
+
+def test_eval_text_anchors_rule():
+    adapter = Adapter.zeros(8)
+    adapter.params[:] = 0.1 * make_rng(4).standard_normal(adapter.params.size)
+    cfg = run_config_from_dict(reference_doc())
+    prep = prepare(cfg, *generate_synthetic(cfg.synthetic))
+    anchors = eval_text_anchors(cfg, prep, adapter)
+    # base-to-novel: each split's own text records through the text adapter
+    assert set(anchors) == {"base", "novel"}
+    for name, emb_set in prep.eval_sets.items():
+        expected = build_static_text_anchors(emb_set, adapter.encode_text)
+        np.testing.assert_array_equal(anchors[name].vectors, expected.vectors)
+        assert anchors[name].class_names == expected.class_names
+    # other kinds: the training text anchors for every set
+    for kind in ("ood", "group-robustness"):
+        cfg = run_config_from_dict(reference_doc(kind=kind))
+        prep = prepare(cfg, *generate_synthetic(cfg.synthetic))
+        anchors = eval_text_anchors(cfg, prep, adapter)
+        assert set(anchors) == set(prep.eval_sets)
+        assert all(a is prep.text_anchors for a in anchors.values())
 
 
 def test_run_experiment_group_robustness():

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from craft.adapter import Adapter
-from craft.core import AnchorError, ConfigError, LabelError, ShapeError, l2_normalize, make_rng
+from craft.core import (AnchorError, ConfigError, LabelError, ShapeError, l2_normalize, make_rng,
+                        softmax_rows)
 from craft.dataio import Modality
 from craft.losses import (LossBatch, LossConfig, Mode, _anchor_ce, _contrastive,
-                          class_distribution, loss_and_gradient)
+                          loss_and_gradient)
 from craft.mmd import KernelSpec, anchor_align, median_heuristic
 
 from conftest import orthonormal_anchors, random_anchors, unit_rows
@@ -19,46 +20,51 @@ LN_1P_EXP_NEG1 = math.log(1.0 + math.exp(-1.0))  # 0.31326...
 
 
 # ---------------------------------------------------------------------------
-# class_distribution
+# class distribution: the softmax of the anchor logits, as the anchor
+# cross-entropy takes it
+
+
+def anchor_probs(query, anchors, temperature=1.0):
+    """Class probabilities of one query against the anchors."""
+    return softmax_rows(anchor_align(query, anchors, temperature))[0]
 
 
 def test_class_distribution_single_anchor():
-    dist = class_distribution(np.array([1.0, 0.0]), orthonormal_anchors(1, 2))
-    np.testing.assert_allclose(dist.probs, [1.0])
-    assert dist.query_class == 0
+    probs = anchor_probs(np.array([1.0, 0.0]), orthonormal_anchors(1, 2))
+    np.testing.assert_allclose(probs, [1.0])
 
 
 def test_class_distribution_two_anchors():
-    dist = class_distribution(np.array([1.0, 0.0]), orthonormal_anchors(2, 2))
+    probs = anchor_probs(np.array([1.0, 0.0]), orthonormal_anchors(2, 2))
     # oracle: softmax of logits (1, 0)
     expected = np.exp([1.0, 0.0]) / np.exp([1.0, 0.0]).sum()
-    np.testing.assert_allclose(dist.probs, expected, atol=1e-12)
-    np.testing.assert_allclose(dist.probs, [0.73106, 0.26894], atol=5e-6)
+    np.testing.assert_allclose(probs, expected, atol=1e-12)
+    np.testing.assert_allclose(probs, [0.73106, 0.26894], atol=5e-6)
 
 
 def test_class_distribution_equidistant_uniform():
     query = l2_normalize(np.ones(4))
     anchors = orthonormal_anchors(4, 4)
-    dist = class_distribution(query, anchors, temperature=2.5)
-    np.testing.assert_allclose(dist.probs, np.full(4, 0.25), atol=1e-12)
+    probs = anchor_probs(query, anchors, temperature=2.5)
+    np.testing.assert_allclose(probs, np.full(4, 0.25), atol=1e-12)
 
 
 def test_class_distribution_errors(rng):
     import craft.anchors as anchors_mod
     empty = anchors_mod.AnchorSet(np.zeros((0, 3)), Modality.TEXT)
     with pytest.raises(AnchorError):
-        class_distribution(np.zeros(3), empty)
+        _anchor_ce(unit_rows(rng, 2, 3), np.zeros(2, dtype=np.int64), empty, 1.0)
     with pytest.raises(ConfigError):
-        class_distribution(np.array([1.0, 0.0]), orthonormal_anchors(2, 2), temperature=0.0)
+        LossConfig(temperature=0.0).validate()
 
 
 def test_class_distribution_sums_to_one(rng):
     for _ in range(30):
         k, dim = int(rng.integers(1, 9)), 6
-        dist = class_distribution(unit_rows(rng, 1, dim)[0], random_anchors(rng, k, dim),
-                                  temperature=float(rng.uniform(0.1, 40)))
-        assert abs(dist.probs.sum() - 1.0) < 1e-6
-        assert np.all(dist.probs > 0)
+        probs = anchor_probs(unit_rows(rng, 1, dim)[0], random_anchors(rng, k, dim),
+                             temperature=float(rng.uniform(0.1, 40)))
+        assert abs(probs.sum() - 1.0) < 1e-6
+        assert np.all(probs > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ import pytest
 from craft.core import TILE, ConfigError, NumericError, ShapeError, make_rng, pairwise_sq_dists
 from craft.dataio import SyntheticConfig, generate_synthetic
 from craft.mmd import (KernelSpec, anchor_align, median_heuristic, mmd2_biased,
-                       mmd2_biased_grad, mmd2_unbiased,
-                       permutation_test, rbf_kernel)
+                       mmd2_biased_grad, mmd2_unbiased, permutation_test)
 
 from conftest import blas_shaped_pairs, orthonormal_anchors, random_anchors, unit_rows
 
@@ -17,16 +16,23 @@ from conftest import blas_shaped_pairs, orthonormal_anchors, random_anchors, uni
 # kernel and bandwidth
 
 
+def kernel_value(x, y, bandwidth):
+    """The kernel value of one pair: an entry of ``KernelSpec.matrix``."""
+    return KernelSpec(bandwidth).matrix(x[None], y[None])[0, 0]
+
+
 def test_rbf_examples():
     x = np.array([0.0, 0.0])
-    assert rbf_kernel(x, x, 1.0) == 1.0
-    assert rbf_kernel(x, np.array([1.0, 0.0]), 1.0) == pytest.approx(math.exp(-0.5), abs=1e-12)
-    assert rbf_kernel(x, np.array([1.0, 0.0]), 1.0) == pytest.approx(0.60653, abs=5e-6)
+    assert kernel_value(x, x, 1.0) == 1.0
+    assert kernel_value(x, np.array([1.0, 0.0]), 1.0) == pytest.approx(math.exp(-0.5), abs=1e-12)
+    assert kernel_value(x, np.array([1.0, 0.0]), 1.0) == pytest.approx(0.60653, abs=5e-6)
+    k = KernelSpec(2.0).matrix(np.array([[0.0], [1.0]]), np.array([[0.0], [2.0], [3.0]]))
+    np.testing.assert_allclose(k, np.exp(-np.array([[0, 4, 9], [1, 1, 4]]) / 8.0), rtol=1e-15)
 
 
 def test_rbf_monotone_in_bandwidth():
     x, y = np.array([0.0]), np.array([2.0])
-    values = [rbf_kernel(x, y, s) for s in (0.5, 1.0, 10.0, 1e3)]
+    values = [kernel_value(x, y, s) for s in (0.5, 1.0, 10.0, 1e3)]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values[-1] > 0.999998
 
