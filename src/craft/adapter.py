@@ -61,24 +61,27 @@ class Adapter:
 
 def encode(weight: np.ndarray, bias: np.ndarray, base: np.ndarray) -> np.ndarray:
     """normalize(base + W base + b), for one vector or a batch of rows."""
-    return encode_with_cache(weight, bias, np.atleast_2d(base))[0].reshape(np.shape(base))
+    if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
+        raise NumericError("adapter parameters are not finite")
+    rows = np.atleast_2d(np.asarray(base, dtype=np.float64))
+    if rows.shape[1] != bias.shape[0]:
+        raise ShapeError(f"embedding dim {rows.shape[1]} != adapter dim {bias.shape[0]}")
+    return encode_with_cache(weight, bias, rows)[0].reshape(np.shape(base))
 
 
 def encode_with_cache(weight: np.ndarray, bias: np.ndarray, base: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch encode returning (unit rows U, pre-normalization norms r).
+    """Batch encode of float64 rows of the adapter's dimension, returning
+    (unit rows U, pre-normalization norms r). The callers, ``encode`` and
+    the loss, check the arguments; this checks only that every norm is
+    positive and finite, so that each row of U is a unit vector.
 
     The cache is what the backward pass needs: dL/dz = (g - (u.g) u) / r.
     """
-    if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
-        raise NumericError("adapter parameters are not finite")
-    base = np.asarray(base, dtype=np.float64)
-    if base.shape[1] != bias.shape[0]:
-        raise ShapeError(f"embedding dim {base.shape[1]} != adapter dim {bias.shape[0]}")
     z = base + base @ weight.T + bias
-    norms = np.linalg.norm(z, axis=1)
-    if np.any(norms == 0.0):
-        raise NormalizationError("adapter produced a zero vector")
+    norms = np.sqrt((z * z).sum(axis=1))  # np.linalg.norm(z, axis=1), without its dispatch
+    if norms.size and not (norms.min() > 0.0 and norms.max() < np.inf):
+        raise NormalizationError("adapter produced a zero or non-finite vector norm")
     return z / norms[:, None], norms
 
 

@@ -101,20 +101,16 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / norms
 
 
-def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of a 2-D logit matrix, max-subtracted for stability."""
+def softmax_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax and log-softmax ``(p, log_p)`` of a 2-D logit
+    matrix, both from one max-subtracted exponential."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    return shifted - lse
-
-
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-D logit matrix."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    p = np.exp(shifted)
+    total = p.sum(axis=1, keepdims=True)
+    log_p = shifted - np.log(total)
+    p /= total
+    return p, log_p
 
 
 # Rows per side of a distance tile: tiles are (TILE, TILE) float64 arrays
@@ -128,9 +124,20 @@ def _rows(x: np.ndarray) -> np.ndarray:
 
 def _gram_tile(x: np.ndarray, y: np.ndarray, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of ``x`` and ``y``, whose squared
-    norms are ``xx`` and ``yy``; see ``pairwise_sq_dists``."""
+    norms are ``xx`` and ``yy``; see ``pairwise_sq_dists``.
+
+    The second cross product ``y x^T`` is read back transposed. In an
+    unpadded (TILE, TILE) array its rows lie 4 KiB apart, so that read
+    walks addresses that share their cache sets and evicts itself. Its
+    rows are therefore padded by 8 doubles; GEMM writes the same values
+    into any row stride. The padded buffer is freed before ``norms`` is
+    made, so at most two (TILE, TILE) temporaries are alive at once.
+    """
     cross = x @ np.ascontiguousarray(y.T)
-    cross += (y @ np.ascontiguousarray(x.T)).T
+    padded = np.empty((y.shape[0], x.shape[0] + 8))
+    np.matmul(y, np.ascontiguousarray(x.T), out=padded[:, :x.shape[0]])
+    cross += padded[:, :x.shape[0]].T
+    del padded
     norms = xx[:, None] + yy[None, :]
     d2 = np.subtract(norms, cross, out=cross)
     norms *= (2 * x.shape[1] + 8) * np.finfo(np.float64).eps

@@ -12,9 +12,9 @@ import numpy as np
 
 from .adapter import Adapter
 from .anchors import AnchorSet
-from .core import ConfigError, ScheduleError, ShapeError, make_rng
+from .core import ConfigError, NumericError, ScheduleError, ShapeError, make_rng
 from .dataio import EmbeddingSet, Modality
-from .losses import LossBatch, LossConfig, Mode, loss_and_gradient
+from .losses import LossBatch, LossConfig, Mode, _check_terms, _loss_step
 from .mmd import KernelSpec
 
 # Appendix-style defaults: lr is tied to batch size unless set explicitly.
@@ -133,6 +133,7 @@ def _pooled_records(source: EmbeddingSet, target: EmbeddingSet | None, mode: Mod
             np.concatenate(txt_vecs), np.concatenate(txt_labels))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(source: EmbeddingSet, target: EmbeddingSet | None,
           static_text_anchors: AnchorSet, static_image_anchors: AnchorSet,
           cfg: TrainConfig) -> tuple[Adapter, TrainHistory]:
@@ -142,19 +143,33 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
     same-class text record, mode-specific loss, SGD step at the epoch's
     cosine-annealed rate. Target batches for the MMD term come from an
     independent substream of the seed.
+
+    Every argument is checked here, before the first step. A step is
+    ``loss_and_gradient`` without its argument checks: it checks only that
+    the features, each loss term and the gradient are finite. A
+    NumericError raised while training names the epoch and the step, both
+    counted from 0. Since every non-finite value ends in such an error,
+    numpy's overflow and invalid-value warnings are silenced.
     """
     from .evaluation import accuracy  # local import; evaluation depends on losses
 
     cfg.validate()
-    if cfg.mode in (Mode.ALIGNED_MMD, Mode.ORACLE) and target is None:
-        raise ConfigError(f"mode {cfg.mode.value} requires a target set")
+    if cfg.mode in (Mode.ALIGNED_MMD, Mode.ORACLE):
+        if target is None:
+            raise ConfigError(f"mode {cfg.mode.value} requires a target set")
+        if target.dim != source.dim:
+            raise ShapeError(f"target dim {target.dim} != source dim {source.dim}")
 
     img_vecs, img_labels, txt_vecs, txt_labels = _pooled_records(source, target, cfg.mode)
     n = img_vecs.shape[0]
     if n == 0:
         raise ConfigError("no image records to train on")
-    text_pools = {c: np.where(txt_labels == c)[0] for c in np.unique(img_labels)}
-    missing = [int(c) for c, pool in text_pools.items() if pool.size == 0]
+    # the same-class text records of image i are text_order[first[i]:first[i] + count[i]]
+    text_order = np.argsort(txt_labels, kind="stable")
+    sorted_labels = txt_labels[text_order]
+    first = np.searchsorted(sorted_labels, img_labels, side="left")
+    count = np.searchsorted(sorted_labels, img_labels, side="right") - first
+    missing = np.unique(img_labels[count == 0]).tolist()
     if missing:
         raise ConfigError(f"classes {missing} have image records but no text records")
 
@@ -164,38 +179,44 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
         if target_imgs.shape[0] == 0:
             raise ConfigError("target set has no image records")
 
-    rng = make_rng(cfg.seed, 0)
-    rng_target = make_rng(cfg.seed, 1)
-    lr0 = cfg.resolved_learning_rate()
     adapter = Adapter.zeros(source.dim)
     loss_cfg = LossConfig(mode=cfg.mode, temperature=cfg.temperature,
                           w_static=cfg.w_static, w_stochastic=cfg.w_stochastic, w_mmd=cfg.w_mmd,
                           kernel=KernelSpec(cfg.bandwidth) if cfg.bandwidth is not None else None)
+    _check_terms(adapter, img_labels, static_text_anchors, static_image_anchors, loss_cfg)
 
+    rng = make_rng(cfg.seed, 0)
+    rng_target = make_rng(cfg.seed, 1)
+    lr0 = cfg.resolved_learning_rate()
+    grad = Adapter.zeros(source.dim)  # every step's gradient, overwritten
+    size = cfg.batch_size
     history = TrainHistory()
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, cfg.epochs, lr0)
         perm = rng.permutation(n)
-        paired = np.array([text_pools[c][rng.integers(text_pools[c].size)]
-                           for c in img_labels[perm]])
+        labels = img_labels[perm]
+        # one draw per image, from the same stream as one call per image
+        paired = text_order[first[perm] + rng.integers(count[perm])]
         sums = np.zeros(4)
-        steps = 0
-        for start in range(0, n, cfg.batch_size):
-            sel = perm[start:start + cfg.batch_size]
-            batch = LossBatch(image=img_vecs[sel], text=txt_vecs[paired[start:start + cfg.batch_size]],
-                              labels=img_labels[sel])
-            if cfg.mode is Mode.ALIGNED_MMD:
-                take = min(len(sel), target_imgs.shape[0])
-                batch.target_image = target_imgs[rng_target.choice(target_imgs.shape[0],
-                                                                   size=take, replace=False)]
-            report, grad = loss_and_gradient(adapter, batch, static_text_anchors,
-                                             static_image_anchors, loss_cfg)
-            if cfg.freeze_bandwidth and loss_cfg.kernel is None and report.bandwidth is not None:
-                loss_cfg.kernel = KernelSpec(report.bandwidth)
-            adapter = sgd_step(adapter, grad, lr)
-            sums += (report.total, report.static_term, report.stochastic_term, report.mmd_term)
-            steps += 1
-        train_acc = accuracy(adapter, source, static_text_anchors, cfg.temperature)
+        try:
+            for step, start in enumerate(range(0, n, size)):
+                sel = perm[start:start + size]
+                batch = LossBatch(image=img_vecs[sel], text=txt_vecs[paired[start:start + size]],
+                                  labels=labels[start:start + size])
+                if target_imgs is not None:
+                    take = min(len(sel), target_imgs.shape[0])
+                    batch.target_image = target_imgs[rng_target.choice(target_imgs.shape[0],
+                                                                       size=take, replace=False)]
+                report, g = _loss_step(adapter, batch, static_text_anchors, static_image_anchors,
+                                       loss_cfg, grad)
+                if cfg.freeze_bandwidth and loss_cfg.kernel is None and report.bandwidth is not None:
+                    loss_cfg.kernel = KernelSpec(report.bandwidth)
+                adapter = sgd_step(adapter, g, lr)
+                sums += (report.total, report.static_term, report.stochastic_term, report.mmd_term)
+            train_acc = accuracy(adapter, source, static_text_anchors, cfg.temperature)
+        except NumericError as exc:
+            raise type(exc)(f"{exc} (epoch {epoch}, step {step})") from None
+        steps = step + 1
         history.records.append(EpochRecord(
             epoch=epoch, learning_rate=lr, total=sums[0] / steps,
             static_term=sums[1] / steps, stochastic_term=sums[2] / steps,

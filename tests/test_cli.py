@@ -176,6 +176,24 @@ def test_nonfinite_checkpoint_is_numeric_error(tmp_path):
     assert json.loads(result.stderr)["error"] == "NumericError"
 
 
+def test_diverging_training_is_numeric_error(tmp_path):
+    config = small_config(tmp_path)
+    data = tmp_path / "data"
+    assert run_cli("gen", "--config", str(config), "--out", str(data)).returncode == 0
+    doc = json.loads(config.read_text())
+    doc["train"]["learning_rate"] = 1e308
+    config.write_text(json.dumps(doc))
+    result = run_cli("train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "adapter.cadp"))
+    assert result.returncode == 4
+    error = json.loads(result.stderr)  # exactly one JSON object, no warnings
+    # one step per epoch here: its update overflows, and the epoch's
+    # train-accuracy pass finds the parameters non-finite
+    assert error == {"command": "train", "error": "NumericError",
+                     "message": "adapter parameters are not finite (epoch 0, step 0)"}
+    assert not (tmp_path / "adapter.cadp").exists()
+
+
 def test_anchors_command_idempotent(tmp_path):
     config = small_config(tmp_path)
     data = tmp_path / "data"

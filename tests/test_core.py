@@ -42,13 +42,17 @@ def test_l2_normalize_idempotent(v):
     np.testing.assert_allclose(l2_normalize(once), once, atol=1e-9)
 
 
+def probs(logits):
+    return softmax_rows(logits)[0]
+
+
 def test_softmax_examples():
-    np.testing.assert_allclose(softmax_rows(np.array([[5.0]])), [[1.0]])
-    np.testing.assert_allclose(softmax_rows(np.zeros((2, 3))), np.full((2, 3), 1 / 3))
+    np.testing.assert_allclose(probs(np.array([[5.0]])), [[1.0]])
+    np.testing.assert_allclose(probs(np.zeros((2, 3))), np.full((2, 3), 1 / 3))
     expected = np.array([math.exp(1.0), math.exp(0.0)])
     expected /= expected.sum()
-    np.testing.assert_allclose(softmax_rows(np.array([[1.0, 0.0]])), [expected], atol=1e-12)
-    np.testing.assert_allclose(softmax_rows(np.array([[1.0, 0.0], [0.0, 1.0]])),
+    np.testing.assert_allclose(probs(np.array([[1.0, 0.0]])), [expected], atol=1e-12)
+    np.testing.assert_allclose(probs(np.array([[1.0, 0.0], [0.0, 1.0]])),
                                [[0.73106, 0.26894], [0.26894, 0.73106]], atol=5e-6)
 
 
@@ -56,15 +60,19 @@ def test_softmax_examples():
        st.floats(-100, 100, allow_nan=False))
 @settings(max_examples=200)
 def test_softmax_shift_invariance(logits, shift):
-    np.testing.assert_allclose(softmax_rows(logits[None] + shift), softmax_rows(logits[None]),
+    np.testing.assert_allclose(probs(logits[None] + shift), probs(logits[None]),
                                atol=1e-9)
 
 
 def test_softmax_basic_contract(rng):
     for _ in range(20):
-        p = softmax_rows(rng.standard_normal((3, rng.integers(1, 12))))
+        p, log_p = softmax_rows(rng.standard_normal((3, rng.integers(1, 12))))
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(p > 0) and np.all(p < 1 + 1e-12)
+        np.testing.assert_allclose(np.exp(log_p), p, rtol=1e-12)
+    # log_p stays finite where p underflows to 0
+    p, log_p = softmax_rows(np.array([[0.0, -1000.0]]))
+    assert p[0, 1] == 0.0 and log_p[0, 1] == -1000.0
 
 
 @given(st.integers(0, 2**31 - 1))

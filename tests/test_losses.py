@@ -26,7 +26,8 @@ LN_1P_EXP_NEG1 = math.log(1.0 + math.exp(-1.0))  # 0.31326...
 
 def anchor_probs(query, anchors, temperature=1.0):
     """Class probabilities of one query against the anchors."""
-    return softmax_rows(anchor_align(query, anchors, temperature))[0]
+    p, _ = softmax_rows(anchor_align(query, anchors, temperature))
+    return p[0]
 
 
 def test_class_distribution_single_anchor():
@@ -52,8 +53,10 @@ def test_class_distribution_equidistant_uniform():
 def test_class_distribution_errors(rng):
     import craft.anchors as anchors_mod
     empty = anchors_mod.AnchorSet(np.zeros((0, 3)), Modality.TEXT)
+    batch = LossBatch(image=unit_rows(rng, 2, 3), text=unit_rows(rng, 2, 3),
+                      labels=np.zeros(2, dtype=np.int64))
     with pytest.raises(AnchorError):
-        _anchor_ce(unit_rows(rng, 2, 3), np.zeros(2, dtype=np.int64), empty, 1.0)
+        loss_and_gradient(Adapter.zeros(3), batch, empty, None, LossConfig(mode=Mode.BASELINE_CE))
     with pytest.raises(ConfigError):
         LossConfig(temperature=0.0).validate()
 
@@ -102,9 +105,11 @@ def test_static_loss_matched_anchor_queries():
 
 def test_static_loss_label_out_of_range():
     anchors = orthonormal_anchors(2, 3)
-    batch = unit_rows(make_rng(0), 2, 3)
-    with pytest.raises(LabelError):
-        static_loss(batch, batch, np.array([0, 5]), anchors, anchors)
+    rows = unit_rows(make_rng(0), 2, 3)
+    for labels in ([0, 5], [-1, 0]):
+        batch = LossBatch(image=rows, text=rows, labels=np.array(labels))
+        with pytest.raises(LabelError):
+            loss_and_gradient(Adapter.zeros(3), batch, anchors, anchors, LossConfig())
 
 
 def test_static_loss_nonnegative(rng):

@@ -3,13 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+import craft.train as train_mod
 from craft.adapter import Adapter, encode, param_count, read_checkpoint, write_checkpoint
-from craft.core import (ConfigError, FormatError, NormalizationError,
-                        NumericError, ScheduleError, ShapeError, l2_normalize)
-from craft.dataio import SyntheticConfig, generate_synthetic
+from craft.anchors import AnchorSet
+from craft.core import (AnchorError, ConfigError, FormatError, LabelError, NormalizationError,
+                        NumericError, ScheduleError, ShapeError, l2_normalize, make_rng)
+from craft.dataio import Modality, SyntheticConfig, generate_synthetic
+from craft.evaluation import accuracy
 from craft.experiments import build_training_anchors, reference_config, run_experiment
-from craft.losses import Mode
-from craft.train import TrainConfig, TrainHistory, cosine_lr, sgd_step, train
+from craft.losses import LossBatch, LossConfig, Mode, loss_and_gradient
+from craft.mmd import KernelSpec
+from craft.train import (EpochRecord, TrainConfig, TrainHistory, cosine_lr, sgd_step,
+                         train)
 
 from conftest import unit_rows
 
@@ -29,6 +34,12 @@ def test_encode_zero_vector_rejected():
     base = l2_normalize(np.array([1.0, 1.0]))
     with pytest.raises(NormalizationError):
         encode(np.zeros((2, 2)), -base, base)
+
+
+def test_encode_overflowing_norm_rejected():
+    # |z| = 1.4e200 squares past the float64 range: no unit vector comes out
+    with np.errstate(over="ignore"), pytest.raises(NormalizationError):
+        encode(np.full((2, 2), 1e200), np.zeros(2), np.array([1.0, 0.0]))
 
 
 def test_encode_identity_weight_scale_invariant(rng):
@@ -241,3 +252,123 @@ def test_reference_loss_ema_smoke():
         ema.append(alpha * value + (1 - alpha) * ema[-1])
     for i in range(5, len(ema)):
         assert ema[i] <= ema[i - 1] * 1.05
+
+
+# ---------------------------------------------------------------------------
+# train against its contract, built from public pieces only
+
+
+def contract_train(source, target, ta, ia, cfg):
+    """What ``train`` promises, step by step: the pooled records, the seeded
+    shuffle, one ``rng.integers`` per image for its same-class text record,
+    ``loss_and_gradient`` and ``sgd_step``."""
+    sets = [source, target] if cfg.mode is Mode.ORACLE else [source]
+    img = [s.modality_mask(Modality.IMAGE) for s in sets]
+    txt = [s.modality_mask(Modality.TEXT) for s in sets]
+    img_vecs = np.concatenate([s.vectors[m] for s, m in zip(sets, img)])
+    img_labels = np.concatenate([s.class_ids[m] for s, m in zip(sets, img)])
+    txt_vecs = np.concatenate([s.vectors[m] for s, m in zip(sets, txt)])
+    txt_labels = np.concatenate([s.class_ids[m] for s, m in zip(sets, txt)])
+    pools = {c: np.where(txt_labels == c)[0] for c in np.unique(img_labels)}
+    target_imgs = target.image_vectors() if cfg.mode is Mode.ALIGNED_MMD else None
+    rng, rng_target = make_rng(cfg.seed, 0), make_rng(cfg.seed, 1)
+    loss_cfg = LossConfig(mode=cfg.mode, temperature=cfg.temperature, w_static=cfg.w_static,
+                          w_stochastic=cfg.w_stochastic, w_mmd=cfg.w_mmd,
+                          kernel=None if cfg.bandwidth is None else KernelSpec(cfg.bandwidth))
+    adapter = Adapter.zeros(source.dim)
+    history = TrainHistory()
+    n, size = len(img_labels), cfg.batch_size
+    for epoch in range(cfg.epochs):
+        lr = cosine_lr(epoch, cfg.epochs, cfg.resolved_learning_rate())
+        perm = rng.permutation(n)
+        paired = np.array([pools[c][rng.integers(pools[c].size)] for c in img_labels[perm]])
+        sums, steps = np.zeros(4), 0
+        for start in range(0, n, size):
+            sel = perm[start:start + size]
+            batch = LossBatch(image=img_vecs[sel], text=txt_vecs[paired[start:start + size]],
+                              labels=img_labels[sel])
+            if target_imgs is not None:
+                batch.target_image = target_imgs[rng_target.choice(
+                    len(target_imgs), size=min(len(sel), len(target_imgs)), replace=False)]
+            report, grad = loss_and_gradient(adapter, batch, ta, ia, loss_cfg)
+            if cfg.freeze_bandwidth and loss_cfg.kernel is None and report.bandwidth is not None:
+                loss_cfg.kernel = KernelSpec(report.bandwidth)
+            adapter = sgd_step(adapter, grad, lr)
+            sums += (report.total, report.static_term, report.stochastic_term, report.mmd_term)
+            steps += 1
+        history.records.append(EpochRecord(
+            epoch, lr, sums[0] / steps, sums[1] / steps, sums[2] / steps, sums[3] / steps,
+            accuracy(adapter, source, ta, cfg.temperature)))
+    return adapter, history
+
+
+@pytest.mark.parametrize("mode, freeze", [(Mode.BASELINE_CE, False), (Mode.ALIGNED, False),
+                                          (Mode.ALIGNED_MMD, False), (Mode.ALIGNED_MMD, True),
+                                          (Mode.ORACLE, False)])
+def test_train_equals_its_contract_bitwise(mode, freeze):
+    # batch 3 leaves a short last batch; uneven text pools make the draws differ per class
+    source, target, ta, ia = small_data(seed=21)
+    keep = np.ones(len(source), dtype=bool)
+    keep[np.flatnonzero(source.modality_mask(Modality.TEXT))[::3]] = False
+    source = source.subset(keep)
+    cfg = TrainConfig(epochs=3, batch_size=3, learning_rate=0.05, temperature=5.0, seed=8,
+                      mode=mode, w_mmd=4.0, freeze_bandwidth=freeze)
+    adapter, history = train(source, target, ta, ia, cfg)
+    expected, expected_history = contract_train(source, target, ta, ia, cfg)
+    np.testing.assert_array_equal(adapter.params, expected.params)
+    assert [r.to_dict() for r in history.records] == \
+        [r.to_dict() for r in expected_history.records]
+    assert np.any(adapter.params != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# train checks its arguments before the first step
+
+
+@pytest.fixture
+def no_steps(monkeypatch):
+    def step(*args, **kwargs):
+        raise AssertionError("a training step ran before the arguments were checked")
+    monkeypatch.setattr(train_mod, "_loss_step", step)
+
+
+def test_train_rejects_label_outside_an_anchor_set(no_steps):
+    source, _, ta, ia = small_data()  # 4 classes
+    fewer_text = AnchorSet(ta.vectors[:3], Modality.TEXT)
+    fewer_image = AnchorSet(ia.vectors[:3], Modality.IMAGE)
+    for text_anchors, image_anchors, mode in ((fewer_text, ia, Mode.BASELINE_CE),
+                                              (ta, fewer_image, Mode.ALIGNED)):
+        cfg = TrainConfig(epochs=1, batch_size=4, temperature=5.0, mode=mode)
+        with pytest.raises(LabelError):
+            train(source, None, text_anchors, image_anchors, cfg)
+
+
+def test_train_rejects_anchor_or_target_dimension_mismatch(no_steps, rng):
+    source, target, ta, ia = small_data()  # dim 8
+    wide = AnchorSet(unit_rows(rng, 4, 9), Modality.IMAGE)
+    with pytest.raises(ShapeError):
+        train(source, None, ta, wide, TrainConfig(epochs=1, temperature=5.0))
+    _, narrow_target, _, _ = small_data(dim=6)
+    for mode in (Mode.ALIGNED_MMD, Mode.ORACLE):
+        with pytest.raises(ShapeError, match="target dim"):
+            train(source, narrow_target, ta, ia, TrainConfig(epochs=1, temperature=5.0, mode=mode))
+
+
+def test_train_rejects_empty_anchor_set(no_steps):
+    source, _, ta, ia = small_data()
+    empty = AnchorSet(np.zeros((0, source.dim)), Modality.TEXT)
+    with pytest.raises(AnchorError):
+        train(source, None, empty, ia, TrainConfig(epochs=1, temperature=5.0))
+
+
+def test_numeric_error_names_epoch_and_step():
+    # a step of 1e308 times the gradient overflows the parameters, so the
+    # second step's features cannot be normalized
+    source, target, ta, ia = small_data()
+    cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e308, temperature=5.0, seed=1)
+    with pytest.raises(NormalizationError, match=r"norm \(epoch 0, step 1\)$"):
+        train(source, None, ta, ia, cfg)
+    # anchor logits this large overflow the MMD term at the first step
+    cfg = dataclasses.replace(cfg, learning_rate=0.01, temperature=1e305, mode=Mode.ALIGNED_MMD)
+    with pytest.raises(NumericError, match=r"^domain MMD term is non-finite \(epoch 0, step 0\)$"):
+        train(source, target, ta, ia, cfg)
