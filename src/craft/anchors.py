@@ -71,26 +71,57 @@ def _kmeanspp_seed(points: np.ndarray, m: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
+def _lex_order(points: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort(points.T[::-1])``: rows in lexicographic
+    order, column 0 first, ties kept in input order.
+
+    It sorts on the first k columns only, for k = 1, 2, 4, ... up to d, and
+    stops at the first k where no two adjacent sorted rows are equal on
+    those k columns. Then every k-prefix is distinct, so the full
+    comparison of any two rows is decided within the prefix and no tie is
+    left for input order to break: the permutation is the full lexsort's.
+    At k = d it is the full lexsort. As in the sort, -0.0 equals 0.0. The
+    points must be finite: NaN equals nothing, so a tie on it would pass
+    unseen.
+    """
+    d = points.shape[1]
+    k = 1
+    while True:
+        order = np.lexsort(points[:, :k].T[::-1])
+        if k == d:
+            return order
+        prefix = points[order, :k]
+        if not (prefix[1:] == prefix[:-1]).all(axis=1).any():
+            return order
+        k = min(2 * k, d)
+
+
 def kmeans(points: np.ndarray, m: int, rng: np.random.Generator,
            max_iter: int = 100, tol: float = 1e-8) -> KMeansResult:
     """Lloyd's algorithm with k-means++ seeding.
 
-    Points are sorted lexicographically before seeding so the result is
-    invariant to input order. Empty clusters are re-seeded to the point
-    farthest from the cluster's former centroid. The per-iteration
-    objective (sum of squared distances to assigned centroids) is
-    non-increasing and recorded in ``objective_history``.
+    Points must be finite. They are put in lexicographic order (column 0
+    first) before seeding, so the result is invariant to input order. The
+    order sorts on the shortest prefix of 1, 2, 4, ... (or all) columns
+    that leaves no two points tied; past it no column can decide, so it is
+    ``np.lexsort(points.T[::-1])`` exactly (see ``_lex_order``). Empty
+    clusters are re-seeded to the point farthest from the cluster's former
+    centroid. The per-iteration objective (sum of squared distances to
+    assigned centroids) is non-increasing and recorded in
+    ``objective_history``.
     """
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ClusterError("points must be a 2-D array")
+    if points.ndim != 2 or points.shape[1] == 0:
+        raise ClusterError("points must be a 2-D array with at least one column")
     n = points.shape[0]
     if m < 1:
         raise ClusterError("m must be >= 1")
     if n < m:
         raise ClusterError(f"need at least {m} points, got {n}")
+    if not np.isfinite(points).all():
+        raise ClusterError("points must be finite")
 
-    order = np.lexsort(points.T[::-1])
+    order = _lex_order(points)
     points = points[order]
     centroids = _kmeanspp_seed(points, m, rng)
 
@@ -150,9 +181,8 @@ def build_static_image_anchors(emb_set: EmbeddingSet, encoder: Encoder | None,
     normalized representative (the centroid nearest the class mean when
     centroids_per_class > 1)."""
     anchors = np.empty((emb_set.num_classes, emb_set.dim))
-    image_mask = emb_set.modality_mask(Modality.IMAGE)
-    for c, name in enumerate(emb_set.class_names):
-        feats = emb_set.vectors[image_mask & (emb_set.class_ids == c)]
+    for c, (name, rows) in enumerate(zip(emb_set.class_names, emb_set.class_rows(Modality.IMAGE))):
+        feats = emb_set.vectors[rows]
         if feats.shape[0] == 0:
             raise ClusterError(f"class {name} has no image records")
         feats = _encode(encoder, feats)
@@ -170,9 +200,8 @@ def build_static_image_anchors(emb_set: EmbeddingSet, encoder: Encoder | None,
 def build_static_text_anchors(emb_set: EmbeddingSet, encoder: Encoder | None = None) -> AnchorSet:
     """Per class: normalized mean of the encoded text (template) records."""
     anchors = np.empty((emb_set.num_classes, emb_set.dim))
-    text_mask = emb_set.modality_mask(Modality.TEXT)
-    for c, name in enumerate(emb_set.class_names):
-        feats = emb_set.vectors[text_mask & (emb_set.class_ids == c)]
+    for c, (name, rows) in enumerate(zip(emb_set.class_names, emb_set.class_rows(Modality.TEXT))):
+        feats = emb_set.vectors[rows]
         if feats.shape[0] == 0:
             raise AnchorError(f"class {name} has no text records")
         anchors[c] = l2_normalize(_encode(encoder, feats).mean(axis=0))

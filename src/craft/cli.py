@@ -1,10 +1,10 @@
 """Command-line front end: gen, anchors, train, eval, mmd.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error.
-Errors are emitted as one JSON object on stderr. CRAFT_THREADS, a positive
-integer, caps the numerical backend's thread pool and must take effect
-before numpy loads, hence the env shim ahead of the heavy imports; main()
-rejects any other value.
+Exit codes: 0 success, 2 config error, 3 data error (also a command that
+runs out of memory), 4 numeric error. Errors are emitted as one JSON object
+on stderr. CRAFT_THREADS, a positive integer, caps the numerical backend's
+thread pool and must take effect before numpy loads, hence the env shim
+ahead of the heavy imports; main() rejects any other value.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_anchors(args) -> int:
+    if args.centroids_per_class < 1:
+        raise ConfigError(f"--centroids-per-class must be >= 1, got {args.centroids_per_class}")
     emb = read_embeddings(args.data)
     text_anchors, image_anchors = experiments.build_training_anchors(
         emb, args.seed if args.seed is not None else 0, args.centroids_per_class)
@@ -234,8 +236,10 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc),
                           "command": args.command}, sort_keys=True), file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
+    except (OSError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass; report the public name
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc),
                           "command": args.command}, sort_keys=True), file=sys.stderr)
         return 3
 

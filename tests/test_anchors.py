@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from craft.anchors import (AnchorError, AnchorSet, ClusterError,
+from craft.anchors import (AnchorError, AnchorSet, ClusterError, _lex_order,
                            build_static_image_anchors, build_static_text_anchors,
                            kmeans, read_anchors, write_anchors)
 from craft.core import l2_normalize, make_rng
@@ -56,11 +56,60 @@ def test_kmeans_order_invariant(rng):
     np.testing.assert_array_equal(a.centroids, b.centroids)
 
 
+def tie_heavy_points(rng, n=40, d=9):
+    """Small-integer-valued points with duplicate rows and long shared prefixes."""
+    rows = rng.integers(-1, 2, size=(n // 2, d)).astype(np.float64)
+    points = rows[rng.integers(0, len(rows), size=n)]
+    points[: n // 4, :6] = points[0, :6]  # a prefix shared over more than 4 columns
+    return points
+
+
+def lex_order_cases():
+    rng = make_rng(11)
+    yield "ties", tie_heavy_points(rng)
+    for shared in (2, 3, 5, 8):  # prefixes shared over more than 1, 2 and 4 columns
+        points = rng.integers(0, 3, size=(30, 8)).astype(np.float64)
+        points[::2, :shared] = 1.0
+        yield f"shared{shared}", points
+    yield "signed-zeros", rng.choice([-0.0, 0.0, 1.0], size=(30, 5))
+    yield "all-equal", np.zeros((12, 6))
+    yield "n=1", np.array([[3.0, -1.0, 2.0]])
+    yield "d=1", rng.integers(0, 4, size=(25, 1)).astype(np.float64)
+    yield "d=3", rng.integers(0, 2, size=(25, 3)).astype(np.float64)  # a doubling past d
+    yield "normals", rng.standard_normal((50, 16))
+
+
+@pytest.mark.parametrize("points", [pytest.param(points, id=name)
+                                    for name, points in lex_order_cases()])
+def test_lex_order_is_full_lexsort(points):
+    np.testing.assert_array_equal(_lex_order(points), np.lexsort(points.T[::-1]))
+
+
+def test_kmeans_order_invariant_with_ties(rng):
+    points = tie_heavy_points(rng)
+    for trial in range(5):
+        shuffled = points[rng.permutation(len(points))]
+        a = kmeans(points, 3, make_rng(trial))
+        b = kmeans(shuffled, 3, make_rng(trial))
+        np.testing.assert_array_equal(a.centroids, b.centroids)
+        assert a.objective == b.objective
+
+
+@pytest.mark.parametrize("m,value", [(1, np.nan), (2, np.inf), (2, np.nan)])
+def test_kmeans_rejects_nonfinite_points(rng, m, value):
+    points = rng.standard_normal((20, 3))
+    points[7, 1] = value
+    with pytest.raises(ClusterError, match="finite"):
+        kmeans(points, m, make_rng(0))
+
+
 def test_kmeans_errors(rng):
     with pytest.raises(ClusterError):
         kmeans(rng.standard_normal((2, 2)), 3, make_rng(0))
     with pytest.raises(ClusterError):
         kmeans(rng.standard_normal((2, 2)), 0, make_rng(0))
+    with pytest.raises(ClusterError, match="at least one column"):
+        kmeans(np.zeros((3, 0)), 1, make_rng(0))
 
 
 def test_kmeans_duplicate_points_ok():
@@ -104,7 +153,7 @@ def test_image_anchors_near_generator_latents():
 
 def test_image_anchor_missing_class():
     emb = toy_embedding_set(np.eye(3), [0, 1, 2], [0, 0, 1])  # class 2 text-only
-    with pytest.raises(ClusterError, match="class_002"):
+    with pytest.raises(ClusterError, match="^class class_002 has no image records$"):
         build_static_image_anchors(emb, None, make_rng(0))
 
 
@@ -151,7 +200,7 @@ def test_text_anchors_near_generator_text_means():
 
 def test_text_anchor_missing_class():
     emb = toy_embedding_set(np.eye(2), [0, 1], [1, 0])
-    with pytest.raises(AnchorError, match="class_001"):
+    with pytest.raises(AnchorError, match="^class class_001 has no text records$"):
         build_static_text_anchors(emb)
 
 

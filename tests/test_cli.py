@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import resource
+
 import pytest
 
 REFERENCE = Path(__file__).resolve().parent.parent / "src" / "craft" / "reference.json"
@@ -15,17 +17,19 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 
 
-def run_cli(*args, env=None, unset=()):
+def run_cli(*args, env=None, unset=(), preexec_fn=None):
     """Run ``python -m craft`` in a child that inherits this environment.
 
     ``env`` entries are merged onto ``os.environ`` and the names in ``unset``
     are removed, so the child still finds ``craft`` the way this process did
-    (``PYTHONPATH`` or an installed package).
+    (``PYTHONPATH`` or an installed package). ``preexec_fn`` runs in the
+    child before it starts, e.g. to set its resource limits.
     """
     child_env = {k: v for k, v in os.environ.items() if k not in unset}
     child_env.update(env or {})
     return subprocess.run([sys.executable, "-m", "craft", *args],
-                          capture_output=True, text=True, env=child_env)
+                          capture_output=True, text=True, env=child_env,
+                          preexec_fn=preexec_fn)
 
 
 def small_config(tmp_path, **overrides):
@@ -203,6 +207,39 @@ def test_anchors_command_idempotent(tmp_path):
         assert run_cli("anchors", "--data", str(data / "source.cemb"),
                        "--out", str(out), "--seed", "5").returncode == 0
     assert a1.read_bytes() == a2.read_bytes()
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_anchors_centroids_below_one_is_config_error(tmp_path, count):
+    # the data file does not exist: reading it first would exit 3
+    out = tmp_path / "anchors.cemb"
+    result = run_cli("anchors", "--data", str(tmp_path / "nope.cemb"), "--out", str(out),
+                     "--centroids-per-class", count)
+    assert result.returncode == 2, result.stderr
+    error = json.loads(result.stderr)  # exactly one JSON object
+    assert error["error"] == "ConfigError" and "--centroids-per-class" in error["message"]
+    assert not out.exists()
+
+
+def _cap_address_space():
+    """In the child: cap its address space at 3 GiB, as the benchmark does."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+def test_out_of_memory_is_one_json_error(tmp_path):
+    # dim 20,000 asks for a 20,000^2 float64 matrix (3.2 GB), refused by the cap
+    config = small_config(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["synthetic"]["dim"] = 20_000
+    config.write_text(json.dumps(doc))
+    result = run_cli("gen", "--config", str(config), "--out", str(tmp_path / "d"),
+                     preexec_fn=_cap_address_space)
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    error = json.loads(result.stderr)  # exactly one JSON object
+    assert error["error"] == "MemoryError" and error["command"] == "gen"
 
 
 def test_missing_data_file_is_data_error(tmp_path):

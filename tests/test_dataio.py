@@ -151,6 +151,24 @@ def test_split_partitions_classes(k, fraction):
 # Few-shot sampling
 
 
+def test_class_rows_is_the_per_class_mask_scan():
+    rng = make_rng(8)
+    n, k = 60, 5
+    class_ids = rng.integers(0, k - 1, size=n)  # class 4 has no records at all
+    modalities = rng.integers(0, 2, size=n)
+    modalities[class_ids == 2] = int(Modality.IMAGE)  # class 2 has no text records
+    emb = toy_embedding_set(rng.standard_normal((n, 3)), class_ids, modalities,
+                            num_classes=k)
+    for modality in (Modality.IMAGE, Modality.TEXT):
+        rows = emb.class_rows(modality)
+        assert len(rows) == k
+        for c in range(k):
+            expected = np.flatnonzero(emb.modality_mask(modality) & (emb.class_ids == c))
+            np.testing.assert_array_equal(rows[c], expected)
+    assert emb.class_rows(Modality.TEXT)[2].size == 0
+    assert emb.class_rows(Modality.IMAGE)[4].size == 0
+
+
 def test_few_shot_16_of_32():
     source, _ = generate_synthetic(small_cfg(samples_per_class_per_modality=32))
     sampled = few_shot_split(source, 16, make_rng(5))[0]
