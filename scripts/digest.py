@@ -4,7 +4,9 @@ unchanged behaviour can be checked with one command on two checkouts.
 The runs are the nine desk runs of scripts/run_reference.py, each hashed
 over its checkpoint bytes, history JSONL and report JSON, and one clip-scale
 training epoch (K=100, H=512, 20 samples/class/modality, ood, aligned-mmd,
-batch 128), hashed over its checkpoint bytes and history JSONL.
+batch 128), hashed over its checkpoint bytes and history JSONL, and one
+multi-centroid k-means anchor build (see ``kmeans_anchors``), hashed over
+its anchor file.
 
 Usage: python scripts/digest.py [--seed N]    (default seed 7)
 """
@@ -15,10 +17,13 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from run_reference import reference_runs
 
 from craft import dataio, experiments
 from craft.adapter import write_checkpoint
+from craft.anchors import write_anchors
+from craft.core import l2_normalize, make_rng
 from craft.experiments import override, reference_config
 from craft.losses import Mode
 
@@ -46,6 +51,26 @@ def clip_epoch(seed: int):
     return experiments.train_prepared(cfg, prepared)
 
 
+def kmeans_anchors(seed: int, workdir: Path) -> str:
+    """sha256 of the anchor file of ``build_training_anchors`` with 4
+    centroids per class, on a seeded H=512 set of 8 classes, each with 4
+    text records and 250 to 1,100 image records, so that k-means runs on
+    one, two and three 512-row blocks."""
+    rng = make_rng(seed)
+    sizes = (250, 400, 511, 512, 513, 700, 1024, 1100)
+    k, h = len(sizes), 512
+    means = l2_normalize(rng.standard_normal((k, h)))
+    class_ids = np.concatenate([np.full(n + 4, c) for c, n in enumerate(sizes)])
+    modalities = np.concatenate([np.repeat([dataio.Modality.IMAGE, dataio.Modality.TEXT], [n, 4])
+                                 for n in sizes])
+    vectors = l2_normalize(means[class_ids] + 0.06 * rng.standard_normal((len(class_ids), h)))
+    emb = dataio.make_embedding_set(vectors, class_ids, modalities, np.zeros(len(class_ids)),
+                                    np.zeros(len(class_ids)), [f"class_{c:03d}" for c in range(k)])
+    text, image = experiments.build_training_anchors(emb, seed, centroids_per_class=4)
+    write_anchors(workdir / "anchors.cemb", text, image)
+    return hashlib.sha256((workdir / "anchors.cemb").read_bytes()).hexdigest()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7, help="seed of every run")
@@ -59,6 +84,7 @@ def main():
                   f"  desk {table}: {name}")
         adapter, history = clip_epoch(args.seed)
         print(f"{artifact_digest(adapter, history, None, workdir)}  clip epoch")
+        print(f"{kmeans_anchors(args.seed, workdir)}  kmeans anchors (4 centroids/class, H=512)")
 
 
 if __name__ == "__main__":

@@ -99,6 +99,8 @@ def write_checkpoint(adapter: Adapter, path: str | Path) -> None:
 
 
 def read_checkpoint(path: str | Path) -> Adapter:
+    """Parse a CADP file; a malformed one, or one holding a NaN or infinite
+    parameter, raises FormatError."""
     data = Path(path).read_bytes()
     if len(data) < _CKPT_HEADER.size:
         raise FormatError(f"truncated checkpoint: {len(data)} bytes")
@@ -110,4 +112,9 @@ def read_checkpoint(path: str | Path) -> Adapter:
     expected = _CKPT_HEADER.size + 8 * param_count(dim)
     if len(data) != expected:
         raise FormatError(f"checkpoint length {len(data)} != expected {expected} at offset {_CKPT_HEADER.size}")
-    return Adapter(np.frombuffer(data, dtype="<f8", offset=_CKPT_HEADER.size).astype(np.float64))
+    params = np.frombuffer(data, dtype="<f8", offset=_CKPT_HEADER.size).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        raise FormatError(f"non-finite parameter {params[bad[0]]} "
+                          f"at offset {_CKPT_HEADER.size + 8 * int(bad[0])}")
+    return Adapter(params)

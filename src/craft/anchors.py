@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AnchorError, ClusterError, l2_normalize, pairwise_sq_dists
+from .core import AnchorError, ClusterError, GramRows, l2_normalize, pairwise_sq_dists
 from .dataio import EmbeddingSet, Modality, make_embedding_set, read_embeddings, write_embeddings
 
 ANCHOR_NAME_PREFIX = "anchor:"
@@ -55,10 +55,10 @@ class KMeansResult:
     objective_history: list[float] = field(default_factory=list)
 
 
-def _kmeanspp_seed(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_seed(points: GramRows, m: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centroids = np.empty((m, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
+    centroids[0] = points.rows[rng.integers(n)]
     d2 = pairwise_sq_dists(points, centroids[:1]).ravel()
     for j in range(1, m):
         total = d2.sum()
@@ -66,7 +66,7 @@ def _kmeanspp_seed(points: np.ndarray, m: int, rng: np.random.Generator) -> np.n
             idx = int(rng.integers(n))
         else:
             idx = int(rng.choice(n, p=d2 / total))
-        centroids[j] = points[idx]
+        centroids[j] = points.rows[idx]
         d2 = np.minimum(d2, pairwise_sq_dists(points, centroids[j:j + 1]).ravel())
     return centroids
 
@@ -108,7 +108,8 @@ def kmeans(points: np.ndarray, m: int, rng: np.random.Generator,
     clusters are re-seeded to the point farthest from the cluster's former
     centroid. The per-iteration objective (sum of squared distances to
     assigned centroids) is non-increasing and recorded in
-    ``objective_history``.
+    ``objective_history``. The ordered points are prepared once as
+    ``GramRows`` for every distance computation of the call.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] == 0:
@@ -123,14 +124,15 @@ def kmeans(points: np.ndarray, m: int, rng: np.random.Generator,
 
     order = _lex_order(points)
     points = points[order]
-    centroids = _kmeanspp_seed(points, m, rng)
+    gram = GramRows(points)
+    centroids = _kmeanspp_seed(gram, m, rng)
 
     history: list[float] = []
     assignments = np.zeros(n, dtype=np.int64)
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        d2 = pairwise_sq_dists(points, centroids)
+        d2 = pairwise_sq_dists(gram, centroids)
         assignments = np.argmin(d2, axis=1)
         objective = float(d2[np.arange(n), assignments].sum())
         if history and objective > history[-1] + 1e-9:
@@ -144,7 +146,7 @@ def kmeans(points: np.ndarray, m: int, rng: np.random.Generator,
             if members.any():
                 new_centroids[j] = points[members].mean(axis=0)
             else:
-                dist = pairwise_sq_dists(points, centroids[j:j + 1]).ravel()
+                dist = pairwise_sq_dists(gram, centroids[j:j + 1]).ravel()
                 dist[claimed] = -np.inf
                 far = int(np.argmax(dist))
                 claimed.append(far)
@@ -154,7 +156,7 @@ def kmeans(points: np.ndarray, m: int, rng: np.random.Generator,
         if movement < tol:
             break
 
-    d2 = pairwise_sq_dists(points, centroids)
+    d2 = pairwise_sq_dists(gram, centroids)
     assignments = np.argmin(d2, axis=1)
     objective = float(d2[np.arange(n), assignments].sum())
     history.append(objective)

@@ -118,13 +118,35 @@ def softmax_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 TILE = 512
 
 
-def _rows(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
+class GramRows:
+    """A point set prepared once for the Gram form: its contiguous float64
+    rows, their squared norms, and the contiguous transpose of each
+    TILE-row block. ``sq_dist_tiles`` and ``pairwise_sq_dists`` take one in
+    place of an array, so a set that meets many others (the points of
+    k-means, an MMD sample) is copied and normed once, not on every call."""
+
+    def __init__(self, x: np.ndarray) -> None:
+        self.rows = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
+        self.sq_norms = np.einsum("ij,ij->i", self.rows, self.rows)
+        self.blocks_t = [np.ascontiguousarray(self.rows[i:i + TILE].T)
+                         for i in range(0, self.rows.shape[0], TILE)]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.rows.shape
 
 
-def _gram_tile(x: np.ndarray, y: np.ndarray, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of ``x`` and ``y``, whose squared
-    norms are ``xx`` and ``yy``; see ``pairwise_sq_dists``.
+def _gram_pair(x: np.ndarray | GramRows, y: np.ndarray | GramRows) -> tuple[GramRows, GramRows]:
+    """Both arguments as ``GramRows``; one array passed twice is prepared once."""
+    gx = x if isinstance(x, GramRows) else GramRows(x)
+    if y is x:
+        return gx, gx
+    return gx, y if isinstance(y, GramRows) else GramRows(y)
+
+
+def _gram_tile(x: GramRows, i: int, y: GramRows, j: int) -> np.ndarray:
+    """Squared distances between the TILE-row blocks of ``x`` and ``y`` that
+    start at rows ``i`` and ``j``; see ``pairwise_sq_dists``.
 
     The second cross product ``y x^T`` is read back transposed. In an
     unpadded (TILE, TILE) array its rows lie 4 KiB apart, so that read
@@ -133,42 +155,42 @@ def _gram_tile(x: np.ndarray, y: np.ndarray, xx: np.ndarray, yy: np.ndarray) -> 
     into any row stride. The padded buffer is freed before ``norms`` is
     made, so at most two (TILE, TILE) temporaries are alive at once.
     """
-    cross = x @ np.ascontiguousarray(y.T)
-    padded = np.empty((y.shape[0], x.shape[0] + 8))
-    np.matmul(y, np.ascontiguousarray(x.T), out=padded[:, :x.shape[0]])
-    cross += padded[:, :x.shape[0]].T
+    xi, yj = x.rows[i:i + TILE], y.rows[j:j + TILE]
+    cross = xi @ y.blocks_t[j // TILE]
+    padded = np.empty((yj.shape[0], xi.shape[0] + 8))
+    np.matmul(yj, x.blocks_t[i // TILE], out=padded[:, :xi.shape[0]])
+    cross += padded[:, :xi.shape[0]].T
     del padded
-    norms = xx[:, None] + yy[None, :]
+    norms = x.sq_norms[i:i + TILE, None] + y.sq_norms[None, j:j + TILE]
     d2 = np.subtract(norms, cross, out=cross)
-    norms *= (2 * x.shape[1] + 8) * np.finfo(np.float64).eps
+    norms *= (2 * xi.shape[1] + 8) * np.finfo(np.float64).eps
     d2[d2 <= norms] = 0.0
     return d2
 
 
-def sq_dist_tiles(x: np.ndarray, y: np.ndarray, upper: bool = False):
+def sq_dist_tiles(x: np.ndarray | GramRows, y: np.ndarray | GramRows, upper: bool = False):
     """Yield ``(i, j, d2)``, where ``d2`` is the tile
     ``pairwise_sq_dists(x, y)[i:i + TILE, j:j + TILE]``, bitwise, computed on
     its own. With ``upper`` (for ``y`` the same set as ``x``) only the tiles
     with ``j >= i`` come."""
-    x, y = _rows(x), _rows(y)
+    x, y = _gram_pair(x, y)
     if x.shape[1] != y.shape[1]:
         raise ShapeError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    xx = np.einsum("ij,ij->i", x, x)
-    yy = np.einsum("ij,ij->i", y, y)
     for i in range(0, x.shape[0], TILE):
         for j in range(i if upper else 0, y.shape[0], TILE):
-            yield i, j, _gram_tile(x[i:i + TILE], y[j:j + TILE], xx[i:i + TILE], yy[j:j + TILE])
+            yield i, j, _gram_tile(x, i, y, j)
 
 
-def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def pairwise_sq_dists(x: np.ndarray | GramRows, y: np.ndarray | GramRows) -> np.ndarray:
     """All squared Euclidean distances between rows of ``x`` (m,d) and ``y`` (n,d).
 
-    Gram form ``|x_i|^2 + |y_j|^2 - (x_i.y_j + y_j.x_i)``, one
-    (TILE, TILE) tile at a time (see ``sq_dist_tiles``). Both cross products
-    are taken, each as a GEMM on contiguous operands (``x @ x.T`` would go to
-    SYRK, which rounds differently), and added; floating-point addition
-    commutes, so swapping the inputs transposes each tile, and the result,
-    bitwise.
+    Either argument may be an array or its ``GramRows``; the result is the
+    same, bitwise. Gram form ``|x_i|^2 + |y_j|^2 - (x_i.y_j + y_j.x_i)``,
+    one (TILE, TILE) tile at a time (see ``sq_dist_tiles``). Both cross
+    products are taken, each as a GEMM on contiguous operands (``x @ x.T``
+    would go to SYRK, which rounds differently), and added; floating-point
+    addition commutes, so swapping the inputs transposes each tile, and the
+    result, bitwise.
 
     Entries at or below the form's own rounding bound
     ``(2d + 8) eps (|x_i|^2 + |y_j|^2)`` (eps = 2^-52) are set to 0: there
@@ -176,9 +198,10 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     give exactly 0 (and MMD^2(X, X) exactly 0 downstream) and every entry
     >= 0.
 
-    Holds the (m, n) result and the temporaries of one tile.
+    Holds the (m, n) result, the temporaries of one tile and the
+    ``GramRows`` of an array argument.
     """
-    x, y = _rows(x), _rows(y)
+    x, y = _gram_pair(x, y)
     tiles = sq_dist_tiles(x, y)
     if 0 < x.shape[0] <= TILE and 0 < y.shape[0] <= TILE:  # one tile
         return next(tiles)[2]

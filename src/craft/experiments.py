@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import reprlib
+import types
+import typing
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -51,14 +55,40 @@ class RunConfig:
             raise ConfigError("split.base_fraction must be in (0, 1)")
 
 
+_JSON_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+                    type(None): "null"}
+
+
+def _fits(value, hint) -> bool:
+    """Whether the JSON value fits the field annotation ``hint``: an int
+    field takes an integer but no boolean, a float field an integer or a
+    finite float, and a ``| None`` field null as well."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            return False
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
 def _coerce(doc: dict, cls, context: str, defaults: dict) -> object:
-    """Build a dataclass from a JSON object, rejecting unknown keys by name."""
+    """Build a dataclass from a JSON object, rejecting unknown keys and
+    values of the wrong type by name."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config section {context!r} must be an object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    for key in doc:
-        if key not in allowed:
+    hints = typing.get_type_hints(cls)  # one per dataclass field
+    for key, value in doc.items():
+        if key not in hints:
             raise ConfigError(f"unknown config key {context}.{key}")
+        if not _fits(value, hints[key]):
+            expected = " or ".join(_JSON_TYPE_NAMES[h] for h in typing.get_args(hints[key])
+                                   or (hints[key],))
+            raise ConfigError(f"config key {context}.{key} must be {expected}, "
+                              f"got {reprlib.repr(value)}")
     values = dict(defaults)
     values.update(doc)
     try:
@@ -81,7 +111,13 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("config key seed must be a non-negative integer")
 
+    workdir = doc.get("workdir")
+    if workdir is not None and not isinstance(workdir, str):
+        raise ConfigError("config key workdir must be a string or null")
+
     synthetic = _coerce(doc["synthetic"], SyntheticConfig, "synthetic", {"seed": seed})
+    if not isinstance(doc["train"], dict):
+        raise ConfigError("config section 'train' must be an object")
     train_doc = dict(doc["train"])
     mode_name = train_doc.pop("mode", Mode.ALIGNED.value)
     try:
@@ -92,7 +128,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     train_cfg = _coerce(train_doc, TrainConfig, "train", {"seed": seed, "mode": mode})
     split = _coerce(doc.get("split", {}), SplitSpec, "split", {})
     cfg = RunConfig(kind=doc["kind"], seed=seed, synthetic=synthetic,
-                    train=train_cfg, split=split, workdir=doc.get("workdir"))
+                    train=train_cfg, split=split, workdir=workdir)
     cfg.validate()
     return cfg
 
@@ -100,7 +136,8 @@ def run_config_from_dict(doc: dict) -> RunConfig:
 def load_run_config(path: str | Path) -> RunConfig:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an integer of over 4,300 digits, or too deep a nesting
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return run_config_from_dict(doc)
 

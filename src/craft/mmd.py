@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorSet
-from .core import TILE, ConfigError, NumericError, ShapeError, pairwise_sq_dists, sq_dist_tiles
+from .core import (TILE, ConfigError, GramRows, NumericError, ShapeError, pairwise_sq_dists,
+                   sq_dist_tiles)
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,7 @@ class KernelSpec:
         if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ConfigError(f"kernel bandwidth must be finite and > 0, got {self.bandwidth}")
 
-    def matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def matrix(self, x: np.ndarray | GramRows, y: np.ndarray | GramRows) -> np.ndarray:
         return self.of_sq_dists(pairwise_sq_dists(x, y))
 
     def of_sq_dists(self, d2: np.ndarray) -> np.ndarray:
@@ -38,7 +39,7 @@ class KernelSpec:
 _BUCKET_SHIFT = 46
 
 
-def _upper_pairs(samples: np.ndarray):
+def _upper_pairs(samples: GramRows):
     """The squared distances of the pairs i < j of ``samples``, tile by tile."""
     for i, j, d2 in sq_dist_tiles(samples, samples, upper=True):
         yield d2[np.triu_indices(len(d2), k=1)] if i == j else d2.ravel()
@@ -62,7 +63,7 @@ def median_heuristic(samples: np.ndarray) -> float:
     tile. Beyond, a first pass over the upper tiles counts the pairs per
     bucket of leading bits and a second keeps only the one or two buckets
     that hold the middle ranks, so memory stays at a few tiles unless most
-    pairs share their leading bits.
+    pairs share their leading bits. Both passes read one ``GramRows``.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n = samples.shape[0]
@@ -71,6 +72,7 @@ def median_heuristic(samples: np.ndarray) -> float:
     if not np.all(np.isfinite(samples)):
         # partition would sort NaN distances last and hide them
         raise NumericError("median heuristic of non-finite samples")
+    samples = GramRows(samples)
     p = n * (n - 1) // 2
     if n <= TILE:
         # one tile, bitwise symmetric: sorted, its off-diagonal entries are
@@ -102,7 +104,9 @@ def median_heuristic(samples: np.ndarray) -> float:
 # pairwise_sq_dists is swap-bitwise tile by tile, sum K(X, Y) == sum K(Y, X)
 # bitwise, which makes mmd2_biased(X, Y) == mmd2_biased(Y, X) exactly; and
 # since K(X, X) is the same matrix whichever slot X fills,
-# mmd2_biased(X, X) == 0.0. Memory is that of one tile.
+# mmd2_biased(X, X) == 0.0. Each sample is prepared once as GramRows and
+# read by both of its kernel blocks. Memory is that of one tile and the
+# GramRows of the two samples.
 
 
 def _sym_sum(a: np.ndarray) -> float:
@@ -118,7 +122,7 @@ def _tiled_sum(tiles, m: int, n: int) -> float:
     return _sym_sum(sums)
 
 
-def _kernel_sum(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
+def _kernel_sum(x: GramRows, y: GramRows, kernel: KernelSpec) -> float:
     """Sum of K(x, y), without holding the (m, n) matrix."""
     tiles = ((i, j, kernel.of_sq_dists(d2)) for i, j, d2 in sq_dist_tiles(x, y))
     return _tiled_sum(tiles, x.shape[0], y.shape[0])
@@ -145,9 +149,10 @@ def mmd2_biased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
     """V-statistic estimate of MMD^2; non-negative, zero when x == y."""
     x, y = _check_sets(x, y, 1)
     m, n = x.shape[0], y.shape[0]
-    xx = _kernel_sum(x, x, kernel) / (m * m)
-    yy = _kernel_sum(y, y, kernel) / (n * n)
-    xy = _kernel_sum(x, y, kernel) / (m * n)
+    gx, gy = GramRows(x), GramRows(y)
+    xx = _kernel_sum(gx, gx, kernel) / (m * m)
+    yy = _kernel_sum(gy, gy, kernel) / (n * n)
+    xy = _kernel_sum(gx, gy, kernel) / (m * n)
     return xx + yy - 2.0 * xy
 
 
@@ -158,9 +163,10 @@ def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
     m, n = x.shape[0], y.shape[0]
     # the self-terms are k(x_i, x_i) = exp(0) = 1: pairwise_sq_dists gives a
     # row exactly 0 with itself
-    xx = (_kernel_sum(x, x, kernel) - m) / (m * (m - 1))
-    yy = (_kernel_sum(y, y, kernel) - n) / (n * (n - 1))
-    xy = _kernel_sum(x, y, kernel) / (m * n)
+    gx, gy = GramRows(x), GramRows(y)
+    xx = (_kernel_sum(gx, gx, kernel) - m) / (m * (m - 1))
+    yy = (_kernel_sum(gy, gy, kernel) - n) / (n * (n - 1))
+    xy = _kernel_sum(gx, gy, kernel) / (m * n)
     return xx + yy - 2.0 * xy
 
 
@@ -173,9 +179,10 @@ def mmd2_biased_grad(x: np.ndarray, y: np.ndarray, kernel: KernelSpec
     x, y = _check_sets(x, y, 1)
     m, n = x.shape[0], y.shape[0]
     inv_s2 = 1.0 / kernel.bandwidth ** 2
-    kxx = kernel.matrix(x, x)
-    kyy = kernel.matrix(y, y)
-    kxy = kernel.matrix(x, y)
+    gx, gy = GramRows(x), GramRows(y)
+    kxx = kernel.matrix(gx, gx)
+    kyy = kernel.matrix(gy, gy)
+    kxy = kernel.matrix(gx, gy)
     value = (_matrix_sum(kxx) / (m * m) + _matrix_sum(kyy) / (n * n)
              - 2.0 * _matrix_sum(kxy) / (m * n))
     # d k(a, b) / d a = k(a, b) (b - a) / sigma^2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from craft.anchors import AnchorSet
 from craft.core import l2_normalize, make_rng
@@ -50,3 +51,25 @@ def blas_shaped_pairs(seed, cases):
         scale = float(rng.uniform(0.1, 30.0))
         yield (scale * rng.standard_normal((m, d)),
                scale * (rng.standard_normal((n, d)) + 0.1))
+
+
+def byte_edits(size):
+    """Strategy: one to three truncations, extensions or overwrites of a
+    ``size``-byte file, applied in order by ``apply_edits``."""
+    return st.lists(st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, size)),
+        st.tuples(st.just("extend"), st.binary(min_size=1, max_size=24)),
+        st.tuples(st.just("overwrite"), st.integers(0, size - 1),
+                  st.binary(min_size=1, max_size=8))), min_size=1, max_size=3)
+
+
+def apply_edits(data, edits):
+    raw = bytearray(data)
+    for edit in edits:
+        if edit[0] == "truncate":
+            del raw[edit[1]:]
+        elif edit[0] == "extend":
+            raw += edit[1]
+        else:
+            raw[edit[1]:edit[1] + len(edit[2])] = edit[2]
+    return bytes(raw)

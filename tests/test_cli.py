@@ -152,6 +152,28 @@ def test_invalid_mode_value(tmp_path):
     assert "warp-drive" in json.loads(result.stderr)["message"]
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "epochs", 2.5),
+    ("train", "shots", "abc"),
+    ("synthetic", "dim", "16"),
+    ("train", "temperature", float("nan")),
+    ("train", "learning_rate", float("nan")),
+    ("train", "batch_size", True),
+])
+def test_config_value_of_wrong_type_is_config_error(pipeline, tmp_path, section, key, value):
+    _, config, data, *_ = pipeline
+    doc = json.loads(config.read_text())
+    doc[section][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("train", "--config", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "a.cadp"))
+    assert result.returncode == 2, result.stderr
+    error = json.loads(result.stderr)
+    assert error["error"] == "ConfigError" and f"{section}.{key}" in error["message"]
+    assert not (tmp_path / "a.cadp").exists()
+
+
 def test_checkpoint_dimension_mismatch_is_data_error(tmp_path):
     config = small_config(tmp_path)
     data = tmp_path / "data"
@@ -165,19 +187,21 @@ def test_checkpoint_dimension_mismatch_is_data_error(tmp_path):
     assert json.loads(result.stderr)["error"] == "ShapeError"
 
 
-def test_nonfinite_checkpoint_is_numeric_error(tmp_path):
+def test_nonfinite_checkpoint_is_format_error(tmp_path):
     import struct
     config = small_config(tmp_path)
     data = tmp_path / "data"
     assert run_cli("gen", "--config", str(config), "--out", str(data)).returncode == 0
     ckpt = tmp_path / "nan.cadp"
     import numpy as np
-    values = np.full(2 * (8 * 8 + 8), np.nan)
+    values = np.zeros(2 * (8 * 8 + 8))
+    values[5] = np.nan  # the file's only non-finite value, 12 + 8 * 5 bytes in
     ckpt.write_bytes(struct.pack("<4sII", b"CADP", 1, 8) + values.astype("<f8").tobytes())
     result = run_cli("eval", "--config", str(config), "--checkpoint", str(ckpt),
                      "--data", str(data), "--out", str(tmp_path / "r.json"))
-    assert result.returncode == 4
-    assert json.loads(result.stderr)["error"] == "NumericError"
+    assert result.returncode == 3
+    error = json.loads(result.stderr)
+    assert error["error"] == "FormatError" and error["message"].endswith("at offset 52")
 
 
 def test_diverging_training_is_numeric_error(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from craft.core import (TILE, NormalizationError, ShapeError, l2_normalize, make_rng,
-                        pairwise_sq_dists, softmax_rows, sq_dist_tiles)
+from craft.core import (TILE, GramRows, NormalizationError, ShapeError, l2_normalize,
+                        make_rng, pairwise_sq_dists, softmax_rows, sq_dist_tiles)
 
 from conftest import blas_shaped_pairs
 
@@ -108,8 +109,17 @@ def test_pairwise_sq_dists_matches_naive(rng):
     np.testing.assert_array_equal(pairwise_sq_dists(y, x), d2.T)
 
 
+def tile_crossing_pairs(seed):
+    """Seeded (x, y) pairs whose row counts sit at and across the TILE
+    boundary."""
+    rng = make_rng(seed)
+    for m, n in ((TILE - 1, 1100), (TILE, TILE + 1), (TILE + 1, TILE), (1100, TILE - 1)):
+        d = int(rng.integers(1, 301))
+        yield rng.standard_normal((m, d)), rng.standard_normal((n, d)) + 0.1
+
+
 def test_pairwise_sq_dists_exact_at_blas_shapes():
-    for x, y in blas_shaped_pairs(11, 12):
+    for x, y in itertools.chain(blas_shaped_pairs(11, 12), tile_crossing_pairs(13)):
         d2 = pairwise_sq_dists(x, y)
         np.testing.assert_array_equal(pairwise_sq_dists(y, x), d2.T)
         assert d2.min() >= 0.0
@@ -118,6 +128,14 @@ def test_pairwise_sq_dists_exact_at_blas_shapes():
         np.testing.assert_array_equal(pairwise_sq_dists(x, x), self_d2)
         np.testing.assert_array_equal(self_d2, self_d2.T)
         assert np.all(np.diag(self_d2) == 0.0)
+        # prepared operands give the same bits as arrays
+        gx, gy = GramRows(x), GramRows(y)
+        assert np.shape(gx) == x.shape and np.shape(gy) == y.shape
+        np.testing.assert_array_equal(pairwise_sq_dists(gx, gy), d2)
+        np.testing.assert_array_equal(pairwise_sq_dists(gx, y), d2)
+        np.testing.assert_array_equal(pairwise_sq_dists(gx, gx), self_d2)
+        for i, j, tile in sq_dist_tiles(gx, gx, upper=True):
+            np.testing.assert_array_equal(tile, self_d2[i:i + TILE, j:j + TILE])
 
 
 def test_sq_dist_tiles_are_the_tiles_of_pairwise_sq_dists():

@@ -11,7 +11,7 @@ from craft.dataio import (MAX_DIM, Domain, Modality, SyntheticConfig, few_shot_s
                           generate_synthetic, read_embeddings,
                           split_base_novel, write_embeddings)
 
-from conftest import toy_embedding_set
+from conftest import apply_edits, byte_edits, toy_embedding_set
 
 
 def small_cfg(**overrides):
@@ -441,29 +441,14 @@ _VALID = (_header(3, 3, num_classes=2)
                                            (1, 1, 0, 3, (0.0, 0.6, 0.8)),
                                            (1, 0, 1, 0, (0.0, 0.0, 1.0)))))
 
-_edits = st.lists(st.one_of(
-    st.tuples(st.just("truncate"), st.integers(0, len(_VALID))),
-    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=24)),
-    st.tuples(st.just("overwrite"), st.integers(0, len(_VALID) - 1),
-              st.binary(min_size=1, max_size=8))), min_size=1, max_size=3)
-
-
-@given(_edits)
+@given(byte_edits(len(_VALID)))
 @example([("overwrite", 8, struct.pack("<II", 0, 2**32 - 1))])
 @example([("overwrite", 8, struct.pack("<II", 1, 2**32 - 1))])
 @example([("overwrite", 16, struct.pack("<I", 2**32 - 1))])
 @settings(max_examples=300, deadline=None)
 def test_fuzzed_cemb_is_read_or_refused(fuzz_dir, edits):
-    raw = bytearray(_VALID)
-    for edit in edits:
-        if edit[0] == "truncate":
-            del raw[edit[1]:]
-        elif edit[0] == "extend":
-            raw += edit[1]
-        else:
-            raw[edit[1]:edit[1] + len(edit[2])] = edit[2]
     path = fuzz_dir / "fuzzed.cemb"
-    path.write_bytes(bytes(raw))
+    path.write_bytes(apply_edits(_VALID, edits))
     try:
         emb = read_embeddings(path)
     except FormatError:

@@ -1,13 +1,20 @@
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from craft.adapter import Adapter
 from craft.anchors import build_static_text_anchors
 from craft.core import ConfigError, make_rng
-from craft.dataio import generate_synthetic
-from craft.experiments import (eval_text_anchors, load_run_config, prepare, reference_config,
-                               run_config_from_dict, run_experiment)
+from craft.dataio import SyntheticConfig, generate_synthetic
+from craft.experiments import (RunConfig, eval_text_anchors, load_run_config, prepare,
+                               reference_config, run_config_from_dict, run_experiment)
 from craft.losses import Mode
+from craft.train import TrainConfig
 
 
 def reference_doc(**overrides):
@@ -67,6 +74,57 @@ def test_seed_propagates_to_sections():
     doc["train"]["seed"] = 9
     cfg = run_config_from_dict(doc)
     assert cfg.train.seed == 9 and cfg.synthetic.seed == 55
+
+
+_CONFIG_PATHS = ([(key,) for key in ("kind", "seed", "synthetic", "train", "split", "workdir")]
+                 + [("synthetic", f.name) for f in dataclasses.fields(SyntheticConfig)]
+                 + [("train", f.name) for f in dataclasses.fields(TrainConfig)]
+                 + [("split", "base_fraction")])
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                          st.text(max_size=4))
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+@given(st.lists(st.tuples(st.sampled_from(_CONFIG_PATHS), _json_scalars), min_size=1, max_size=3))
+@example([(("train", "epochs"), 2.5)])
+@example([(("train", "temperature"), float("nan"))])
+@example([(("synthetic", "cluster_spread"), 10**400)])
+@example([(("train", "batch_size"), True)])
+@example([(("train",), 7)])
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_config_is_loaded_or_refused(config_dir, replacements):
+    doc = reference_doc()
+    for path, value in replacements:
+        target = doc[path[0]] if len(path) == 2 else doc
+        if isinstance(target, dict):  # not a section an earlier scalar replaced
+            target[path[-1]] = value
+    path = config_dir / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    try:
+        cfg = load_run_config(path)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    for section in (cfg.synthetic, cfg.train, cfg.split):
+        for f in dataclasses.fields(section):
+            value = getattr(section, f.name)
+            if f.type == "int":
+                assert type(value) is int
+            elif f.type in ("float", "float | None") and value is not None:
+                assert type(value) in (int, float) and math.isfinite(value)
+
+
+@pytest.mark.parametrize("raw", [b"[" * 100_000, b'{"seed": ' + b"1" * 5000 + b"}",
+                                 b'{"kind": "\xff"}'])
+def test_unparseable_config_is_config_error(tmp_path, raw):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_run_config(path)
 
 
 def test_invalid_json_reported(tmp_path):

@@ -1,7 +1,10 @@
 import dataclasses
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import craft.train as train_mod
 from craft.adapter import Adapter, encode, param_count, read_checkpoint, write_checkpoint
@@ -16,7 +19,7 @@ from craft.mmd import KernelSpec
 from craft.train import (EpochRecord, TrainConfig, TrainHistory, cosine_lr, sgd_step,
                          train)
 
-from conftest import unit_rows
+from conftest import apply_edits, byte_edits, unit_rows
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +94,32 @@ def test_checkpoint_truncated(tmp_path, rng):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(FormatError, match="length"):
         read_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def cadp_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cadp")
+
+
+_CADP = (struct.pack("<4sII", b"CADP", 1, 2)
+         + np.linspace(-1.0, 1.0, param_count(2)).astype("<f8").tobytes())
+
+
+@given(byte_edits(len(_CADP)))
+@example([("overwrite", 12 + 8 * 3, struct.pack("<d", math.inf))])
+@example([("overwrite", 12 + 8 * 11, struct.pack("<d", math.nan))])
+@example([("overwrite", 8, struct.pack("<I", 0)), ("truncate", 12)])  # dim 0, no parameters
+@example([("overwrite", 8, struct.pack("<I", 2**32 - 1))])
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_cadp_is_read_or_refused(cadp_dir, edits):
+    path = cadp_dir / "fuzzed.cadp"
+    path.write_bytes(apply_edits(_CADP, edits))
+    try:
+        adapter = read_checkpoint(path)
+    except FormatError:
+        return
+    assert adapter.params.shape == (param_count(adapter.dim),)
+    assert np.all(np.isfinite(adapter.params))
 
 
 # ---------------------------------------------------------------------------
