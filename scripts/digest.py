@@ -6,13 +6,16 @@ over its checkpoint bytes, history JSONL and report JSON, and one clip-scale
 training epoch (K=100, H=512, 20 samples/class/modality, ood, aligned-mmd,
 batch 128), hashed over its checkpoint bytes and history JSONL, and one
 multi-centroid k-means anchor build (see ``kmeans_anchors``), hashed over
-its anchor file.
+its anchor file, and one two-sample test (see ``two_sample``), hashed over
+the JSON line of ``craft mmd``.
 
 Usage: python scripts/digest.py [--seed N]    (default seed 7)
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from run_reference import reference_runs
 
-from craft import dataio, experiments
+from craft import cli, dataio, experiments
 from craft.adapter import write_checkpoint
 from craft.anchors import write_anchors
 from craft.core import l2_normalize, make_rng
@@ -71,6 +74,33 @@ def kmeans_anchors(seed: int, workdir: Path) -> str:
     return hashlib.sha256((workdir / "anchors.cemb").read_bytes()).hexdigest()
 
 
+def run_craft(*argv: str) -> str:
+    """The standard output of ``craft`` with these arguments, run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    if code != 0:
+        raise SystemExit(f"craft {argv[0]} exited {code}")
+    return out.getvalue()
+
+
+def two_sample(seed: int, workdir: Path) -> str:
+    """sha256 of the JSON line (bandwidth, both MMD^2 estimators, p-value)
+    of ``craft mmd`` at 1000 permutations, four blocks of weight rows,
+    between the desk ``ood`` source and target sets, with the anchors of
+    ``craft anchors``."""
+    cfg = override(reference_config(), kind="ood", seed=seed,
+                   synthetic=dict(domain_shift_magnitude=1.0))
+    source, target = dataio.generate_synthetic(cfg.synthetic)
+    src, tgt, anchors = (str(workdir / name) for name in ("source.cemb", "target.cemb", "anchors.cemb"))
+    dataio.write_embeddings(source, src)
+    dataio.write_embeddings(target, tgt)
+    run_craft("anchors", "--data", src, "--out", anchors, "--seed", str(seed))
+    line = run_craft("mmd", "--a", src, "--b", tgt, "--anchors", anchors, "--n-perms", "1000",
+                     "--seed", str(seed))
+    return hashlib.sha256(line.encode()).hexdigest()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7, help="seed of every run")
@@ -85,6 +115,7 @@ def main():
         adapter, history = clip_epoch(args.seed)
         print(f"{artifact_digest(adapter, history, None, workdir)}  clip epoch")
         print(f"{kmeans_anchors(args.seed, workdir)}  kmeans anchors (4 centroids/class, H=512)")
+        print(f"{two_sample(args.seed, workdir)}  two-sample test (craft mmd, 1000 permutations)")
 
 
 if __name__ == "__main__":

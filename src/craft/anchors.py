@@ -172,22 +172,16 @@ def kmeans(points: np.ndarray, m: int, rng: np.random.Generator,
 # Static anchor construction
 
 
-def _encode(encoder: Encoder | None, vectors: np.ndarray) -> np.ndarray:
-    return vectors if encoder is None else encoder(vectors)
-
-
-def build_static_image_anchors(emb_set: EmbeddingSet, encoder: Encoder | None,
-                               rng: np.random.Generator,
+def build_static_image_anchors(emb_set: EmbeddingSet, rng: np.random.Generator,
                                centroids_per_class: int = 1) -> AnchorSet:
-    """Per class: encode all image records, k-means them, and keep one
-    normalized representative (the centroid nearest the class mean when
+    """Per class: k-means the image records and keep one normalized
+    representative (the centroid nearest the class mean when
     centroids_per_class > 1)."""
     anchors = np.empty((emb_set.num_classes, emb_set.dim))
     for c, (name, rows) in enumerate(zip(emb_set.class_names, emb_set.class_rows(Modality.IMAGE))):
         feats = emb_set.vectors[rows]
         if feats.shape[0] == 0:
             raise ClusterError(f"class {name} has no image records")
-        feats = _encode(encoder, feats)
         result = kmeans(feats, centroids_per_class, rng)
         if centroids_per_class == 1:
             representative = result.centroids[0]
@@ -206,7 +200,9 @@ def build_static_text_anchors(emb_set: EmbeddingSet, encoder: Encoder | None = N
         feats = emb_set.vectors[rows]
         if feats.shape[0] == 0:
             raise AnchorError(f"class {name} has no text records")
-        anchors[c] = l2_normalize(_encode(encoder, feats).mean(axis=0))
+        if encoder is not None:
+            feats = encoder(feats)
+        anchors[c] = l2_normalize(feats.mean(axis=0))
     return AnchorSet(anchors, Modality.TEXT, class_names=list(emb_set.class_names))
 
 

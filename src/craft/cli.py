@@ -87,8 +87,6 @@ def cmd_train(args) -> int:
     src_path, tgt_path = _data_files(args.data)
     source = read_embeddings(src_path)
     target = read_embeddings(tgt_path) if tgt_path.exists() else None
-    if target is None and cfg.kind == "ood":
-        raise ConfigError(f"experiment kind 'ood' needs {tgt_path}")
     prepared = experiments.prepare(cfg, source, target)
     adapter, history = experiments.train_prepared(cfg, prepared)
     out = Path(args.out)

@@ -44,7 +44,6 @@ class RunConfig:
     synthetic: SyntheticConfig
     train: TrainConfig
     split: SplitSpec
-    workdir: str | None = None
 
     def validate(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
@@ -100,7 +99,7 @@ def _coerce(doc: dict, cls, context: str, defaults: dict) -> object:
 def run_config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("run config must be a JSON object")
-    allowed = {"kind", "seed", "synthetic", "train", "split", "workdir"}
+    allowed = {"kind", "seed", "synthetic", "train", "split"}
     for key in doc:
         if key not in allowed:
             raise ConfigError(f"unknown config key {key}")
@@ -110,10 +109,6 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     seed = doc["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("config key seed must be a non-negative integer")
-
-    workdir = doc.get("workdir")
-    if workdir is not None and not isinstance(workdir, str):
-        raise ConfigError("config key workdir must be a string or null")
 
     synthetic = _coerce(doc["synthetic"], SyntheticConfig, "synthetic", {"seed": seed})
     if not isinstance(doc["train"], dict):
@@ -128,7 +123,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     train_cfg = _coerce(train_doc, TrainConfig, "train", {"seed": seed, "mode": mode})
     split = _coerce(doc.get("split", {}), SplitSpec, "split", {})
     cfg = RunConfig(kind=doc["kind"], seed=seed, synthetic=synthetic,
-                    train=train_cfg, split=split, workdir=workdir)
+                    train=train_cfg, split=split)
     cfg.validate()
     return cfg
 
@@ -187,11 +182,14 @@ def build_training_anchors(train_set: EmbeddingSet, seed: int,
     """Static anchors from the frozen training embeddings (identity encoder)."""
     text_anchors = build_static_text_anchors(train_set)
     image_anchors = build_static_image_anchors(
-        train_set, None, make_rng(seed, _STREAM_ANCHORS), centroids_per_class)
+        train_set, make_rng(seed, _STREAM_ANCHORS), centroids_per_class)
     return text_anchors, image_anchors
 
 
-def prepare(cfg: RunConfig, source: EmbeddingSet, target: EmbeddingSet) -> PreparedExperiment:
+def prepare(cfg: RunConfig, source: EmbeddingSet, target: EmbeddingSet | None
+            ) -> PreparedExperiment:
+    if cfg.kind == "ood" and target is None:
+        raise ConfigError("experiment kind 'ood' needs a target set")
     few_shot_rng = make_rng(cfg.seed, _STREAM_FEW_SHOT)
     if cfg.kind == "base-to-novel":
         base, novel = split_base_novel(source, cfg.split.base_fraction)

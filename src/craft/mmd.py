@@ -24,9 +24,6 @@ class KernelSpec:
         if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ConfigError(f"kernel bandwidth must be finite and > 0, got {self.bandwidth}")
 
-    def matrix(self, x: np.ndarray | GramRows, y: np.ndarray | GramRows) -> np.ndarray:
-        return self.of_sq_dists(pairwise_sq_dists(x, y))
-
     def of_sq_dists(self, d2: np.ndarray) -> np.ndarray:
         """Kernel values of the squared distances ``d2``, computed in place."""
         np.divide(d2, -2.0 * self.bandwidth ** 2, out=d2)
@@ -97,16 +94,21 @@ def median_heuristic(samples: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Estimators. A kernel matrix is summed tile by tile (the tiles of
-# pairwise_sq_dists), with a transpose-invariant sum at both levels: each
-# tile's sum adds numpy's pairwise sums of the tile and of its contiguous
-# transpose, and the grid of tile sums is summed the same way. Since
-# pairwise_sq_dists is swap-bitwise tile by tile, sum K(X, Y) == sum K(Y, X)
-# bitwise, which makes mmd2_biased(X, Y) == mmd2_biased(Y, X) exactly; and
-# since K(X, X) is the same matrix whichever slot X fills,
-# mmd2_biased(X, X) == 0.0. Each sample is prepared once as GramRows and
-# read by both of its kernel blocks. Memory is that of one tile and the
-# GramRows of the two samples.
+# Estimators. Every kernel quantity is read tile by tile from _kernel_tiles,
+# the kernel values of the sq_dist_tiles tiles. A block K(X, Y) is summed
+# transpose-invariantly at both levels: each tile's sum adds numpy's pairwise
+# sums of the tile and of its contiguous transpose, and the grid of tile sums
+# is summed the same way. As the tiles are swap-bitwise, sum K(X, Y) ==
+# sum K(Y, X) bitwise, so mmd2_biased(X, Y) == mmd2_biased(Y, X) exactly and
+# mmd2_biased(X, X) == 0.0. Memory is one tile and the GramRows of the two
+# samples, plus the (m, n) matrices the gradient asks for; the permutation
+# test holds O(TILE^2 + 256 N) for N pooled samples.
+
+
+def _kernel_tiles(x: GramRows, y: GramRows, kernel: KernelSpec, upper: bool = False):
+    """The tiles ``(i, j, K(x, y)[i:i + TILE, j:j + TILE])`` of ``sq_dist_tiles``."""
+    for i, j, d2 in sq_dist_tiles(x, y, upper):
+        yield i, j, kernel.of_sq_dists(d2)
 
 
 def _sym_sum(a: np.ndarray) -> float:
@@ -114,25 +116,18 @@ def _sym_sum(a: np.ndarray) -> float:
     return 0.5 * (float(a.sum()) + float(np.ascontiguousarray(a.T).sum()))
 
 
-def _tiled_sum(tiles, m: int, n: int) -> float:
-    """Sum of an (m, n) kernel matrix given as its ``(i, j, tile)``."""
+def _kernel_block(x: GramRows, y: GramRows, kernel: KernelSpec, keep: bool = False
+                  ) -> tuple[float, np.ndarray | None]:
+    """The sum of K(x, y) and, with ``keep``, the (m, n) matrix itself (its
+    one tile when it fits in one); without, the matrix is never held."""
+    m, n = x.shape[0], y.shape[0]
     sums = np.empty((-(-m // TILE), -(-n // TILE)))
-    for i, j, k in tiles:
-        sums[i // TILE, j // TILE] = _sym_sum(k)
-    return _sym_sum(sums)
-
-
-def _kernel_sum(x: GramRows, y: GramRows, kernel: KernelSpec) -> float:
-    """Sum of K(x, y), without holding the (m, n) matrix."""
-    tiles = ((i, j, kernel.of_sq_dists(d2)) for i, j, d2 in sq_dist_tiles(x, y))
-    return _tiled_sum(tiles, x.shape[0], y.shape[0])
-
-
-def _matrix_sum(k: np.ndarray) -> float:
-    """Sum of the kernel matrix ``k``: the bits of ``_kernel_sum``."""
-    m, n = k.shape
-    tiles = ((i, j, k[i:i + TILE, j:j + TILE]) for i in range(0, m, TILE) for j in range(0, n, TILE))
-    return _tiled_sum(tiles, m, n)
+    k = np.empty((m, n)) if keep and sums.size > 1 else None
+    for i, j, tile in _kernel_tiles(x, y, kernel):
+        sums[i // TILE, j // TILE] = _sym_sum(tile)
+        if k is not None:
+            k[i:i + TILE, j:j + TILE] = tile
+    return _sym_sum(sums), (tile if keep and k is None else k)
 
 
 def _check_sets(x: np.ndarray, y: np.ndarray, min_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,9 +145,9 @@ def mmd2_biased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
     x, y = _check_sets(x, y, 1)
     m, n = x.shape[0], y.shape[0]
     gx, gy = GramRows(x), GramRows(y)
-    xx = _kernel_sum(gx, gx, kernel) / (m * m)
-    yy = _kernel_sum(gy, gy, kernel) / (n * n)
-    xy = _kernel_sum(gx, gy, kernel) / (m * n)
+    xx = _kernel_block(gx, gx, kernel)[0] / (m * m)
+    yy = _kernel_block(gy, gy, kernel)[0] / (n * n)
+    xy = _kernel_block(gx, gy, kernel)[0] / (m * n)
     return xx + yy - 2.0 * xy
 
 
@@ -164,9 +159,9 @@ def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
     # the self-terms are k(x_i, x_i) = exp(0) = 1: pairwise_sq_dists gives a
     # row exactly 0 with itself
     gx, gy = GramRows(x), GramRows(y)
-    xx = (_kernel_sum(gx, gx, kernel) - m) / (m * (m - 1))
-    yy = (_kernel_sum(gy, gy, kernel) - n) / (n * (n - 1))
-    xy = _kernel_sum(gx, gy, kernel) / (m * n)
+    xx = (_kernel_block(gx, gx, kernel)[0] - m) / (m * (m - 1))
+    yy = (_kernel_block(gy, gy, kernel)[0] - n) / (n * (n - 1))
+    xy = _kernel_block(gx, gy, kernel)[0] / (m * n)
     return xx + yy - 2.0 * xy
 
 
@@ -180,11 +175,10 @@ def mmd2_biased_grad(x: np.ndarray, y: np.ndarray, kernel: KernelSpec
     m, n = x.shape[0], y.shape[0]
     inv_s2 = 1.0 / kernel.bandwidth ** 2
     gx, gy = GramRows(x), GramRows(y)
-    kxx = kernel.matrix(gx, gx)
-    kyy = kernel.matrix(gy, gy)
-    kxy = kernel.matrix(gx, gy)
-    value = (_matrix_sum(kxx) / (m * m) + _matrix_sum(kyy) / (n * n)
-             - 2.0 * _matrix_sum(kxy) / (m * n))
+    sxx, kxx = _kernel_block(gx, gx, kernel, keep=True)
+    syy, kyy = _kernel_block(gy, gy, kernel, keep=True)
+    sxy, kxy = _kernel_block(gx, gy, kernel, keep=True)
+    value = sxx / (m * m) + syy / (n * n) - 2.0 * sxy / (m * n)
     # d k(a, b) / d a = k(a, b) (b - a) / sigma^2
     gx = (2.0 / (m * m)) * inv_s2 * (kxx @ x - kxx.sum(axis=1)[:, None] * x) \
         - (2.0 / (m * n)) * inv_s2 * (kxy @ y - kxy.sum(axis=1)[:, None] * x)
@@ -210,7 +204,7 @@ def anchor_align(features: np.ndarray, static_text_anchors: AnchorSet,
 # ---------------------------------------------------------------------------
 # Permutation two-sample test
 
-_PERM_BLOCK = 256  # weight rows per GEMM: O(_PERM_BLOCK * N) memory
+_PERM_BLOCK = 256  # weight rows per pass over the tiles: O(_PERM_BLOCK * N) memory
 
 
 def permutation_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
@@ -222,14 +216,15 @@ def permutation_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     the pooled samples, and its statistic is the quadratic form w K w. Row 0
     is the observed split and rows 1..n_perms the permuted ones, so all
     statistics come from one expression, evaluated in fixed-size blocks of
-    rows as rowsum((W K) * W).
+    rows W as rowsum((W K) * W). W K is summed over the upper tiles of the
+    pooled kernel, one pass per block, as the (j, i) tile is bitwise the
+    transpose of the (i, j) one; the (N, N) kernel is never held.
     """
     if n_perms < 100:
         raise ConfigError("n_perms must be >= 100")
     x, y = _check_sets(x, y, 1)
     m, n = x.shape[0], y.shape[0]
-    pooled = np.concatenate([x, y])
-    k_pooled = kernel.matrix(pooled, pooled)
+    pooled = GramRows(np.concatenate([x, y]))
     splits = itertools.chain([np.arange(m + n)],
                              (rng.permutation(m + n) for _ in range(n_perms)))
     stats = np.empty(1 + n_perms)
@@ -238,6 +233,11 @@ def permutation_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         for row, split in zip(w, splits):
             row[split[:m]] = 1.0 / m
             row[split[m:]] = -1.0 / n
-        stats[start:start + len(w)] = np.einsum("ij,ij->i", w @ k_pooled, w)
+        wk = np.zeros_like(w)
+        for i, j, k in _kernel_tiles(pooled, pooled, kernel, upper=True):
+            wk[:, j:j + TILE] += w[:, i:i + TILE] @ k
+            if i != j:
+                wk[:, i:i + TILE] += w[:, j:j + TILE] @ k.T
+        stats[start:start + len(w)] = np.einsum("ij,ij->i", wk, w)
     exceed = int(np.count_nonzero(stats[1:] >= stats[0]))
     return (1 + exceed) / (1 + n_perms)

@@ -14,6 +14,7 @@ from .adapter import Adapter
 from .anchors import AnchorSet
 from .core import ConfigError, NumericError, ScheduleError, ShapeError, make_rng
 from .dataio import EmbeddingSet, Modality
+from .evaluation import accuracy
 from .losses import LossBatch, LossConfig, Mode, _check_terms, _loss_step
 from .mmd import KernelSpec
 
@@ -151,8 +152,6 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
     counted from 0. Since every non-finite value ends in such an error,
     numpy's overflow and invalid-value warnings are silenced.
     """
-    from .evaluation import accuracy  # local import; evaluation depends on losses
-
     cfg.validate()
     if cfg.mode in (Mode.ALIGNED_MMD, Mode.ORACLE):
         if target is None:

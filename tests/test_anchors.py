@@ -131,7 +131,7 @@ def synthetic_set(**overrides):
 
 def test_image_anchor_single_record_is_that_vector():
     emb = toy_embedding_set(np.eye(3), [0, 1, 2], [0, 0, 0])
-    anchors = build_static_image_anchors(emb, None, make_rng(0))
+    anchors = build_static_image_anchors(emb, make_rng(0))
     np.testing.assert_allclose(anchors.vectors, np.eye(3), atol=1e-12)
     assert anchors.modality is Modality.IMAGE
 
@@ -139,14 +139,14 @@ def test_image_anchor_single_record_is_that_vector():
 def test_image_anchor_is_normalized_class_mean(rng):
     vectors = unit_rows(rng, 6, 4)
     emb = toy_embedding_set(vectors, [0, 0, 0, 1, 1, 1], [0] * 6)
-    anchors = build_static_image_anchors(emb, None, make_rng(0))
+    anchors = build_static_image_anchors(emb, make_rng(0))
     np.testing.assert_allclose(anchors.vectors[0], l2_normalize(emb.vectors[:3].mean(axis=0)), atol=1e-12)
     np.testing.assert_allclose(anchors.vectors[1], l2_normalize(emb.vectors[3:].mean(axis=0)), atol=1e-12)
 
 
 def test_image_anchors_near_generator_latents():
     emb = synthetic_set()
-    anchors = build_static_image_anchors(emb, None, make_rng(5))
+    anchors = build_static_image_anchors(emb, make_rng(5))
     for c in range(emb.num_classes):
         assert np.linalg.norm(anchors.vectors[c] - emb.metadata["class_means"][c]) < 0.15
 
@@ -154,22 +154,22 @@ def test_image_anchors_near_generator_latents():
 def test_image_anchor_missing_class():
     emb = toy_embedding_set(np.eye(3), [0, 1, 2], [0, 0, 1])  # class 2 text-only
     with pytest.raises(ClusterError, match="^class class_002 has no image records$"):
-        build_static_image_anchors(emb, None, make_rng(0))
+        build_static_image_anchors(emb, make_rng(0))
 
 
 def test_image_anchors_record_order_invariant(rng):
     emb = synthetic_set()
     perm = rng.permutation(len(emb))
     shuffled = emb.subset(perm)
-    a = build_static_image_anchors(emb, None, make_rng(4))
-    b = build_static_image_anchors(shuffled, None, make_rng(4))
+    a = build_static_image_anchors(emb, make_rng(4))
+    b = build_static_image_anchors(shuffled, make_rng(4))
     np.testing.assert_array_equal(a.vectors, b.vectors)
 
 
 def test_image_anchors_multi_centroid_picks_near_mean():
     emb = synthetic_set(samples_per_class_per_modality=24)
-    single = build_static_image_anchors(emb, None, make_rng(2), centroids_per_class=1)
-    multi = build_static_image_anchors(emb, None, make_rng(2), centroids_per_class=3)
+    single = build_static_image_anchors(emb, make_rng(2), centroids_per_class=1)
+    multi = build_static_image_anchors(emb, make_rng(2), centroids_per_class=3)
     # still one anchor per class, unit-normalized, close to the single-centroid one
     assert multi.vectors.shape == single.vectors.shape
     multi.validate()
@@ -207,7 +207,7 @@ def test_text_anchor_missing_class():
 def test_anchors_unit_norm():
     emb = synthetic_set()
     for anchors in (build_static_text_anchors(emb),
-                    build_static_image_anchors(emb, None, make_rng(0))):
+                    build_static_image_anchors(emb, make_rng(0))):
         np.testing.assert_allclose(np.linalg.norm(anchors.vectors, axis=1), 1.0, atol=1e-6)
         anchors.validate()
 
@@ -246,7 +246,7 @@ def test_stochastic_draws_differ_across_seeds():
 def test_anchor_roundtrip(tmp_path):
     emb = synthetic_set()
     text = build_static_text_anchors(emb)
-    image = build_static_image_anchors(emb, None, make_rng(0))
+    image = build_static_image_anchors(emb, make_rng(0))
     path = tmp_path / "anchors.cemb"
     write_anchors(path, text, image)
     text_back, image_back = read_anchors(path)

@@ -204,6 +204,23 @@ def test_nonfinite_checkpoint_is_format_error(tmp_path):
     assert error["error"] == "FormatError" and error["message"].endswith("at offset 52")
 
 
+def test_ood_without_target_is_config_error(tmp_path):
+    config = small_config(tmp_path, kind="ood")
+    data = tmp_path / "data"
+    ckpt = tmp_path / "adapter.cadp"
+    assert run_cli("gen", "--config", str(config), "--out", str(data)).returncode == 0
+    assert run_cli("train", "--config", str(config), "--data", str(data),
+                   "--out", str(ckpt)).returncode == 0
+    (data / "target.cemb").unlink()
+    for command, paths in (("train", ["--out", str(tmp_path / "b.cadp")]),
+                           ("eval", ["--checkpoint", str(ckpt), "--out", str(tmp_path / "r.json")])):
+        result = run_cli(command, "--config", str(config), "--data", str(data), *paths)
+        assert result.returncode == 2, result.stderr
+        error = json.loads(result.stderr)  # exactly one JSON object
+        assert error == {"command": command, "error": "ConfigError",
+                         "message": "experiment kind 'ood' needs a target set"}
+
+
 def test_diverging_training_is_numeric_error(tmp_path):
     config = small_config(tmp_path)
     data = tmp_path / "data"

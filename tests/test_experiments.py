@@ -41,6 +41,8 @@ def test_reference_config_loads():
 def test_unknown_top_level_key():
     with pytest.raises(ConfigError, match="mystery"):
         run_config_from_dict(reference_doc(mystery=1))
+    with pytest.raises(ConfigError, match="unknown config key workdir"):
+        run_config_from_dict(reference_doc(workdir="runs"))
 
 
 def test_unknown_nested_key():
@@ -76,7 +78,7 @@ def test_seed_propagates_to_sections():
     assert cfg.train.seed == 9 and cfg.synthetic.seed == 55
 
 
-_CONFIG_PATHS = ([(key,) for key in ("kind", "seed", "synthetic", "train", "split", "workdir")]
+_CONFIG_PATHS = ([(key,) for key in ("kind", "seed", "synthetic", "train", "split")]
                  + [("synthetic", f.name) for f in dataclasses.fields(SyntheticConfig)]
                  + [("train", f.name) for f in dataclasses.fields(TrainConfig)]
                  + [("split", "base_fraction")])

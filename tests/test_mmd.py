@@ -17,8 +17,8 @@ from conftest import blas_shaped_pairs, orthonormal_anchors, random_anchors, uni
 
 
 def kernel_value(x, y, bandwidth):
-    """The kernel value of one pair: an entry of ``KernelSpec.matrix``."""
-    return KernelSpec(bandwidth).matrix(x[None], y[None])[0, 0]
+    """The kernel value of one pair."""
+    return KernelSpec(bandwidth).of_sq_dists(pairwise_sq_dists(x[None], y[None]))[0, 0]
 
 
 def test_rbf_examples():
@@ -26,7 +26,8 @@ def test_rbf_examples():
     assert kernel_value(x, x, 1.0) == 1.0
     assert kernel_value(x, np.array([1.0, 0.0]), 1.0) == pytest.approx(math.exp(-0.5), abs=1e-12)
     assert kernel_value(x, np.array([1.0, 0.0]), 1.0) == pytest.approx(0.60653, abs=5e-6)
-    k = KernelSpec(2.0).matrix(np.array([[0.0], [1.0]]), np.array([[0.0], [2.0], [3.0]]))
+    k = KernelSpec(2.0).of_sq_dists(pairwise_sq_dists(np.array([[0.0], [1.0]]),
+                                                      np.array([[0.0], [2.0], [3.0]])))
     np.testing.assert_allclose(k, np.exp(-np.array([[0, 4, 9], [1, 1, 4]]) / 8.0), rtol=1e-15)
 
 
@@ -165,14 +166,15 @@ def test_kernel_layer_memory_bounded_at_clip_eval_shape():
 
 
 def test_kernel_layer_memory_is_a_few_tiles():
-    # the bandwidth and the estimators hold a few (TILE, TILE) tiles at a
-    # time, not the (m, n) matrices
+    # the bandwidth, the estimators and the permutation test hold a few
+    # (TILE, TILE) tiles at a time, not the (m, n) or pooled (N, N) matrices
     rows = make_rng(27).standard_normal((2400, 100))
     kernel = KernelSpec(10.0)
     bound = 8 * TILE * TILE * 8
     for estimate in (lambda: median_heuristic(rows),
                      lambda: mmd2_biased(rows[:400], rows[400:], kernel),
-                     lambda: mmd2_unbiased(rows[:400], rows[400:], kernel)):
+                     lambda: mmd2_unbiased(rows[:400], rows[400:], kernel),
+                     lambda: permutation_test(rows[:400], rows[400:], kernel, 100, make_rng(0))):
         tracemalloc.start()
         try:
             estimate()
@@ -246,9 +248,15 @@ def test_grad_value_matches_plain_estimator(rng):
     value, gx, gy = mmd2_biased_grad(x, y, kernel)
     assert value == mmd2_biased(x, y, kernel)
     assert gx.shape == x.shape and gy.shape == y.shape
-    # beyond one tile: the full matrices are summed over the same tiles
+    # beyond one tile: the matrices are assembled from the same tiles, and
+    # the gradient matches a directional central difference
     x, y = rng.standard_normal((TILE + 90, 4)), rng.standard_normal((TILE + 30, 4))
-    assert mmd2_biased_grad(x, y, kernel)[0] == mmd2_biased(x, y, kernel)
+    value, gx, gy = mmd2_biased_grad(x, y, kernel)
+    assert value == mmd2_biased(x, y, kernel)
+    vx, vy, eps = rng.standard_normal(x.shape), rng.standard_normal(y.shape), 1e-5
+    fd = (mmd2_biased(x + eps * vx, y + eps * vy, kernel)
+          - mmd2_biased(x - eps * vx, y - eps * vy, kernel)) / (2 * eps)
+    assert fd == pytest.approx(np.sum(gx * vx) + np.sum(gy * vy), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +377,7 @@ def _one_at_a_time_permutation_test(x, y, kernel, n_perms, rng):
     w = +1/m on the x side and -1/n on the y side."""
     m, n = len(x), len(y)
     pooled = np.concatenate([x, y])
-    k = kernel.matrix(pooled, pooled)
+    k = kernel.of_sq_dists(pairwise_sq_dists(pooled, pooled))
 
     def statistic(split):
         w = np.empty(m + n)
@@ -383,8 +391,11 @@ def _one_at_a_time_permutation_test(x, y, kernel, n_perms, rng):
 
 
 def test_permutation_test_matches_one_at_a_time_reference():
-    # 600 permutations span three weight-row blocks
-    for seed, (m, n, shift) in enumerate(((30, 45, 0.0), (40, 40, 0.3), (25, 60, 0.6))):
+    # 600 permutations span three weight-row blocks; beyond one tile, the
+    # off-diagonal tiles are read once and their transposes stand in for
+    # the lower tiles
+    for seed, (m, n, shift) in enumerate(((30, 45, 0.0), (40, 40, 0.3), (25, 60, 0.6),
+                                          (300, 400, 0.15), (600, 700, 0.1))):
         r = make_rng(seed, 9)
         x, y = r.standard_normal((m, 3)), r.standard_normal((n, 3)) + shift
         kernel = KernelSpec(median_heuristic(np.concatenate([x, y])))
