@@ -9,6 +9,10 @@ multi-centroid k-means anchor build (see ``kmeans_anchors``), hashed over
 its anchor file, and one two-sample test (see ``two_sample``), hashed over
 the JSON line of ``craft mmd``.
 
+The BLAS thread count can change the last bits of a GEMM, so the script
+runs the numeric backend on one thread, whatever the caller set, and its
+first line names the BLAS library, its version and that thread count.
+
 Usage: python scripts/digest.py [--seed N]    (default seed 7)
 """
 
@@ -17,18 +21,24 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
-import numpy as np
-from run_reference import reference_runs
+THREADS = "1"
+# before numpy loads, which reads them once
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = THREADS
 
-from craft import cli, dataio, experiments
-from craft.adapter import write_checkpoint
-from craft.anchors import write_anchors
-from craft.core import l2_normalize, make_rng
-from craft.experiments import override, reference_config
-from craft.losses import Mode
+import numpy as np  # noqa: E402
+from run_reference import reference_runs  # noqa: E402
+
+from craft import cli, dataio, experiments  # noqa: E402
+from craft.adapter import write_checkpoint  # noqa: E402
+from craft.anchors import write_anchors  # noqa: E402
+from craft.core import l2_normalize, make_rng  # noqa: E402
+from craft.experiments import override, reference_config  # noqa: E402
+from craft.losses import Mode  # noqa: E402
 
 
 def artifact_digest(adapter, history, report, workdir: Path) -> str:
@@ -106,6 +116,8 @@ def main():
     parser.add_argument("--seed", type=int, default=7, help="seed of every run")
     args = parser.parse_args()
     cfg = override(reference_config(), seed=args.seed)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"# blas {blas['name']} {blas['version']}, {THREADS} thread")
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for table, name, run_cfg in reference_runs(cfg):

@@ -118,7 +118,7 @@ def cmd_eval(args) -> int:
     out.with_suffix(".txt").write_text(_report_text(report) + "\n")
     anchors = experiments.eval_text_anchors(cfg, prepared, adapter)
     for name, emb_set in prepared.eval_sets.items():
-        matrix = confusion(adapter, emb_set, anchors[name], cfg.train.temperature)
+        matrix = confusion(adapter, emb_set, anchors[name])
         out.with_name(f"{out.stem}_confusion_{name}.csv").write_text(confusion_csv(matrix))
     print(json.dumps({"report": str(out)}, sort_keys=True))
     return 0
@@ -155,8 +155,8 @@ def cmd_mmd(args) -> int:
     text_anchors, _ = read_anchors(args.anchors)
     if text_anchors is None:
         raise AnchorError(f"{args.anchors} holds no text anchors")
-    rows_a = anchor_align(set_a.image_vectors(), text_anchors, args.temperature)
-    rows_b = anchor_align(set_b.image_vectors(), text_anchors, args.temperature)
+    rows_a = anchor_align(set_a.image_vectors(), text_anchors)
+    rows_b = anchor_align(set_b.image_vectors(), text_anchors)
     kernel = KernelSpec(median_heuristic(np.concatenate([rows_a, rows_b])))
     seed = args.seed if args.seed is not None else 0
     result = {
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     mm.add_argument("--b", required=True, help="second CEMB set")
     mm.add_argument("--anchors", required=True, help="anchor CEMB file")
     mm.add_argument("--n-perms", type=int, default=200)
-    mm.add_argument("--temperature", type=float, default=1.0)
     mm.add_argument("--seed", type=int)
     mm.set_defaults(func=cmd_mmd)
     return parser

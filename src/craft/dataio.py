@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -51,7 +51,6 @@ class EmbeddingSet:
     domains: np.ndarray  # (N,) uint8
     group_ids: np.ndarray  # (N,) int64
     class_names: list[str]
-    metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -73,7 +72,6 @@ class EmbeddingSet:
             domains=self.domains[mask],
             group_ids=self.group_ids[mask],
             class_names=list(self.class_names) if class_names is None else class_names,
-            metadata=dict(self.metadata),
         )
 
     def modality_mask(self, modality: Modality) -> np.ndarray:
@@ -113,7 +111,7 @@ class EmbeddingSet:
 
 
 def make_embedding_set(vectors, class_ids, modalities, domains, group_ids,
-                       class_names, metadata=None) -> EmbeddingSet:
+                       class_names) -> EmbeddingSet:
     return EmbeddingSet(
         vectors=np.asarray(vectors, dtype=np.float64).reshape(len(class_ids), -1),
         class_ids=np.asarray(class_ids, dtype=np.int64),
@@ -121,7 +119,6 @@ def make_embedding_set(vectors, class_ids, modalities, domains, group_ids,
         domains=np.asarray(domains, dtype=np.uint8),
         group_ids=np.asarray(group_ids, dtype=np.int64),
         class_names=list(class_names),
-        metadata=metadata or {},
     )
 
 
@@ -215,17 +212,10 @@ def _sample_modality(rng, means, offset, noise_scale, cfg, domain, with_groups):
             np.full(count, int(domain), dtype=np.uint8), np.concatenate(group_ids))
 
 
-def generate_synthetic(cfg: SyntheticConfig) -> tuple[EmbeddingSet, EmbeddingSet]:
-    """Generate an in-domain source set and a domain-shifted target set.
-
-    Image clusters sit at the latent means; text clusters at a global
-    rotation of them (angle ``cross_modal_noise``), so the cross-modal gap
-    is a class-agnostic linear map. Both sets carry image and text records;
-    each set's effective image means live in ``metadata["class_means"]``
-    (text means in ``metadata["text_means"]``) for oracle tests.
-    """
-    cfg.validate()
-    rng = make_rng(cfg.seed)
+def _latent_geometry(cfg: SyntheticConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """The generator's first draws from ``rng``: the source image means
+    (``class_means``), the target image means, the text means and the
+    per-modality offsets every sample of that modality is shifted by."""
     k, h = cfg.num_classes, cfg.dim
     means = l2_normalize(rng.standard_normal((k, h)))
     image_offset = 0.5 * cfg.cluster_spread * _random_unit(rng, h)
@@ -233,14 +223,27 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[EmbeddingSet, EmbeddingSet
     text_means = means @ _block_rotation(rng, h, cfg.cross_modal_noise).T
     shift = _block_rotation(rng, h, cfg.domain_shift_magnitude)
     translation = 0.5 * cfg.domain_shift_magnitude * _random_unit(rng, h)
-    target_means = means @ shift.T + translation
+    return {"class_means": means, "target_means": means @ shift.T + translation,
+            "text_means": text_means, "image_offset": image_offset, "text_offset": text_offset}
 
-    class_names = [f"class_{c:03d}" for c in range(k)]
+
+def generate_synthetic(cfg: SyntheticConfig) -> tuple[EmbeddingSet, EmbeddingSet]:
+    """Generate an in-domain source set and a domain-shifted target set.
+
+    Image clusters sit at the latent means; text clusters at a global
+    rotation of them (angle ``cross_modal_noise``), so the cross-modal gap
+    is a class-agnostic linear map. Both sets carry image and text records.
+    The means and offsets are ``_latent_geometry(cfg, make_rng(cfg.seed))``.
+    """
+    cfg.validate()
+    rng = make_rng(cfg.seed)
+    geo = _latent_geometry(cfg, rng)
+    class_names = [f"class_{c:03d}" for c in range(cfg.num_classes)]
 
     def build(image_means, domain):
-        iv, ic, idom, ig = _sample_modality(rng, image_means, image_offset,
+        iv, ic, idom, ig = _sample_modality(rng, image_means, geo["image_offset"],
                                             cfg.cluster_spread, cfg, domain, True)
-        tv, tc, tdom, tg = _sample_modality(rng, text_means, text_offset,
+        tv, tc, tdom, tg = _sample_modality(rng, geo["text_means"], geo["text_offset"],
                                             cfg.cross_modal_noise, cfg, domain, False)
         vectors = np.concatenate([iv, tv])
         modalities = np.concatenate([
@@ -249,13 +252,10 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[EmbeddingSet, EmbeddingSet
         ])
         return make_embedding_set(
             vectors, np.concatenate([ic, tc]), modalities,
-            np.concatenate([idom, tdom]), np.concatenate([ig, tg]), class_names,
-            metadata={"class_means": image_means.copy(), "text_means": text_means.copy(),
-                      "image_offset": image_offset.copy(), "text_offset": text_offset.copy()},
-        )
+            np.concatenate([idom, tdom]), np.concatenate([ig, tg]), class_names)
 
-    source = build(means, Domain.IN_DOMAIN)
-    target = build(target_means, Domain.OUT_OF_DOMAIN)
+    source = build(geo["class_means"], Domain.IN_DOMAIN)
+    target = build(geo["target_means"], Domain.OUT_OF_DOMAIN)
     return source, target
 
 
@@ -288,26 +288,21 @@ def split_base_novel(emb_set: EmbeddingSet, base_fraction: float) -> tuple[Embed
 def few_shot_split(emb_set: EmbeddingSet, shots: int, rng: np.random.Generator
                    ) -> tuple[EmbeddingSet, EmbeddingSet]:
     """Sample min(shots, available) records per class and modality without
-    replacement; returns (sampled, held-out remainder)."""
+    replacement; returns (sampled, held-out remainder). A class with no
+    records of a modality gets none of it: ``build_training_anchors`` names
+    such a class."""
     if shots < 1:
         raise ConfigError("shots must be >= 1")
     chosen = np.zeros(len(emb_set), dtype=bool)
-    warnings: list[str] = []
     rows = {modality: emb_set.class_rows(modality) for modality in (Modality.IMAGE, Modality.TEXT)}
     for c in range(emb_set.num_classes):
         for modality in (Modality.IMAGE, Modality.TEXT):
             idx = rows[modality][c]
             if idx.size == 0:
-                warnings.append(f"class {emb_set.class_names[c]} has no {modality.name.lower()} records")
                 continue
-            take = min(shots, idx.size)
-            pick = rng.choice(idx.size, size=take, replace=False)
+            pick = rng.choice(idx.size, size=min(shots, idx.size), replace=False)
             chosen[idx[np.sort(pick)]] = True
-    sampled = emb_set.subset(chosen)
-    heldout = emb_set.subset(~chosen)
-    if warnings:
-        sampled.metadata = dict(sampled.metadata, warnings=warnings)
-    return sampled, heldout
+    return emb_set.subset(chosen), emb_set.subset(~chosen)
 
 
 # ---------------------------------------------------------------------------

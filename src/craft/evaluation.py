@@ -1,8 +1,10 @@
 """Prediction rule and the three evaluation harnesses (base-to-novel, group
-robustness, out-of-distribution), plus confusion matrices and feature dumps.
+robustness, out-of-distribution), plus confusion matrices.
 
-Rendered metrics are percentage points at one decimal; internal values stay
-full precision.
+A prediction is the argmax of a feature's anchor similarities. The training
+temperature scales those logits by a positive factor, which moves no argmax,
+so no function here takes it. Rendered metrics are percentage points at one
+decimal; internal values stay full precision.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .adapter import Adapter
 from .anchors import AnchorSet
 from .core import EvalError, SplitError
-from .dataio import EmbeddingSet, Modality, write_embeddings
+from .dataio import EmbeddingSet, Modality
 from .mmd import anchor_align
 
 
@@ -42,10 +43,6 @@ class ConfusionMatrix:
     counts: np.ndarray  # (K, K), rows true, columns predicted
     class_names: list[str]
 
-    @property
-    def accuracy(self) -> float:
-        return float(np.trace(self.counts)) / float(self.counts.sum())
-
 
 def format_pct(value: float) -> str:
     """Fraction -> one-decimal percentage string, as in reported tables."""
@@ -56,34 +53,31 @@ def format_pct(value: float) -> str:
 # Prediction
 
 
-def predict_batch(features: np.ndarray, static_text_anchors: AnchorSet,
-                  temperature: float = 1.0) -> np.ndarray:
+def predict_batch(features: np.ndarray, static_text_anchors: AnchorSet) -> np.ndarray:
     """Most probable class of each feature row: the argmax of its anchor
-    logits; ties go to the lowest id."""
-    return np.argmax(anchor_align(features, static_text_anchors, temperature), axis=1)
+    similarities; ties go to the lowest id."""
+    return np.argmax(anchor_align(features, static_text_anchors), axis=1)
 
 
-def _image_predictions(adapter: Adapter, emb_set: EmbeddingSet,
-                       static_text_anchors: AnchorSet, temperature: float
+def _image_predictions(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: AnchorSet
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(true labels, predictions, image-record mask) over the set's images."""
     mask = emb_set.modality_mask(Modality.IMAGE)
     if not mask.any():
         raise EvalError("set has no image records to evaluate")
     feats = adapter.encode_image(emb_set.vectors[mask])
-    preds = predict_batch(feats, static_text_anchors, temperature)
+    preds = predict_batch(feats, static_text_anchors)
     return emb_set.class_ids[mask], preds, mask
 
 
-def accuracy(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: AnchorSet,
-             temperature: float = 1.0) -> float:
-    labels, preds, _ = _image_predictions(adapter, emb_set, static_text_anchors, temperature)
+def accuracy(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: AnchorSet) -> float:
+    labels, preds, _ = _image_predictions(adapter, emb_set, static_text_anchors)
     return float(np.mean(labels == preds))
 
 
-def confusion(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: AnchorSet,
-              temperature: float = 1.0) -> ConfusionMatrix:
-    labels, preds, _ = _image_predictions(adapter, emb_set, static_text_anchors, temperature)
+def confusion(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: AnchorSet
+              ) -> ConfusionMatrix:
+    labels, preds, _ = _image_predictions(adapter, emb_set, static_text_anchors)
     k = len(static_text_anchors)
     if labels.max() >= k:
         raise EvalError(f"set labels exceed the {k} anchor classes")
@@ -97,16 +91,15 @@ def confusion(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: Anch
 # Harnesses
 
 def base_to_novel(adapter: Adapter, base_set: EmbeddingSet, novel_set: EmbeddingSet,
-                  base_anchors: AnchorSet, novel_anchors: AnchorSet,
-                  temperature: float = 1.0) -> dict[str, float]:
+                  base_anchors: AnchorSet, novel_anchors: AnchorSet) -> dict[str, float]:
     """Accuracy on held-out base classes and on disjoint novel classes, each
     against its own split's text anchors (see ``experiments.eval_text_anchors``)."""
     overlap = set(base_set.class_names) & set(novel_set.class_names)
     if overlap:
         raise SplitError(f"base and novel share classes: {sorted(overlap)[:3]}")
     return {
-        "base_accuracy": accuracy(adapter, base_set, base_anchors, temperature),
-        "novel_accuracy": accuracy(adapter, novel_set, novel_anchors, temperature),
+        "base_accuracy": accuracy(adapter, base_set, base_anchors),
+        "novel_accuracy": accuracy(adapter, novel_set, novel_anchors),
     }
 
 
@@ -131,11 +124,10 @@ def group_metrics(per_group_correct: Mapping[int, int],
 
 
 def group_accuracy_report(adapter: Adapter, emb_set: EmbeddingSet,
-                          static_text_anchors: AnchorSet,
-                          temperature: float = 1.0) -> GroupReport:
+                          static_text_anchors: AnchorSet) -> GroupReport:
     """Group robustness over (class, spurious-alignment) cells: group key
     is class_id * 2 + group_id."""
-    labels, preds, mask = _image_predictions(adapter, emb_set, static_text_anchors, temperature)
+    labels, preds, mask = _image_predictions(adapter, emb_set, static_text_anchors)
     keys = labels * 2 + emb_set.group_ids[mask]
     correct: dict[int, int] = {}
     total: dict[int, int] = {}
@@ -156,8 +148,8 @@ def ood_report(source_accuracy: float, target_accuracies: Sequence[float]) -> OO
 
 
 def ood_suite(adapter: Adapter, source_test: EmbeddingSet,
-              target_tests: Sequence[EmbeddingSet], static_text_anchors: AnchorSet,
-              temperature: float = 1.0) -> OODReport:
+              target_tests: Sequence[EmbeddingSet], static_text_anchors: AnchorSet
+              ) -> OODReport:
     """Source accuracy plus per-target accuracies over sets sharing the
     source class vocabulary."""
     if not target_tests:
@@ -166,22 +158,8 @@ def ood_suite(adapter: Adapter, source_test: EmbeddingSet,
         if t.class_names != source_test.class_names:
             raise EvalError(f"target set {i} does not share the source class vocabulary")
     return ood_report(
-        accuracy(adapter, source_test, static_text_anchors, temperature),
-        [accuracy(adapter, t, static_text_anchors, temperature) for t in target_tests])
-
-
-def dump_features(adapter: Adapter, emb_set: EmbeddingSet, path: str | Path) -> None:
-    """Write adapter-encoded features (labels and tags preserved) in CEMB
-    format for external visualization."""
-    img_mask = emb_set.modality_mask(Modality.IMAGE)
-    encoded = emb_set.vectors.copy()
-    if img_mask.any():
-        encoded[img_mask] = adapter.encode_image(emb_set.vectors[img_mask])
-    if (~img_mask).any():
-        encoded[~img_mask] = adapter.encode_text(emb_set.vectors[~img_mask])
-    out = EmbeddingSet(encoded, emb_set.class_ids, emb_set.modalities, emb_set.domains,
-                       emb_set.group_ids, list(emb_set.class_names))
-    write_embeddings(out, path)
+        accuracy(adapter, source_test, static_text_anchors),
+        [accuracy(adapter, t, static_text_anchors) for t in target_tests])
 
 
 # ---------------------------------------------------------------------------

@@ -254,15 +254,14 @@ def eval_text_anchors(cfg: RunConfig, prepared: PreparedExperiment, adapter: Ada
 def evaluate_prepared(cfg: RunConfig, prepared: PreparedExperiment, adapter: Adapter
                       ) -> dict:
     """Kind-specific report as a JSON-ready dict."""
-    tau = cfg.train.temperature
     sets = prepared.eval_sets
     anchors = eval_text_anchors(cfg, prepared, adapter)
     report: dict = {"kind": cfg.kind, "mode": cfg.train.mode.value, "seed": cfg.seed}
     if cfg.kind == "base-to-novel":
         report.update(base_to_novel(adapter, sets["base"], sets["novel"],
-                                    anchors["base"], anchors["novel"], tau))
+                                    anchors["base"], anchors["novel"]))
     elif cfg.kind == "group-robustness":
-        group = group_accuracy_report(adapter, sets["heldout"], anchors["heldout"], tau)
+        group = group_accuracy_report(adapter, sets["heldout"], anchors["heldout"])
         report["group"] = {
             "per_group_accuracy": {str(k): v for k, v in group.per_group_accuracy.items()},
             "worst_group": group.worst_group,
@@ -270,14 +269,14 @@ def evaluate_prepared(cfg: RunConfig, prepared: PreparedExperiment, adapter: Ada
             "gap": group.gap,
         }
     else:
-        ood = ood_suite(adapter, sets["source"], [sets["target"]], anchors["source"], tau)
+        ood = ood_suite(adapter, sets["source"], [sets["target"]], anchors["source"])
         report["ood"] = {
             "source_accuracy": ood.source_accuracy,
             "target_accuracies": ood.target_accuracies,
             "target_average": ood.target_average,
         }
         report["domain_mmd2"] = _domain_mmd_diagnostics(
-            adapter, sets["source"], sets["target"], prepared.text_anchors, tau)
+            adapter, sets["source"], sets["target"], prepared.text_anchors, cfg.train.temperature)
     return report
 
 

@@ -40,7 +40,6 @@ class LossReport:
     static_term: float
     stochastic_term: float
     mmd_term: float
-    batch_size: int
     bandwidth: float | None = None  # kernel bandwidth the MMD term used
 
 
@@ -251,7 +250,7 @@ def _loss_step(adapter: Adapter, batch: LossBatch, static_text_anchors: AnchorSe
         + cfg.w_mmd * mmd_term
     report = LossReport(total=_require_finite(total, "total loss"),
                         static_term=static_term, stochastic_term=stochastic_term,
-                        mmd_term=mmd_term, batch_size=x.shape[0], bandwidth=bandwidth)
+                        mmd_term=mmd_term, bandwidth=bandwidth)
     _norm_backward(g_u, u, r_img, x, grad.w_img, grad.b_img)
     if not np.all(np.isfinite(grad.params)):
         raise NumericError("gradient is non-finite")

@@ -140,29 +140,30 @@ def _check_sets(x: np.ndarray, y: np.ndarray, min_size: int) -> tuple[np.ndarray
     return x, y
 
 
+def _mmd_blocks(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, min_size: int,
+                keep: bool = False) -> tuple[np.ndarray, np.ndarray, list]:
+    """The checked sets x and y, and the blocks K(x, x), K(y, y) and K(x, y)
+    as ``_kernel_block`` returns them: (sum, matrix if ``keep``)."""
+    x, y = _check_sets(x, y, min_size)
+    gx, gy = GramRows(x), GramRows(y)
+    return x, y, [_kernel_block(a, b, kernel, keep) for a, b in ((gx, gx), (gy, gy), (gx, gy))]
+
+
 def mmd2_biased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
     """V-statistic estimate of MMD^2; non-negative, zero when x == y."""
-    x, y = _check_sets(x, y, 1)
+    x, y, ((sxx, _), (syy, _), (sxy, _)) = _mmd_blocks(x, y, kernel, 1)
     m, n = x.shape[0], y.shape[0]
-    gx, gy = GramRows(x), GramRows(y)
-    xx = _kernel_block(gx, gx, kernel)[0] / (m * m)
-    yy = _kernel_block(gy, gy, kernel)[0] / (n * n)
-    xy = _kernel_block(gx, gy, kernel)[0] / (m * n)
-    return xx + yy - 2.0 * xy
+    return sxx / (m * m) + syy / (n * n) - 2.0 * (sxy / (m * n))
 
 
 def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
     """U-statistic estimate (self-terms excluded); zero-mean when P = Q, may
     be negative."""
-    x, y = _check_sets(x, y, 2)
+    x, y, ((sxx, _), (syy, _), (sxy, _)) = _mmd_blocks(x, y, kernel, 2)
     m, n = x.shape[0], y.shape[0]
     # the self-terms are k(x_i, x_i) = exp(0) = 1: pairwise_sq_dists gives a
     # row exactly 0 with itself
-    gx, gy = GramRows(x), GramRows(y)
-    xx = (_kernel_block(gx, gx, kernel)[0] - m) / (m * (m - 1))
-    yy = (_kernel_block(gy, gy, kernel)[0] - n) / (n * (n - 1))
-    xy = _kernel_block(gx, gy, kernel)[0] / (m * n)
-    return xx + yy - 2.0 * xy
+    return (sxx - m) / (m * (m - 1)) + (syy - n) / (n * (n - 1)) - 2.0 * (sxy / (m * n))
 
 
 def mmd2_biased_grad(x: np.ndarray, y: np.ndarray, kernel: KernelSpec
@@ -171,13 +172,9 @@ def mmd2_biased_grad(x: np.ndarray, y: np.ndarray, kernel: KernelSpec
 
     The bandwidth is treated as a constant under differentiation.
     """
-    x, y = _check_sets(x, y, 1)
+    x, y, ((sxx, kxx), (syy, kyy), (sxy, kxy)) = _mmd_blocks(x, y, kernel, 1, keep=True)
     m, n = x.shape[0], y.shape[0]
     inv_s2 = 1.0 / kernel.bandwidth ** 2
-    gx, gy = GramRows(x), GramRows(y)
-    sxx, kxx = _kernel_block(gx, gx, kernel, keep=True)
-    syy, kyy = _kernel_block(gy, gy, kernel, keep=True)
-    sxy, kxy = _kernel_block(gx, gy, kernel, keep=True)
     value = sxx / (m * m) + syy / (n * n) - 2.0 * sxy / (m * n)
     # d k(a, b) / d a = k(a, b) (b - a) / sigma^2
     gx = (2.0 / (m * m)) * inv_s2 * (kxx @ x - kxx.sum(axis=1)[:, None] * x) \

@@ -90,14 +90,6 @@ class TrainHistory:
         lines = [json.dumps(r.to_dict(), sort_keys=True) for r in self.records]
         Path(path).write_text("\n".join(lines) + "\n")
 
-    @classmethod
-    def from_jsonl(cls, path: str | Path) -> "TrainHistory":
-        records = []
-        for line in Path(path).read_text().splitlines():
-            if line.strip():
-                records.append(EpochRecord(**json.loads(line)))
-        return cls(records)
-
 
 def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
     """Cosine annealing: base_lr at epoch 0, zero at epoch total_epochs."""
@@ -212,7 +204,7 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
                     loss_cfg.kernel = KernelSpec(report.bandwidth)
                 adapter = sgd_step(adapter, g, lr)
                 sums += (report.total, report.static_term, report.stochastic_term, report.mmd_term)
-            train_acc = accuracy(adapter, source, static_text_anchors, cfg.temperature)
+            train_acc = accuracy(adapter, source, static_text_anchors)
         except NumericError as exc:
             raise type(exc)(f"{exc} (epoch {epoch}, step {step})") from None
         steps = step + 1

@@ -5,7 +5,7 @@ from craft.anchors import (AnchorError, AnchorSet, ClusterError, _lex_order,
                            build_static_image_anchors, build_static_text_anchors,
                            kmeans, read_anchors, write_anchors)
 from craft.core import l2_normalize, make_rng
-from craft.dataio import Modality, SyntheticConfig, generate_synthetic
+from craft.dataio import Modality, SyntheticConfig, _latent_geometry, generate_synthetic
 
 from conftest import toy_embedding_set, unit_rows
 
@@ -122,11 +122,21 @@ def test_kmeans_duplicate_points_ok():
 # Static anchors
 
 
-def synthetic_set(**overrides):
+def synthetic_cfg(**overrides):
     base = dict(num_classes=4, dim=8, samples_per_class_per_modality=16,
                 cluster_spread=0.1, cross_modal_noise=0.1, seed=21)
     base.update(overrides)
-    return generate_synthetic(SyntheticConfig(**base))[0]
+    return SyntheticConfig(**base)
+
+
+def synthetic_set(**overrides):
+    return generate_synthetic(synthetic_cfg(**overrides))[0]
+
+
+def synthetic_latents(**overrides):
+    """The generator's means and offsets of ``synthetic_set(**overrides)``."""
+    cfg = synthetic_cfg(**overrides)
+    return _latent_geometry(cfg, make_rng(cfg.seed))
 
 
 def test_image_anchor_single_record_is_that_vector():
@@ -147,8 +157,9 @@ def test_image_anchor_is_normalized_class_mean(rng):
 def test_image_anchors_near_generator_latents():
     emb = synthetic_set()
     anchors = build_static_image_anchors(emb, make_rng(5))
+    means = synthetic_latents()["class_means"]
     for c in range(emb.num_classes):
-        assert np.linalg.norm(anchors.vectors[c] - emb.metadata["class_means"][c]) < 0.15
+        assert np.linalg.norm(anchors.vectors[c] - means[c]) < 0.15
 
 
 def test_image_anchor_missing_class():
@@ -193,7 +204,8 @@ def test_text_anchor_duplicate_record_idempotent():
 def test_text_anchors_near_generator_text_means():
     emb = synthetic_set(num_classes=3)
     anchors = build_static_text_anchors(emb)
-    expected = l2_normalize(emb.metadata["text_means"] + emb.metadata["text_offset"])
+    latents = synthetic_latents(num_classes=3)
+    expected = l2_normalize(latents["text_means"] + latents["text_offset"])
     for c in range(3):
         assert np.linalg.norm(anchors.vectors[c] - expected[c]) < 0.15
 

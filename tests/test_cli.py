@@ -8,7 +8,12 @@ from pathlib import Path
 
 import resource
 
+import numpy as np
 import pytest
+
+from craft import experiments
+from craft.core import AnchorError, make_rng
+from craft.dataio import Modality, few_shot_split, generate_synthetic, write_embeddings
 
 REFERENCE = Path(__file__).resolve().parent.parent / "src" / "craft" / "reference.json"
 
@@ -193,7 +198,6 @@ def test_nonfinite_checkpoint_is_format_error(tmp_path):
     data = tmp_path / "data"
     assert run_cli("gen", "--config", str(config), "--out", str(data)).returncode == 0
     ckpt = tmp_path / "nan.cadp"
-    import numpy as np
     values = np.zeros(2 * (8 * 8 + 8))
     values[5] = np.nan  # the file's only non-finite value, 12 + 8 * 5 bytes in
     ckpt.write_bytes(struct.pack("<4sII", b"CADP", 1, 8) + values.astype("<f8").tobytes())
@@ -219,6 +223,30 @@ def test_ood_without_target_is_config_error(tmp_path):
         error = json.loads(result.stderr)  # exactly one JSON object
         assert error == {"command": command, "error": "ConfigError",
                          "message": "experiment kind 'ood' needs a target set"}
+
+
+def test_text_less_class_fails_by_name(tmp_path):
+    """A class without text records: ``few_shot_split`` samples none of its
+    text and goes on; the training anchors then refuse the class by name,
+    in the library and in ``craft train``."""
+    config = small_config(tmp_path, kind="group-robustness")
+    cfg = experiments.load_run_config(config)
+    source, _ = generate_synthetic(cfg.synthetic)
+    text = source.modality_mask(Modality.TEXT)
+    source = source.subset(~(text & (source.class_ids == 2)))
+    sampled, _ = few_shot_split(source, cfg.train.shots, make_rng(0))
+    for modality, count in ((Modality.IMAGE, cfg.train.shots), (Modality.TEXT, 0)):
+        assert np.count_nonzero(sampled.modality_mask(modality) & (sampled.class_ids == 2)) == count
+    with pytest.raises(AnchorError, match="^class class_002 has no text records$"):
+        experiments.prepare(cfg, source, None)
+    data = tmp_path / "data"
+    data.mkdir()
+    write_embeddings(source, data / "source.cemb")
+    result = run_cli("train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "adapter.cadp"))
+    assert result.returncode == 3
+    assert json.loads(result.stderr) == {"command": "train", "error": "AnchorError",
+                                         "message": "class class_002 has no text records"}
 
 
 def test_diverging_training_is_numeric_error(tmp_path):

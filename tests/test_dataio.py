@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from craft.anchors import kmeans
 from craft.core import ConfigError, FormatError, SplitError, make_rng
-from craft.dataio import (MAX_DIM, Domain, Modality, SyntheticConfig, few_shot_split,
-                          generate_synthetic, read_embeddings,
+from craft.dataio import (MAX_DIM, Domain, Modality, SyntheticConfig, _latent_geometry,
+                          few_shot_split, generate_synthetic, read_embeddings,
                           split_base_novel, write_embeddings)
 
 from conftest import apply_edits, byte_edits, toy_embedding_set
@@ -40,16 +40,21 @@ def test_config_validation():
         small_cfg(domain_shift_magnitude=float("nan")).validate()
 
 
+def latents(cfg):
+    """The generator's means and offsets for ``cfg``, drawn as it draws them."""
+    return _latent_geometry(cfg, make_rng(cfg.seed))
+
+
 def test_zero_shift_means_identical():
-    source, target = generate_synthetic(small_cfg(domain_shift_magnitude=0.0))
-    np.testing.assert_array_equal(source.metadata["class_means"],
-                                  target.metadata["class_means"])
+    geo = latents(small_cfg(domain_shift_magnitude=0.0))
+    np.testing.assert_array_equal(geo["class_means"], geo["target_means"])
 
 
 def test_nonzero_shift_moves_means():
-    source, target = generate_synthetic(small_cfg(domain_shift_magnitude=1.0))
-    assert not np.allclose(source.metadata["class_means"],
-                           target.metadata["class_means"], atol=1e-3)
+    cfg = small_cfg(domain_shift_magnitude=1.0)
+    source, target = generate_synthetic(cfg)
+    geo = latents(cfg)
+    assert not np.allclose(geo["class_means"], geo["target_means"], atol=1e-3)
     assert np.all(target.domains == int(Domain.OUT_OF_DOMAIN))
     assert np.all(source.domains == int(Domain.IN_DOMAIN))
 
@@ -95,7 +100,7 @@ def test_per_class_kmeans_centroids_near_latents():
     for c in range(cfg.num_classes):
         points = source.vectors[img & (source.class_ids == c)]
         centroid = kmeans(points, 1, rng).centroids[0]
-        assert np.linalg.norm(centroid - source.metadata["class_means"][c]) < 0.15
+        assert np.linalg.norm(centroid - latents(cfg)["class_means"][c]) < 0.15
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +205,6 @@ def test_few_shot_split_partitions():
     for c in range(source.num_classes):
         for modality in (Modality.IMAGE, Modality.TEXT):
             assert np.sum((sampled.class_ids == c) & sampled.modality_mask(modality)) == 3
-
-
-def test_few_shot_missing_class_warns_not_raises():
-    emb = toy_embedding_set(np.eye(3), [0, 1, 2], [0, 0, 0], num_classes=3)
-    sampled, _ = few_shot_split(emb, 2, make_rng(0))
-    assert any("no text records" in w for w in sampled.metadata["warnings"])
 
 
 def test_few_shot_shots_must_be_positive():

@@ -4,11 +4,10 @@ import pytest
 from craft.adapter import Adapter
 from craft.anchors import build_static_text_anchors
 from craft.core import EvalError, ShapeError, SplitError, l2_normalize
-from craft.dataio import (Modality, SyntheticConfig, generate_synthetic,
-                          read_embeddings, split_base_novel)
-from craft.evaluation import (accuracy, base_to_novel, confusion, confusion_csv,
-                              dump_features, format_pct, group_accuracy_report,
-                              group_metrics, ood_report, ood_suite, predict_batch)
+from craft.dataio import Modality, SyntheticConfig, generate_synthetic, split_base_novel
+from craft.evaluation import (accuracy, base_to_novel, confusion, confusion_csv, format_pct,
+                              group_accuracy_report, group_metrics, ood_report, ood_suite,
+                              predict_batch)
 
 from conftest import orthonormal_anchors, random_anchors, toy_embedding_set, unit_rows
 
@@ -36,13 +35,6 @@ def test_predict_matches_anchor():
 def test_predict_single_class(rng):
     anchors = random_anchors(rng, 1, 4)
     np.testing.assert_array_equal(predict_batch(unit_rows(rng, 5, 4), anchors), 0)
-
-
-def test_predict_temperature_invariant(rng):
-    anchors = random_anchors(rng, 5, 6)
-    features = unit_rows(rng, 50, 6)
-    np.testing.assert_array_equal(predict_batch(features, anchors, 1.0),
-                                  predict_batch(features, anchors, 100.0))
 
 
 def test_predict_tie_breaks_low():
@@ -91,10 +83,10 @@ def test_base_to_novel_untrained_equals_zero_shot():
     untrained = Adapter.zeros(8)
     result = base_to_novel(untrained, base, novel,
                            build_static_text_anchors(base, untrained.encode_text),
-                           build_static_text_anchors(novel, untrained.encode_text), 10.0)
+                           build_static_text_anchors(novel, untrained.encode_text))
     for split in (base, novel):
         anchors = build_static_text_anchors(split)
-        expected = accuracy(Adapter.zeros(8), split, anchors, 10.0)
+        expected = accuracy(Adapter.zeros(8), split, anchors)
         key = "base_accuracy" if split is base else "novel_accuracy"
         assert result[key] == expected
 
@@ -156,7 +148,7 @@ def test_group_accuracy_report_on_spurious_data():
         cluster_spread=0.3, cross_modal_noise=0.3,
         group_spurious_strength=0.6, majority_fraction=0.85, seed=9))
     anchors = build_static_text_anchors(source)
-    report = group_accuracy_report(Adapter.zeros(8), source, anchors, 10.0)
+    report = group_accuracy_report(Adapter.zeros(8), source, anchors)
     assert 0.0 <= report.worst_group <= report.average <= 1.0
     assert set(report.per_group_accuracy) <= {c * 2 + g for c in range(4) for g in (0, 1)}
 
@@ -181,7 +173,7 @@ def test_ood_suite_zero_shift_close_accuracies():
         cluster_spread=0.2, cross_modal_noise=0.2,
         domain_shift_magnitude=0.0, seed=12))
     anchors = build_static_text_anchors(source)
-    report = ood_suite(Adapter.zeros(8), source, [target], anchors, 10.0)
+    report = ood_suite(Adapter.zeros(8), source, [target], anchors)
     assert abs(report.source_accuracy - report.target_accuracies[0]) < 0.02
 
 
@@ -190,7 +182,7 @@ def test_ood_suite_average_matches_mean_oracle(rng):
         num_classes=3, dim=6, samples_per_class_per_modality=8,
         cluster_spread=0.2, cross_modal_noise=0.2, seed=3))
     anchors = build_static_text_anchors(source)
-    report = ood_suite(Adapter.zeros(6), source, [target, target], anchors, 5.0)
+    report = ood_suite(Adapter.zeros(6), source, [target, target], anchors)
     naive = sum(report.target_accuracies) / len(report.target_accuracies)
     assert abs(report.target_average - naive) < 1e-12
 
@@ -215,7 +207,6 @@ def test_confusion_perfect_diagonal():
     emb = separable_set()
     matrix = confusion(Adapter.zeros(4), emb, orthonormal_anchors(4, 4))
     np.testing.assert_array_equal(matrix.counts, np.eye(4, dtype=np.int64))
-    assert matrix.accuracy == 1.0
 
 
 def test_confusion_trace_equals_accuracy(rng):
@@ -224,8 +215,8 @@ def test_confusion_trace_equals_accuracy(rng):
         cluster_spread=0.4, cross_modal_noise=0.4, seed=4))
     anchors = build_static_text_anchors(source)
     adapter = Adapter.zeros(8)
-    matrix = confusion(adapter, source, anchors, 10.0)
-    assert matrix.accuracy == accuracy(adapter, source, anchors, 10.0)
+    matrix = confusion(adapter, source, anchors)
+    assert np.trace(matrix.counts) / matrix.counts.sum() == accuracy(adapter, source, anchors)
     img_count = int(source.modality_mask(Modality.IMAGE).sum())
     assert matrix.counts.sum() == img_count
     np.testing.assert_array_equal(
@@ -239,10 +230,10 @@ def test_confusion_anchor_swap_swaps_columns():
         cluster_spread=0.4, cross_modal_noise=0.4, seed=6))
     anchors = build_static_text_anchors(source)
     adapter = Adapter.zeros(8)
-    base = confusion(adapter, source, anchors, 10.0)
+    base = confusion(adapter, source, anchors)
     swapped_anchors = build_static_text_anchors(source)
     swapped_anchors.vectors = swapped_anchors.vectors[[1, 0, 2, 3]]
-    swapped = confusion(adapter, source, swapped_anchors, 10.0)
+    swapped = confusion(adapter, source, swapped_anchors)
     np.testing.assert_array_equal(swapped.counts[:, [1, 0, 2, 3]], base.counts)
 
 
@@ -252,35 +243,6 @@ def test_confusion_csv_shape():
     lines = confusion_csv(matrix).strip().splitlines()
     assert len(lines) == 5
     assert lines[0].startswith("true\\predicted")
-
-
-# ---------------------------------------------------------------------------
-# feature dumps
-
-
-def test_dump_features_roundtrip(tmp_path, rng):
-    source, _ = generate_synthetic(SyntheticConfig(
-        num_classes=3, dim=6, samples_per_class_per_modality=6,
-        cluster_spread=0.2, cross_modal_noise=0.2, seed=8))
-    adapter = Adapter(0.05 * rng.standard_normal(2 * (6 * 6 + 6)))
-    path = tmp_path / "features.cemb"
-    dump_features(adapter, source, path)
-    back = read_embeddings(path)
-    assert len(back) == len(source)
-    img = source.modality_mask(Modality.IMAGE)
-    expected = adapter.encode_image(source.vectors[img]).astype(np.float32)
-    np.testing.assert_array_equal(back.vectors[img], expected.astype(np.float64))
-    np.testing.assert_array_equal(back.class_ids, source.class_ids)
-
-
-def test_dump_features_zero_adapter_is_input(tmp_path):
-    source, _ = generate_synthetic(SyntheticConfig(
-        num_classes=3, dim=6, samples_per_class_per_modality=6,
-        cluster_spread=0.2, cross_modal_noise=0.2, seed=8))
-    path = tmp_path / "frozen.cemb"
-    dump_features(Adapter.zeros(6), source, path)
-    back = read_embeddings(path)
-    np.testing.assert_allclose(back.vectors, source.vectors, atol=1e-6)
 
 
 def test_format_pct():

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,3 +222,38 @@ def test_run_experiment_deterministic():
     a = run_experiment(cfg)["report"]
     b = run_experiment(cfg)["report"]
     assert a == b
+
+
+# Writes, for each of the nine runs of scripts/run_reference.py at the
+# reference config, the checkpoint, history JSONL and report JSON that the
+# CLI would write, into the directory argv[1].
+DESK_RUNS_CHILD = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[2])
+from run_reference import reference_runs
+from craft.adapter import write_checkpoint
+from craft.experiments import reference_config, run_experiment
+out = Path(sys.argv[1])
+for i, (_, _, cfg) in enumerate(reference_runs(reference_config())):
+    run = run_experiment(cfg)
+    write_checkpoint(run["adapter"], out / f"{i}.cadp")
+    run["history"].to_jsonl(out / f"{i}.history.jsonl")
+    (out / f"{i}.report.json").write_text(json.dumps(run["report"], sort_keys=True, indent=2))
+"""
+
+
+def test_desk_runs_thread_invariant(tmp_path):
+    """The reference tables' artifacts are the same bytes at 1 and 2 BLAS
+    threads, so they do not depend on the host's core count."""
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", DESK_RUNS_CHILD, str(out), str(scripts)],
+                       env=env, check=True)
+        files.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert len(files[0]) == 27
+    assert files[0] == files[1]

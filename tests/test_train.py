@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import struct
 
@@ -267,8 +268,8 @@ def test_history_jsonl_roundtrip(tmp_path):
     _, history = train(source, None, ta, ia, cfg)
     path = tmp_path / "history.jsonl"
     history.to_jsonl(path)
-    back = TrainHistory.from_jsonl(path)
-    assert [r.to_dict() for r in back.records] == [r.to_dict() for r in history.records]
+    back = [json.loads(line) for line in path.read_text().splitlines()]
+    assert back == [r.to_dict() for r in history.records]
 
 
 def test_reference_loss_ema_smoke():
@@ -327,7 +328,7 @@ def contract_train(source, target, ta, ia, cfg):
             steps += 1
         history.records.append(EpochRecord(
             epoch, lr, sums[0] / steps, sums[1] / steps, sums[2] / steps, sums[3] / steps,
-            accuracy(adapter, source, ta, cfg.temperature)))
+            accuracy(adapter, source, ta)))
     return adapter, history
 
 
