@@ -6,8 +6,8 @@ over its checkpoint bytes, history JSONL and report JSON, and one clip-scale
 training epoch (K=100, H=512, 20 samples/class/modality, ood, aligned-mmd,
 batch 128), hashed over its checkpoint bytes and history JSONL, and one
 multi-centroid k-means anchor build (see ``kmeans_anchors``), hashed over
-its anchor file, and one two-sample test (see ``two_sample``), hashed over
-the JSON line of ``craft mmd``.
+its anchor file, and two two-sample tests (see ``two_sample``), hashed over
+the JSON lines of ``craft mmd``.
 
 The BLAS thread count can change the last bits of a GEMM, so the script
 runs the numeric backend on one thread, whatever the caller set, and its
@@ -95,20 +95,25 @@ def run_craft(*argv: str) -> str:
 
 
 def two_sample(seed: int, workdir: Path) -> str:
-    """sha256 of the JSON line (bandwidth, both MMD^2 estimators, p-value)
+    """sha256 of the JSON lines (bandwidth, both MMD^2 estimators, p-value)
     of ``craft mmd`` at 1000 permutations, four blocks of weight rows,
     between the desk ``ood`` source and target sets, with the anchors of
-    ``craft anchors``."""
-    cfg = override(reference_config(), kind="ood", seed=seed,
-                   synthetic=dict(domain_shift_magnitude=1.0))
-    source, target = dataio.generate_synthetic(cfg.synthetic)
-    src, tgt, anchors = (str(workdir / name) for name in ("source.cemb", "target.cemb", "anchors.cemb"))
-    dataio.write_embeddings(source, src)
-    dataio.write_embeddings(target, tgt)
-    run_craft("anchors", "--data", src, "--out", anchors, "--seed", str(seed))
-    line = run_craft("mmd", "--a", src, "--b", tgt, "--anchors", anchors, "--n-perms", "1000",
-                     "--seed", str(seed))
-    return hashlib.sha256(line.encode()).hexdigest()
+    ``craft anchors``: at domain shift 1.0, where no permuted statistic
+    reaches the observed one and the p-value is its floor 1/1001, and at
+    shift 0.0, a same-distribution pair whose p-value lies above it."""
+    digest = hashlib.sha256()
+    for shift in (1.0, 0.0):
+        cfg = override(reference_config(), kind="ood", seed=seed,
+                       synthetic=dict(domain_shift_magnitude=shift))
+        source, target = dataio.generate_synthetic(cfg.synthetic)
+        src, tgt, anchors = (str(workdir / name)
+                             for name in ("source.cemb", "target.cemb", "anchors.cemb"))
+        dataio.write_embeddings(source, src)
+        dataio.write_embeddings(target, tgt)
+        run_craft("anchors", "--data", src, "--out", anchors, "--seed", str(seed))
+        digest.update(run_craft("mmd", "--a", src, "--b", tgt, "--anchors", anchors,
+                                "--n-perms", "1000", "--seed", str(seed)).encode())
+    return digest.hexdigest()
 
 
 def main():
@@ -127,7 +132,8 @@ def main():
         adapter, history = clip_epoch(args.seed)
         print(f"{artifact_digest(adapter, history, None, workdir)}  clip epoch")
         print(f"{kmeans_anchors(args.seed, workdir)}  kmeans anchors (4 centroids/class, H=512)")
-        print(f"{two_sample(args.seed, workdir)}  two-sample test (craft mmd, 1000 permutations)")
+        print(f"{two_sample(args.seed, workdir)}  two-sample tests "
+              f"(craft mmd, 1000 permutations, shift 1.0 and 0.0)")
 
 
 if __name__ == "__main__":

@@ -60,24 +60,24 @@ def predict_batch(features: np.ndarray, static_text_anchors: AnchorSet) -> np.nd
 
 
 def _image_predictions(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: AnchorSet
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(true labels, predictions, image-record mask) over the set's images."""
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(true labels, predictions) over the set's images."""
     mask = emb_set.modality_mask(Modality.IMAGE)
     if not mask.any():
         raise EvalError("set has no image records to evaluate")
     feats = adapter.encode_image(emb_set.vectors[mask])
     preds = predict_batch(feats, static_text_anchors)
-    return emb_set.class_ids[mask], preds, mask
+    return emb_set.class_ids[mask], preds
 
 
 def accuracy(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: AnchorSet) -> float:
-    labels, preds, _ = _image_predictions(adapter, emb_set, static_text_anchors)
+    labels, preds = _image_predictions(adapter, emb_set, static_text_anchors)
     return float(np.mean(labels == preds))
 
 
 def confusion(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: AnchorSet
               ) -> ConfusionMatrix:
-    labels, preds, _ = _image_predictions(adapter, emb_set, static_text_anchors)
+    labels, preds = _image_predictions(adapter, emb_set, static_text_anchors)
     k = len(static_text_anchors)
     if labels.max() >= k:
         raise EvalError(f"set labels exceed the {k} anchor classes")
@@ -126,9 +126,18 @@ def group_metrics(per_group_correct: Mapping[int, int],
 def group_accuracy_report(adapter: Adapter, emb_set: EmbeddingSet,
                           static_text_anchors: AnchorSet) -> GroupReport:
     """Group robustness over (class, spurious-alignment) cells: group key
-    is class_id * 2 + group_id."""
-    labels, preds, mask = _image_predictions(adapter, emb_set, static_text_anchors)
-    keys = labels * 2 + emb_set.group_ids[mask]
+    is class_id * 2 + group_id, so every image record's group id must be 0
+    or 1; any other value is an EvalError naming the first such record."""
+    images = np.flatnonzero(emb_set.modality_mask(Modality.IMAGE))
+    groups = emb_set.group_ids[images]
+    bad = np.flatnonzero((groups < 0) | (groups > 1))
+    if bad.size:
+        record = int(images[bad[0]])
+        raise EvalError(f"image record {record} of the evaluated set "
+                        f"({emb_set.class_names[emb_set.class_ids[record]]}) has group id "
+                        f"{groups[bad[0]]}; group ids must be 0 or 1")
+    labels, preds = _image_predictions(adapter, emb_set, static_text_anchors)
+    keys = labels * 2 + groups
     correct: dict[int, int] = {}
     total: dict[int, int] = {}
     for key, hit in zip(keys.tolist(), (labels == preds).tolist()):

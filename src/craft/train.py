@@ -15,7 +15,7 @@ from .anchors import AnchorSet
 from .core import ConfigError, NumericError, ScheduleError, ShapeError, make_rng
 from .dataio import EmbeddingSet, Modality
 from .evaluation import accuracy
-from .losses import LossBatch, LossConfig, Mode, _check_terms, _loss_step
+from .losses import LossBatch, Mode, check_terms, loss_and_gradient
 from .mmd import KernelSpec
 
 # Appendix-style defaults: lr is tied to batch size unless set explicitly.
@@ -137,12 +137,12 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
     cosine-annealed rate. Target batches for the MMD term come from an
     independent substream of the seed.
 
-    Every argument is checked here, before the first step. A step is
-    ``loss_and_gradient`` without its argument checks: it checks only that
-    the features, each loss term and the gradient are finite. A
-    NumericError raised while training names the epoch and the step, both
-    counted from 0. Since every non-finite value ends in such an error,
-    numpy's overflow and invalid-value warnings are silenced.
+    Every argument is checked here, before the first step, so this is where
+    the loss's arguments enter. A step, ``losses.loss_and_gradient``,
+    checks only that the features, each loss term and the gradient are
+    finite. A NumericError raised while training names the epoch and the
+    step, both counted from 0. Since every non-finite value ends in such an
+    error, numpy's overflow and invalid-value warnings are silenced.
     """
     cfg.validate()
     if cfg.mode in (Mode.ALIGNED_MMD, Mode.ORACLE):
@@ -170,12 +170,11 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
         if target_imgs.shape[0] == 0:
             raise ConfigError("target set has no image records")
 
-    adapter = Adapter.zeros(source.dim)
-    loss_cfg = LossConfig(mode=cfg.mode, temperature=cfg.temperature,
-                          w_static=cfg.w_static, w_stochastic=cfg.w_stochastic, w_mmd=cfg.w_mmd,
-                          kernel=KernelSpec(cfg.bandwidth) if cfg.bandwidth is not None else None)
-    _check_terms(adapter, img_labels, static_text_anchors, static_image_anchors, loss_cfg)
+    check_terms(source.dim, img_labels, static_text_anchors, static_image_anchors, cfg)
+    # None: the median heuristic of each batch, until freeze_bandwidth fixes it
+    kernel = KernelSpec(cfg.bandwidth) if cfg.bandwidth is not None else None
 
+    adapter = Adapter.zeros(source.dim)
     rng = make_rng(cfg.seed, 0)
     rng_target = make_rng(cfg.seed, 1)
     lr0 = cfg.resolved_learning_rate()
@@ -198,10 +197,10 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
                     take = min(len(sel), target_imgs.shape[0])
                     batch.target_image = target_imgs[rng_target.choice(target_imgs.shape[0],
                                                                        size=take, replace=False)]
-                report, g = _loss_step(adapter, batch, static_text_anchors, static_image_anchors,
-                                       loss_cfg, grad)
-                if cfg.freeze_bandwidth and loss_cfg.kernel is None and report.bandwidth is not None:
-                    loss_cfg.kernel = KernelSpec(report.bandwidth)
+                report, g = loss_and_gradient(adapter, batch, static_text_anchors,
+                                              static_image_anchors, cfg, kernel, grad)
+                if cfg.freeze_bandwidth and kernel is None and report.bandwidth is not None:
+                    kernel = KernelSpec(report.bandwidth)
                 adapter = sgd_step(adapter, g, lr)
                 sums += (report.total, report.static_term, report.stochastic_term, report.mmd_term)
             train_acc = accuracy(adapter, source, static_text_anchors)

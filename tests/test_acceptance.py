@@ -23,11 +23,11 @@ from craft.core import l2_normalize, make_rng
 from craft.dataio import SyntheticConfig, generate_synthetic, read_embeddings, write_embeddings
 from craft.evaluation import format_pct, group_metrics, ood_report
 from craft.experiments import reference_config, run_experiment
-from craft.losses import LossBatch, Mode, _anchor_ce, loss_and_gradient
+from craft.losses import LossBatch, Mode, _anchor_ce
 from craft.mmd import KernelSpec, median_heuristic, mmd2_biased, mmd2_unbiased, permutation_test
 
 from conftest import random_anchors, unit_rows
-from test_losses import baseline_and_static_only, finite_difference, random_case
+from test_losses import baseline_and_static_only, engine, finite_difference, random_case
 
 
 @contextmanager
@@ -76,7 +76,7 @@ def test_criterion_02_gradient_correctness():
         worst = 0.0
         for i in range(100):
             adapter, batch, ta, ia, cfg = random_case(rng, modes[i % 4])
-            _, grad = loss_and_gradient(adapter, batch, ta, ia, cfg)
+            _, grad = engine(adapter, batch, ta, ia, cfg)
             fd = finite_difference(adapter, batch, ta, ia, cfg, step=1e-5)
             rel = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-8)
             worst = max(worst, rel)

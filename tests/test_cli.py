@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from craft import experiments
+from craft.adapter import Adapter, write_checkpoint
 from craft.core import AnchorError, make_rng
 from craft.dataio import Modality, few_shot_split, generate_synthetic, write_embeddings
 
@@ -247,6 +249,24 @@ def test_text_less_class_fails_by_name(tmp_path):
     assert result.returncode == 3
     assert json.loads(result.stderr) == {"command": "train", "error": "AnchorError",
                                          "message": "class class_002 has no text records"}
+
+
+def test_eval_refuses_group_id_above_one(tmp_path):
+    config = small_config(tmp_path, kind="group-robustness")
+    source, _ = generate_synthetic(experiments.load_run_config(config).synthetic)
+    source.group_ids[source.class_ids == 1] = 2
+    data = tmp_path / "data"
+    data.mkdir()
+    write_embeddings(source, data / "source.cemb")
+    write_checkpoint(Adapter.zeros(source.dim), tmp_path / "adapter.cadp")
+    result = run_cli("eval", "--config", str(config), "--checkpoint", str(tmp_path / "adapter.cadp"),
+                     "--data", str(data), "--out", str(tmp_path / "report.json"))
+    assert result.returncode == 3
+    error = json.loads(result.stderr)  # exactly one JSON object
+    assert error["command"] == "eval" and error["error"] == "EvalError"
+    assert re.fullmatch(r"image record \d+ of the evaluated set \(class_001\) has group id 2; "
+                        r"group ids must be 0 or 1", error["message"])
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_diverging_training_is_numeric_error(tmp_path):

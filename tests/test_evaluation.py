@@ -153,6 +153,18 @@ def test_group_accuracy_report_on_spurious_data():
     assert set(report.per_group_accuracy) <= {c * 2 + g for c in range(4) for g in (0, 1)}
 
 
+def test_group_accuracy_report_refuses_group_ids_above_one():
+    # class 0 in groups 0 and 2, class 1 in groups 0 and 1: the key
+    # class_id * 2 + group_id would merge class 0/group 2 into class 1/group 0
+    vectors = np.concatenate([np.eye(4)[[0, 0, 1, 1]], np.eye(4)[[0, 1]]])
+    emb = toy_embedding_set(vectors, [0, 0, 1, 1, 0, 1], [0, 0, 0, 0, 1, 1],
+                            group_ids=np.array([0, 2, 0, 1, 0, 0]))
+    anchors = orthonormal_anchors(2, 4)
+    with pytest.raises(EvalError, match=r"^image record 1 of the evaluated set \(class_000\) "
+                                        r"has group id 2; group ids must be 0 or 1$"):
+        group_accuracy_report(Adapter.zeros(4), emb, anchors)
+
+
 # ---------------------------------------------------------------------------
 # OOD suite
 

@@ -7,16 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from craft.adapter import Adapter
-from craft.core import (AnchorError, ConfigError, LabelError, ShapeError, l2_normalize, make_rng,
-                        softmax_rows)
+from craft.anchors import AnchorSet
+from craft.core import AnchorError, ConfigError, LabelError, l2_normalize, make_rng, softmax_rows
 from craft.dataio import Modality
-from craft.losses import (LossBatch, LossConfig, Mode, _anchor_ce, _contrastive,
+from craft.losses import (LossBatch, Mode, _anchor_ce, _contrastive, check_terms,
                           loss_and_gradient)
 from craft.mmd import KernelSpec, anchor_align, median_heuristic
+from craft.train import TrainConfig
 
 from conftest import orthonormal_anchors, random_anchors, unit_rows
 
 LN_1P_EXP_NEG1 = math.log(1.0 + math.exp(-1.0))  # 0.31326...
+
+
+def engine(adapter, batch, ta, ia, cfg):
+    """``loss_and_gradient`` as ``train`` calls it: the kernel of
+    ``cfg.bandwidth`` (None: the median heuristic) and a gradient buffer."""
+    kernel = None if cfg.bandwidth is None else KernelSpec(cfg.bandwidth)
+    return loss_and_gradient(adapter, batch, ta, ia, cfg, kernel, Adapter.zeros(adapter.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -50,15 +58,12 @@ def test_class_distribution_equidistant_uniform():
     np.testing.assert_allclose(probs, np.full(4, 0.25), atol=1e-12)
 
 
-def test_class_distribution_errors(rng):
-    import craft.anchors as anchors_mod
-    empty = anchors_mod.AnchorSet(np.zeros((0, 3)), Modality.TEXT)
-    batch = LossBatch(image=unit_rows(rng, 2, 3), text=unit_rows(rng, 2, 3),
-                      labels=np.zeros(2, dtype=np.int64))
+def test_class_distribution_errors():
+    empty = AnchorSet(np.zeros((0, 3)), Modality.TEXT)
     with pytest.raises(AnchorError):
-        loss_and_gradient(Adapter.zeros(3), batch, empty, None, LossConfig(mode=Mode.BASELINE_CE))
+        check_terms(3, np.zeros(2, dtype=np.int64), empty, None, TrainConfig(mode=Mode.BASELINE_CE))
     with pytest.raises(ConfigError):
-        LossConfig(temperature=0.0).validate()
+        TrainConfig(temperature=0.0).validate()
 
 
 def test_class_distribution_sums_to_one(rng):
@@ -105,11 +110,9 @@ def test_static_loss_matched_anchor_queries():
 
 def test_static_loss_label_out_of_range():
     anchors = orthonormal_anchors(2, 3)
-    rows = unit_rows(make_rng(0), 2, 3)
     for labels in ([0, 5], [-1, 0]):
-        batch = LossBatch(image=rows, text=rows, labels=np.array(labels))
         with pytest.raises(LabelError):
-            loss_and_gradient(Adapter.zeros(3), batch, anchors, anchors, LossConfig())
+            check_terms(3, np.array(labels), anchors, anchors, TrainConfig())
 
 
 def test_static_loss_nonnegative(rng):
@@ -151,14 +154,6 @@ def test_stochastic_loss_all_equal_entries():
     assert loss == pytest.approx(math.log(2), abs=1e-12)
 
 
-def test_stochastic_loss_unpaired(rng):
-    adapter = Adapter.zeros(4)
-    batch = LossBatch(unit_rows(rng, 3, 4), unit_rows(rng, 2, 4), np.zeros(3, dtype=int))
-    anchors = random_anchors(rng, 2, 4)
-    with pytest.raises(ShapeError):
-        loss_and_gradient(adapter, batch, anchors, anchors, LossConfig(w_static=0.0))
-
-
 @given(st.integers(2, 8), st.integers(0, 1000))
 @settings(max_examples=40, deadline=None)
 def test_stochastic_loss_permutation_invariant(b, seed):
@@ -179,21 +174,19 @@ def test_total_is_weighted_sum(rng):
     batch = LossBatch(unit_rows(rng, b, h), unit_rows(rng, b, h), rng.integers(0, 3, b))
     ta, ia = random_anchors(rng, 3, h), random_anchors(rng, 3, h, Modality.IMAGE)
     adapter = Adapter.zeros(h)
-    report, _ = loss_and_gradient(adapter, batch, ta, ia,
-                                  LossConfig(temperature=2.0, w_static=0.7, w_stochastic=1.3))
+    report, _ = engine(adapter, batch, ta, ia,
+                       TrainConfig(temperature=2.0, w_static=0.7, w_stochastic=1.3))
     assert report.total == pytest.approx(0.7 * report.static_term + 1.3 * report.stochastic_term, abs=1e-12)
-    static_only, _ = loss_and_gradient(adapter, batch, ta, ia,
-                                       LossConfig(temperature=2.0, w_stochastic=0.0))
+    static_only, _ = engine(adapter, batch, ta, ia, TrainConfig(temperature=2.0, w_stochastic=0.0))
     assert static_only.total == static_loss(batch.image, batch.text, batch.labels, ta, ia, 2.0)
     assert static_only.stochastic_term == 0.0
 
 
 def baseline_and_static_only(adapter, batch, ta, ia, tau):
     """Reports and gradients of the baseline and of the static-only aligned loss."""
-    base = loss_and_gradient(adapter, batch, ta, ia,
-                             LossConfig(mode=Mode.BASELINE_CE, temperature=tau))
-    static = loss_and_gradient(adapter, batch, ta, ia,
-                               LossConfig(mode=Mode.ALIGNED, temperature=tau, w_stochastic=0.0))
+    base = engine(adapter, batch, ta, ia, TrainConfig(mode=Mode.BASELINE_CE, temperature=tau))
+    static = engine(adapter, batch, ta, ia,
+                    TrainConfig(mode=Mode.ALIGNED, temperature=tau, w_stochastic=0.0))
     return base, static
 
 
@@ -216,8 +209,8 @@ def test_text_ce_equals_image_term_exactly(rng):
 def test_text_ce_example():
     anchors = orthonormal_anchors(2, 2)
     batch = LossBatch(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), np.array([0]))
-    report, _ = loss_and_gradient(Adapter.zeros(2), batch, anchors, None,
-                                  LossConfig(mode=Mode.BASELINE_CE))
+    report, _ = engine(Adapter.zeros(2), batch, anchors, None,
+                       TrainConfig(mode=Mode.BASELINE_CE, temperature=1.0))
     assert report.total == pytest.approx(LN_1P_EXP_NEG1, abs=1e-12)
     assert report.total == pytest.approx(0.31326, abs=5e-6)
 
@@ -249,12 +242,11 @@ def random_case(rng, mode):
         labels=rng.integers(0, k, b),
         target_image=unit_rows(rng, int(rng.integers(2, 6)), h)
         if mode is Mode.ALIGNED_MMD else None)
-    cfg = LossConfig(mode=mode, temperature=float(rng.uniform(0.5, 6.0)),
-                     w_static=float(rng.uniform(0.2, 2.0)),
-                     w_stochastic=float(rng.uniform(0.2, 2.0)),
-                     w_mmd=float(rng.uniform(0.2, 2.0)),
-                     kernel=KernelSpec(float(rng.uniform(0.5, 2.0)))
-                     if mode is Mode.ALIGNED_MMD else None)
+    cfg = TrainConfig(mode=mode, temperature=float(rng.uniform(0.5, 6.0)),
+                      w_static=float(rng.uniform(0.2, 2.0)),
+                      w_stochastic=float(rng.uniform(0.2, 2.0)),
+                      w_mmd=float(rng.uniform(0.2, 2.0)),
+                      bandwidth=float(rng.uniform(0.5, 2.0)) if mode is Mode.ALIGNED_MMD else None)
     adapter = Adapter(0.1 * rng.standard_normal(2 * (h * h + h)))
     ta = random_anchors(rng, k, h)
     ia = random_anchors(rng, k, h, Modality.IMAGE)
@@ -267,9 +259,9 @@ def finite_difference(adapter, batch, ta, ia, cfg, step=1e-5):
     for i in range(params.size):
         saved = params[i]
         params[i] = saved + step
-        f_plus = loss_and_gradient(adapter, batch, ta, ia, cfg)[0].total
+        f_plus = engine(adapter, batch, ta, ia, cfg)[0].total
         params[i] = saved - step
-        f_minus = loss_and_gradient(adapter, batch, ta, ia, cfg)[0].total
+        f_minus = engine(adapter, batch, ta, ia, cfg)[0].total
         params[i] = saved
         grad[i] = (f_plus - f_minus) / (2 * step)
     return grad
@@ -280,7 +272,7 @@ def test_gradient_matches_finite_differences(mode):
     rng = make_rng(hash(mode.value) % 2**32)
     for _ in range(4):
         adapter, batch, ta, ia, cfg = random_case(rng, mode)
-        _, grad = loss_and_gradient(adapter, batch, ta, ia, cfg)
+        _, grad = engine(adapter, batch, ta, ia, cfg)
         fd = finite_difference(adapter, batch, ta, ia, cfg)
         rel = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-8)
         assert rel < 1e-4
@@ -293,23 +285,16 @@ def test_gradient_stationary_single_class(rng):
     batch = LossBatch(unit_rows(rng, 3, h), unit_rows(rng, 3, h), np.zeros(3, dtype=int))
     ta = random_anchors(rng, 1, h)
     ia = random_anchors(rng, 1, h, Modality.IMAGE)
-    _, grad = loss_and_gradient(adapter, batch, ta, ia,
-                                LossConfig(mode=Mode.ALIGNED, w_stochastic=0.0))
+    _, grad = engine(adapter, batch, ta, ia,
+                     TrainConfig(mode=Mode.ALIGNED, temperature=1.0, w_stochastic=0.0))
     assert np.linalg.norm(grad) < 1e-8
 
 
 def test_baseline_report_shape(rng):
     adapter, batch, ta, ia, cfg = random_case(rng, Mode.BASELINE_CE)
-    report, _ = loss_and_gradient(adapter, batch, ta, ia, cfg)
+    report, _ = engine(adapter, batch, ta, ia, cfg)
     assert report.stochastic_term == 0.0 and report.mmd_term == 0.0
     assert report.total == pytest.approx(cfg.w_static * report.static_term, abs=1e-12)
-
-
-def test_mmd_mode_requires_target(rng):
-    adapter, batch, ta, ia, cfg = random_case(rng, Mode.ALIGNED)
-    bad = LossConfig(mode=Mode.ALIGNED_MMD, kernel=KernelSpec(1.0))
-    with pytest.raises(ConfigError, match="target"):
-        loss_and_gradient(adapter, batch, ta, ia, bad)
 
 
 def test_mmd_kernel_defaults_to_median_heuristic(rng):
@@ -319,10 +304,9 @@ def test_mmd_kernel_defaults_to_median_heuristic(rng):
     rows = [anchor_align(adapter.encode_image(x), ta, cfg.temperature)
             for x in (batch.image, batch.target_image)]
     sigma = median_heuristic(np.concatenate(rows))
-    report, grad = loss_and_gradient(adapter, batch, ta, ia,
-                                     dataclasses.replace(cfg, kernel=None))
-    expected, expected_grad = loss_and_gradient(adapter, batch, ta, ia,
-                                                dataclasses.replace(cfg, kernel=KernelSpec(sigma)))
+    report, grad = engine(adapter, batch, ta, ia, dataclasses.replace(cfg, bandwidth=None))
+    expected, expected_grad = engine(adapter, batch, ta, ia,
+                                     dataclasses.replace(cfg, bandwidth=sigma))
     assert report == expected
     assert report.bandwidth == sigma
     np.testing.assert_array_equal(grad, expected_grad)
@@ -330,7 +314,7 @@ def test_mmd_kernel_defaults_to_median_heuristic(rng):
 
 def test_mmd_term_in_total(rng):
     adapter, batch, ta, ia, cfg = random_case(rng, Mode.ALIGNED_MMD)
-    report, _ = loss_and_gradient(adapter, batch, ta, ia, cfg)
+    report, _ = engine(adapter, batch, ta, ia, cfg)
     assert report.mmd_term >= 0.0
     expected = (cfg.w_static * report.static_term
                 + cfg.w_stochastic * report.stochastic_term

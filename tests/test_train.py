@@ -15,7 +15,7 @@ from craft.core import (AnchorError, ConfigError, FormatError, LabelError, Norma
 from craft.dataio import Modality, SyntheticConfig, generate_synthetic
 from craft.evaluation import accuracy
 from craft.experiments import build_training_anchors, reference_config, run_experiment
-from craft.losses import LossBatch, LossConfig, Mode, loss_and_gradient
+from craft.losses import LossBatch, Mode, loss_and_gradient
 from craft.mmd import KernelSpec
 from craft.train import (EpochRecord, TrainConfig, TrainHistory, cosine_lr, sgd_step,
                          train)
@@ -302,9 +302,7 @@ def contract_train(source, target, ta, ia, cfg):
     pools = {c: np.where(txt_labels == c)[0] for c in np.unique(img_labels)}
     target_imgs = target.image_vectors() if cfg.mode is Mode.ALIGNED_MMD else None
     rng, rng_target = make_rng(cfg.seed, 0), make_rng(cfg.seed, 1)
-    loss_cfg = LossConfig(mode=cfg.mode, temperature=cfg.temperature, w_static=cfg.w_static,
-                          w_stochastic=cfg.w_stochastic, w_mmd=cfg.w_mmd,
-                          kernel=None if cfg.bandwidth is None else KernelSpec(cfg.bandwidth))
+    kernel = None if cfg.bandwidth is None else KernelSpec(cfg.bandwidth)
     adapter = Adapter.zeros(source.dim)
     history = TrainHistory()
     n, size = len(img_labels), cfg.batch_size
@@ -320,9 +318,10 @@ def contract_train(source, target, ta, ia, cfg):
             if target_imgs is not None:
                 batch.target_image = target_imgs[rng_target.choice(
                     len(target_imgs), size=min(len(sel), len(target_imgs)), replace=False)]
-            report, grad = loss_and_gradient(adapter, batch, ta, ia, loss_cfg)
-            if cfg.freeze_bandwidth and loss_cfg.kernel is None and report.bandwidth is not None:
-                loss_cfg.kernel = KernelSpec(report.bandwidth)
+            report, grad = loss_and_gradient(adapter, batch, ta, ia, cfg, kernel,
+                                             Adapter.zeros(source.dim))
+            if cfg.freeze_bandwidth and kernel is None and report.bandwidth is not None:
+                kernel = KernelSpec(report.bandwidth)
             adapter = sgd_step(adapter, grad, lr)
             sums += (report.total, report.static_term, report.stochastic_term, report.mmd_term)
             steps += 1
@@ -351,6 +350,24 @@ def test_train_equals_its_contract_bitwise(mode, freeze):
     assert np.any(adapter.params != 0.0)
 
 
+def test_train_steps_through_loss_and_gradient(monkeypatch):
+    # one call of the public engine per step, with the run's config fifth
+    source, target, ta, ia = small_data()
+    cfg = TrainConfig(epochs=3, batch_size=3, learning_rate=0.05, temperature=5.0,
+                      mode=Mode.ALIGNED_MMD)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[4])
+        return loss_and_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "loss_and_gradient", counting)
+    train(source, target, ta, ia, cfg)
+    n = int(np.count_nonzero(source.modality_mask(Modality.IMAGE)))
+    assert len(calls) == cfg.epochs * math.ceil(n / cfg.batch_size)
+    assert all(c is cfg for c in calls)
+
+
 # ---------------------------------------------------------------------------
 # train checks its arguments before the first step
 
@@ -359,7 +376,7 @@ def test_train_equals_its_contract_bitwise(mode, freeze):
 def no_steps(monkeypatch):
     def step(*args, **kwargs):
         raise AssertionError("a training step ran before the arguments were checked")
-    monkeypatch.setattr(train_mod, "_loss_step", step)
+    monkeypatch.setattr(train_mod, "loss_and_gradient", step)
 
 
 def test_train_rejects_label_outside_an_anchor_set(no_steps):
