@@ -109,7 +109,9 @@ def kmeans(points: np.ndarray, m: int, rng: np.random.Generator,
     centroid. The per-iteration objective (sum of squared distances to
     assigned centroids) is non-increasing and recorded in
     ``objective_history``. The ordered points are prepared once as
-    ``GramRows`` for every distance computation of the call.
+    ``GramRows`` for every distance computation of the call. The final
+    assignment reads the last iteration's distances when the centroids
+    stopped moving exactly, and a fresh distance pass otherwise.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] == 0:
@@ -128,8 +130,8 @@ def kmeans(points: np.ndarray, m: int, rng: np.random.Generator,
     centroids = _kmeanspp_seed(gram, m, rng)
 
     history: list[float] = []
-    assignments = np.zeros(n, dtype=np.int64)
     iterations = 0
+    movement = np.inf
     for _ in range(max_iter):
         iterations += 1
         d2 = pairwise_sq_dists(gram, centroids)
@@ -156,9 +158,10 @@ def kmeans(points: np.ndarray, m: int, rng: np.random.Generator,
         if movement < tol:
             break
 
-    d2 = pairwise_sq_dists(gram, centroids)
-    assignments = np.argmin(d2, axis=1)
-    objective = float(d2[np.arange(n), assignments].sum())
+    if movement != 0.0:  # else the last d2 is already that of the final centroids
+        d2 = pairwise_sq_dists(gram, centroids)
+        assignments = np.argmin(d2, axis=1)
+        objective = float(d2[np.arange(n), assignments].sum())
     history.append(objective)
 
     inverse = np.empty_like(order)

@@ -36,7 +36,7 @@ from .core import CraftError, ConfigError, AnchorError  # noqa: E402
 from .dataio import generate_synthetic, read_embeddings, write_embeddings  # noqa: E402
 from .evaluation import confusion, confusion_csv, format_pct  # noqa: E402
 from .losses import Mode  # noqa: E402
-from .mmd import KernelSpec, anchor_align, median_heuristic, mmd2_biased, mmd2_unbiased, permutation_test  # noqa: E402
+from .mmd import KernelSpec, _mmd2_both, anchor_align, median_heuristic, permutation_test  # noqa: E402
 from .core import make_rng  # noqa: E402
 
 MODE_CHOICES = [m.value for m in Mode]
@@ -159,10 +159,11 @@ def cmd_mmd(args) -> int:
     rows_b = anchor_align(set_b.image_vectors(), text_anchors)
     kernel = KernelSpec(median_heuristic(np.concatenate([rows_a, rows_b])))
     seed = args.seed if args.seed is not None else 0
+    biased, unbiased = _mmd2_both(rows_a, rows_b, kernel)
     result = {
         "bandwidth": kernel.bandwidth,
-        "mmd2_biased": mmd2_biased(rows_a, rows_b, kernel),
-        "mmd2_unbiased": mmd2_unbiased(rows_a, rows_b, kernel),
+        "mmd2_biased": biased,
+        "mmd2_unbiased": unbiased,
         "n_perms": args.n_perms,
         "p_value": permutation_test(rows_a, rows_b, kernel, args.n_perms, make_rng(seed, 4)),
     }

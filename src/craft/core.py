@@ -117,6 +117,8 @@ def softmax_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # of 2 MiB, whatever the size of the two sets.
 TILE = 512
 
+_EPS = np.finfo(np.float64).eps  # 2^-52
+
 
 class GramRows:
     """A point set prepared once for the Gram form: its contiguous float64
@@ -163,7 +165,7 @@ def _gram_tile(x: GramRows, i: int, y: GramRows, j: int) -> np.ndarray:
     del padded
     norms = x.sq_norms[i:i + TILE, None] + y.sq_norms[None, j:j + TILE]
     d2 = np.subtract(norms, cross, out=cross)
-    norms *= (2 * xi.shape[1] + 8) * np.finfo(np.float64).eps
+    norms *= (2 * xi.shape[1] + 8) * _EPS
     d2[d2 <= norms] = 0.0
     return d2
 

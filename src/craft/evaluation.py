@@ -70,9 +70,17 @@ def _image_predictions(adapter: Adapter, emb_set: EmbeddingSet, static_text_anch
     return emb_set.class_ids[mask], preds
 
 
+def hit_rate(labels: np.ndarray, preds: np.ndarray) -> float:
+    """Share of ``preds`` equal to ``labels``, as the count over the size:
+    bitwise ``np.mean(labels == preds)``, a sum of exact ones and one
+    correctly rounded division."""
+    return np.count_nonzero(labels == preds) / labels.size
+
+
 def accuracy(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: AnchorSet) -> float:
-    labels, preds = _image_predictions(adapter, emb_set, static_text_anchors)
-    return float(np.mean(labels == preds))
+    """``hit_rate`` of the predictions for the set's images; a set with no
+    image record is an EvalError."""
+    return hit_rate(*_image_predictions(adapter, emb_set, static_text_anchors))
 
 
 def confusion(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: AnchorSet

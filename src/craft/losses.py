@@ -12,6 +12,7 @@ scale is batch-size invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -60,16 +61,20 @@ class LossBatch:
 # ---------------------------------------------------------------------------
 # Loss terms. Each returns its unweighted value and its gradient with respect
 # to the encoded features it reads; loss_and_gradient applies the weights.
-# They check nothing: their arguments are checked where data enters.
+# They check nothing: their arguments are checked where data enters. A batch
+# mean is written sum / b, which is what ndarray.mean computes, bitwise. The
+# values are negated before the sum, not after: a sum of -0.0 is +0.0.
 
 
-def _anchor_ce(feats: np.ndarray, labels: np.ndarray, anchors: AnchorSet,
+def _anchor_ce(logits: np.ndarray, labels: np.ndarray, anchors: AnchorSet,
                temperature: float) -> tuple[float, np.ndarray]:
-    """Batch mean of -log softmax(tau <feat, anchor_k>)[label]."""
-    b = feats.shape[0]
+    """Batch mean of -log softmax(logits)[label], where ``logits`` are the
+    features' ``anchor_align(feats, anchors, temperature)``, and its
+    gradient with respect to the features."""
+    b = logits.shape[0]
     rows = np.arange(b)
-    p, log_p = softmax_rows(anchor_align(feats, anchors, temperature))
-    value = float((-log_p[rows, labels]).mean())
+    p, log_p = softmax_rows(logits)
+    value = float((-log_p[rows, labels]).sum()) / b
     p[rows, labels] -= 1.0
     return value, (temperature / b) * p @ anchors.vectors
 
@@ -83,19 +88,23 @@ def _contrastive(u: np.ndarray, v: np.ndarray, temperature: float
     sims = temperature * u @ v.T
     p_img, log_p_img = softmax_rows(sims)
     p_txt, log_p_txt = softmax_rows(sims.T)
-    value = 0.5 * float((-log_p_img[diag, diag]).mean() + (-log_p_txt[diag, diag]).mean())
+    value = 0.5 * (float((-log_p_img[diag, diag]).sum()) / b
+                   + float((-log_p_txt[diag, diag]).sum()) / b)
     d_sims = p_img + p_txt.T
     d_sims[diag, diag] -= 2.0
     d_sims *= 1.0 / (2.0 * b)
     return value, temperature * d_sims @ v, temperature * d_sims.T @ u
 
 
-def _anchor_mmd(u_src: np.ndarray, u_tgt: np.ndarray, anchors: AnchorSet,
+def _anchor_mmd(phi_src: np.ndarray, u_tgt: np.ndarray, anchors: AnchorSet,
                 temperature: float, kernel: KernelSpec | None
                 ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Biased MMD^2 between anchor-aligned source and target features, its
-    gradients for both batches, and the bandwidth used: the kernel's, or
-    without one the median heuristic over both batches' aligned rows.
+    gradients for both feature batches, and the bandwidth used: the
+    kernel's, or without one the median heuristic over both batches'
+    aligned rows. ``phi_src`` are the source features' aligned rows,
+    ``anchor_align(u_src, anchors, temperature)``, which the anchor
+    cross-entropy reads too.
 
     The gradients hold the bandwidth constant, the median heuristic's too:
     an optimiser that could move it would be rewarded for inflating it, so,
@@ -103,7 +112,6 @@ def _anchor_mmd(u_src: np.ndarray, u_tgt: np.ndarray, anchors: AnchorSet,
     desk ``ood`` batch the derivative of the computed value in one random
     direction is -0.111 against an analytic -0.045; with the bandwidth
     fixed at the same value they agree to 5e-9."""
-    phi_src = anchor_align(u_src, anchors, temperature)
     phi_tgt = anchor_align(u_tgt, anchors, temperature)
     if kernel is None:
         kernel = KernelSpec(median_heuristic(np.concatenate([phi_src, phi_tgt])))
@@ -142,7 +150,7 @@ def check_terms(dim: int, labels: np.ndarray, static_text_anchors: AnchorSet,
 
 
 def _require_finite(value: float, term: str) -> float:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericError(f"{term} is non-finite")
     return value
 
@@ -181,18 +189,23 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
     bandwidth = None
 
     u, r_img = encode_with_cache(adapter.w_img, adapter.b_img, x)
-    g_u = np.zeros_like(u)
+    g_u = np.zeros(u.shape)
     if mode is Mode.BASELINE_CE:
-        static_term, g = _anchor_ce(u, labels, static_text_anchors, tau)
+        static_term, g = _anchor_ce(anchor_align(u, static_text_anchors, tau), labels,
+                                    static_text_anchors, tau)
         _require_finite(static_term, "baseline cross-entropy term")
         g_u += cfg.w_static * g
     else:
         y = batch.text
         v, r_txt = encode_with_cache(adapter.w_txt, adapter.b_txt, y)
-        g_v = np.zeros_like(v)
+        g_v = np.zeros(v.shape)
+        with_mmd = mode is Mode.ALIGNED_MMD and cfg.w_mmd != 0.0
+        if cfg.w_static != 0.0 or with_mmd:
+            phi_u = anchor_align(u, static_text_anchors, tau)  # read by both terms
         if cfg.w_static != 0.0:
-            img_term, g_img = _anchor_ce(u, labels, static_text_anchors, tau)
-            txt_term, g_txt = _anchor_ce(v, labels, static_image_anchors, tau)
+            img_term, g_img = _anchor_ce(phi_u, labels, static_text_anchors, tau)
+            txt_term, g_txt = _anchor_ce(anchor_align(v, static_image_anchors, tau), labels,
+                                         static_image_anchors, tau)
             static_term = _require_finite(img_term + txt_term, "static alignment term")
             g_u += cfg.w_static * g_img
             g_v += cfg.w_static * g_txt
@@ -201,11 +214,11 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
             _require_finite(stochastic_term, "stochastic alignment term")
             g_u += cfg.w_stochastic * g_img
             g_v += cfg.w_stochastic * g_txt
-        if mode is Mode.ALIGNED_MMD and cfg.w_mmd != 0.0:
+        if with_mmd:
             x_tgt = batch.target_image
             u_tgt, r_tgt = encode_with_cache(adapter.w_img, adapter.b_img, x_tgt)
             mmd_term, g_src, g_tgt, bandwidth = _anchor_mmd(
-                u, u_tgt, static_text_anchors, tau, kernel)
+                phi_u, u_tgt, static_text_anchors, tau, kernel)
             _require_finite(mmd_term, "domain MMD term")
             g_u += cfg.w_mmd * g_src
             _norm_backward(cfg.w_mmd * g_tgt, u_tgt, r_tgt, x_tgt, grad.w_img, grad.b_img)
@@ -217,6 +230,6 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
                         static_term=static_term, stochastic_term=stochastic_term,
                         mmd_term=mmd_term, bandwidth=bandwidth)
     _norm_backward(g_u, u, r_img, x, grad.w_img, grad.b_img)
-    if not np.all(np.isfinite(grad.params)):
+    if not np.isfinite(grad.params).all():
         raise NumericError("gradient is non-finite")
     return report, grad.params

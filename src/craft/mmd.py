@@ -121,13 +121,17 @@ def _kernel_block(x: GramRows, y: GramRows, kernel: KernelSpec, keep: bool = Fal
     """The sum of K(x, y) and, with ``keep``, the (m, n) matrix itself (its
     one tile when it fits in one); without, the matrix is never held."""
     m, n = x.shape[0], y.shape[0]
+    if m <= TILE and n <= TILE:
+        # one tile: the symmetric sum of its 1x1 grid, 0.5 (s + s), is s
+        ((_, _, tile),) = _kernel_tiles(x, y, kernel)
+        return _sym_sum(tile), (tile if keep else None)
     sums = np.empty((-(-m // TILE), -(-n // TILE)))
-    k = np.empty((m, n)) if keep and sums.size > 1 else None
+    k = np.empty((m, n)) if keep else None
     for i, j, tile in _kernel_tiles(x, y, kernel):
         sums[i // TILE, j // TILE] = _sym_sum(tile)
         if k is not None:
             k[i:i + TILE, j:j + TILE] = tile
-    return _sym_sum(sums), (tile if keep and k is None else k)
+    return _sym_sum(sums), k
 
 
 def _check_sets(x: np.ndarray, y: np.ndarray, min_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,21 +153,39 @@ def _mmd_blocks(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, min_size: int,
     return x, y, [_kernel_block(a, b, kernel, keep) for a, b in ((gx, gx), (gy, gy), (gx, gy))]
 
 
+def _block_sums(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, min_size: int
+                ) -> tuple[int, int, float, float, float]:
+    """m, n and the sums of K(x, x), K(y, y) and K(x, y)."""
+    x, y, ((sxx, _), (syy, _), (sxy, _)) = _mmd_blocks(x, y, kernel, min_size)
+    return x.shape[0], y.shape[0], sxx, syy, sxy
+
+
+def _biased(m: int, n: int, sxx: float, syy: float, sxy: float) -> float:
+    return sxx / (m * m) + syy / (n * n) - 2.0 * (sxy / (m * n))
+
+
+def _unbiased(m: int, n: int, sxx: float, syy: float, sxy: float) -> float:
+    # the self-terms are k(x_i, x_i) = exp(0) = 1: pairwise_sq_dists gives a
+    # row exactly 0 with itself
+    return (sxx - m) / (m * (m - 1)) + (syy - n) / (n * (n - 1)) - 2.0 * (sxy / (m * n))
+
+
 def mmd2_biased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
     """V-statistic estimate of MMD^2; non-negative, zero when x == y."""
-    x, y, ((sxx, _), (syy, _), (sxy, _)) = _mmd_blocks(x, y, kernel, 1)
-    m, n = x.shape[0], y.shape[0]
-    return sxx / (m * m) + syy / (n * n) - 2.0 * (sxy / (m * n))
+    return _biased(*_block_sums(x, y, kernel, 1))
 
 
 def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
     """U-statistic estimate (self-terms excluded); zero-mean when P = Q, may
     be negative."""
-    x, y, ((sxx, _), (syy, _), (sxy, _)) = _mmd_blocks(x, y, kernel, 2)
-    m, n = x.shape[0], y.shape[0]
-    # the self-terms are k(x_i, x_i) = exp(0) = 1: pairwise_sq_dists gives a
-    # row exactly 0 with itself
-    return (sxx - m) / (m * (m - 1)) + (syy - n) / (n * (n - 1)) - 2.0 * (sxy / (m * n))
+    return _unbiased(*_block_sums(x, y, kernel, 2))
+
+
+def _mmd2_both(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> tuple[float, float]:
+    """``(mmd2_biased(x, y, kernel), mmd2_unbiased(x, y, kernel))``, bitwise,
+    from one walk of the three kernel blocks."""
+    sums = _block_sums(x, y, kernel, 2)
+    return _biased(*sums), _unbiased(*sums)
 
 
 def mmd2_biased_grad(x: np.ndarray, y: np.ndarray, kernel: KernelSpec

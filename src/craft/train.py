@@ -14,7 +14,7 @@ from .adapter import Adapter
 from .anchors import AnchorSet
 from .core import ConfigError, NumericError, ScheduleError, ShapeError, make_rng
 from .dataio import EmbeddingSet, Modality
-from .evaluation import accuracy
+from .evaluation import hit_rate, predict_batch
 from .losses import LossBatch, Mode, check_terms, loss_and_gradient
 from .mmd import KernelSpec
 
@@ -101,11 +101,15 @@ def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
 
 
 def sgd_step(adapter: Adapter, gradient: np.ndarray, lr: float) -> Adapter:
-    """One plain SGD update; returns a new adapter."""
+    """One plain SGD update, in place: ``adapter.params`` becomes
+    ``params - lr * gradient``, bitwise. ``gradient`` is consumed: it is
+    scaled by ``lr`` in place on the way. Returns ``adapter``."""
     if gradient.shape != adapter.params.shape:
         raise ShapeError(f"gradient shape {gradient.shape} does not match "
                          f"the adapter's parameters {adapter.params.shape}")
-    return Adapter(adapter.params - lr * gradient)
+    gradient *= lr
+    adapter.params -= gradient
+    return adapter
 
 
 def _pooled_records(source: EmbeddingSet, target: EmbeddingSet | None, mode: Mode
@@ -135,7 +139,9 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
     Per epoch: seeded shuffle of the image pool, each image paired with a
     same-class text record, mode-specific loss, SGD step at the epoch's
     cosine-annealed rate. Target batches for the MMD term come from an
-    independent substream of the seed.
+    independent substream of the seed. Each epoch's train accuracy is
+    ``evaluation.accuracy`` over the source, bitwise, taken from the
+    source images at the head of the pool.
 
     Every argument is checked here, before the first step, so this is where
     the loss's arguments enter. A step, ``losses.loss_and_gradient``,
@@ -153,8 +159,11 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
 
     img_vecs, img_labels, txt_vecs, txt_labels = _pooled_records(source, target, cfg.mode)
     n = img_vecs.shape[0]
-    if n == 0:
-        raise ConfigError("no image records to train on")
+    # the pool starts with the source's images, which the train accuracy scores
+    n_source = int(np.count_nonzero(source.modality_mask(Modality.IMAGE)))
+    if n_source == 0:
+        raise ConfigError("source set has no image records to train on")
+    source_imgs, source_labels = img_vecs[:n_source], img_labels[:n_source]
     # the same-class text records of image i are text_order[first[i]:first[i] + count[i]]
     text_order = np.argsort(txt_labels, kind="stable")
     sorted_labels = txt_labels[text_order]
@@ -187,7 +196,7 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
         labels = img_labels[perm]
         # one draw per image, from the same stream as one call per image
         paired = text_order[first[perm] + rng.integers(count[perm])]
-        sums = np.zeros(4)
+        total = static_term = stochastic_term = mmd_term = 0.0
         try:
             for step, start in enumerate(range(0, n, size)):
                 sel = perm[start:start + size]
@@ -201,14 +210,17 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
                                               static_image_anchors, cfg, kernel, grad)
                 if cfg.freeze_bandwidth and kernel is None and report.bandwidth is not None:
                     kernel = KernelSpec(report.bandwidth)
-                adapter = sgd_step(adapter, g, lr)
-                sums += (report.total, report.static_term, report.stochastic_term, report.mmd_term)
-            train_acc = accuracy(adapter, source, static_text_anchors)
+                sgd_step(adapter, g, lr)
+                total += report.total
+                static_term += report.static_term
+                stochastic_term += report.stochastic_term
+                mmd_term += report.mmd_term
+            preds = predict_batch(adapter.encode_image(source_imgs), static_text_anchors)
         except NumericError as exc:
             raise type(exc)(f"{exc} (epoch {epoch}, step {step})") from None
         steps = step + 1
         history.records.append(EpochRecord(
-            epoch=epoch, learning_rate=lr, total=sums[0] / steps,
-            static_term=sums[1] / steps, stochastic_term=sums[2] / steps,
-            mmd_term=sums[3] / steps, train_accuracy=train_acc))
+            epoch=epoch, learning_rate=lr, total=total / steps,
+            static_term=static_term / steps, stochastic_term=stochastic_term / steps,
+            mmd_term=mmd_term / steps, train_accuracy=hit_rate(source_labels, preds)))
     return adapter, history

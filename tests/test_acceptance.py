@@ -23,11 +23,11 @@ from craft.core import l2_normalize, make_rng
 from craft.dataio import SyntheticConfig, generate_synthetic, read_embeddings, write_embeddings
 from craft.evaluation import format_pct, group_metrics, ood_report
 from craft.experiments import reference_config, run_experiment
-from craft.losses import LossBatch, Mode, _anchor_ce
+from craft.losses import LossBatch, Mode
 from craft.mmd import KernelSpec, median_heuristic, mmd2_biased, mmd2_unbiased, permutation_test
 
 from conftest import random_anchors, unit_rows
-from test_losses import baseline_and_static_only, engine, finite_difference, random_case
+from test_losses import anchor_ce, baseline_and_static_only, engine, finite_difference, random_case
 
 
 @contextmanager
@@ -59,8 +59,8 @@ def test_criterion_01_subsumption_identity():
             adapter = Adapter(0.1 * rng.standard_normal(2 * (h * h + h)))
             batch = LossBatch(img, txt, labels)
             (r_ce, g_ce), (r_st, g_st) = baseline_and_static_only(adapter, batch, ta, ia, tau)
-            img_half = _anchor_ce(adapter.encode_image(img), labels, ta, tau)[0]
-            txt_half = _anchor_ce(adapter.encode_text(txt), labels, ia, tau)[0]
+            img_half = anchor_ce(adapter.encode_image(img), labels, ta, tau)
+            txt_half = anchor_ce(adapter.encode_text(txt), labels, ia, tau)
             assert abs(r_ce.total - img_half) <= 1e-12
             assert abs(r_st.static_term - (r_ce.static_term + txt_half)) <= 1e-12
             g_ce, g_st = Adapter(g_ce), Adapter(g_st)

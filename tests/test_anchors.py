@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import craft.anchors as anchors_mod
 from craft.anchors import (AnchorError, AnchorSet, ClusterError, _lex_order,
                            build_static_image_anchors, build_static_text_anchors,
                            kmeans, read_anchors, write_anchors)
-from craft.core import l2_normalize, make_rng
+from craft.core import GramRows, l2_normalize, make_rng, pairwise_sq_dists
 from craft.dataio import Modality, SyntheticConfig, _latent_geometry, generate_synthetic
 
 from conftest import toy_embedding_set, unit_rows
@@ -35,6 +36,37 @@ def test_kmeans_two_blobs():
     got = sorted(map(tuple, result.centroids))
     assert np.linalg.norm(np.array(got[0]) - [-5.0, 0.0]) < 0.1
     assert np.linalg.norm(np.array(got[1]) - [5.0, 0.0]) < 0.1
+
+
+def test_kmeans_final_pass_reuses_converged_distances(monkeypatch):
+    # k-means++ makes m distance passes and Lloyd one per iteration; the
+    # final assignment adds one more only when the centroids still moved
+    rng = make_rng(3)
+    points = np.concatenate([np.array([5.0, 0.0]) + 0.1 * rng.standard_normal((40, 2)),
+                             np.array([-5.0, 0.0]) + 0.1 * rng.standard_normal((40, 2))])
+    calls = []
+
+    def counting(x, y):
+        calls.append(y.shape)
+        return pairwise_sq_dists(x, y)
+
+    monkeypatch.setattr(anchors_mod, "pairwise_sq_dists", counting)
+    converged = kmeans(points, 2, make_rng(1))
+    assert converged.iterations_run < 100
+    assert len(calls) == 2 + converged.iterations_run
+    # the fields a fresh final pass over the final centroids gives
+    order = _lex_order(points)
+    d2 = pairwise_sq_dists(GramRows(points[order]), converged.centroids)
+    fresh = np.empty(len(points), dtype=np.int64)
+    fresh[order] = np.argmin(d2, axis=1)
+    np.testing.assert_array_equal(converged.assignments, fresh)
+    objective = float(d2[np.arange(len(points)), np.argmin(d2, axis=1)].sum())
+    assert converged.objective == objective == converged.objective_history[-1]
+    assert converged.objective_history[-2] == objective
+
+    calls.clear()
+    kmeans(points, 2, make_rng(1), max_iter=1)  # stopped while moving
+    assert len(calls) == 2 + 1 + 1
 
 
 def test_kmeans_objective_monotone(rng):

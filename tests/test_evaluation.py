@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from craft.adapter import Adapter
 from craft.anchors import build_static_text_anchors
 from craft.core import EvalError, ShapeError, SplitError, l2_normalize
 from craft.dataio import Modality, SyntheticConfig, generate_synthetic, split_base_novel
 from craft.evaluation import (accuracy, base_to_novel, confusion, confusion_csv, format_pct,
-                              group_accuracy_report, group_metrics, ood_report, ood_suite,
-                              predict_batch)
+                              group_accuracy_report, group_metrics, hit_rate, ood_report,
+                              ood_suite, predict_batch)
 
 from conftest import orthonormal_anchors, random_anchors, toy_embedding_set, unit_rows
 
@@ -69,6 +71,14 @@ def test_accuracy_no_images():
     emb = toy_embedding_set(np.eye(2), [0, 1], [1, 1])
     with pytest.raises(EvalError):
         accuracy(Adapter.zeros(2), emb, orthonormal_anchors(2, 2))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20_000), st.integers(1, 10))
+@settings(max_examples=60, deadline=None)
+def test_hit_rate_is_the_mean_of_hits_bitwise(seed, n, k):
+    rng = np.random.default_rng(seed)
+    labels, preds = rng.integers(0, k, n), rng.integers(0, k, n)
+    assert hit_rate(labels, preds).hex() == float(np.mean(labels == preds)).hex()
 
 
 # ---------------------------------------------------------------------------

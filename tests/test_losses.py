@@ -79,9 +79,14 @@ def test_class_distribution_sums_to_one(rng):
 # static loss: both halves of the anchor cross-entropy
 
 
+def anchor_ce(feats, labels, anchors, temperature):
+    """The anchor cross-entropy of features: ``_anchor_ce`` of their logits."""
+    return _anchor_ce(anchor_align(feats, anchors, temperature), labels, anchors, temperature)[0]
+
+
 def static_loss(img, txt, labels, text_anchors, image_anchors, temperature=1.0):
-    return (_anchor_ce(img, labels, text_anchors, temperature)[0]
-            + _anchor_ce(txt, labels, image_anchors, temperature)[0])
+    return (anchor_ce(img, labels, text_anchors, temperature)
+            + anchor_ce(txt, labels, image_anchors, temperature))
 
 
 def test_static_loss_half_probabilities():
@@ -165,6 +170,28 @@ def test_stochastic_loss_permutation_invariant(b, seed):
     assert permuted == pytest.approx(base, abs=1e-10)
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 12),
+       st.floats(0.1, 100.0))
+@settings(max_examples=60, deadline=None)
+def test_batch_means_equal_their_mean_forms_bitwise(seed, b, k, tau):
+    # the terms' -(sum / b) against the ndarray.mean of the negated values
+    rng = make_rng(seed)
+    anchors = random_anchors(rng, k, 5)
+    logits = tau * rng.standard_normal((b, k))
+    labels = rng.integers(0, k, b)
+    rows = np.arange(b)
+    _, log_p = softmax_rows(logits)
+    value = _anchor_ce(logits, labels, anchors, tau)[0]
+    assert value.hex() == float((-log_p[rows, labels]).mean()).hex()
+
+    img, txt = unit_rows(rng, b, 5), unit_rows(rng, b, 5)
+    sims = tau * img @ txt.T
+    _, log_p_img = softmax_rows(sims)
+    _, log_p_txt = softmax_rows(sims.T)
+    mean_form = 0.5 * float((-log_p_img[rows, rows]).mean() + (-log_p_txt[rows, rows]).mean())
+    assert _contrastive(img, txt, tau)[0].hex() == mean_form.hex()
+
+
 # ---------------------------------------------------------------------------
 # total and subsumption
 
@@ -200,8 +227,8 @@ def test_text_ce_equals_image_term_exactly(rng):
         ia = random_anchors(rng, k, 7, Modality.IMAGE)
         tau = float(rng.uniform(0.5, 30))
         (base, _), (static, _) = baseline_and_static_only(adapter, batch, ta, ia, tau)
-        img_term = _anchor_ce(adapter.encode_image(batch.image), batch.labels, ta, tau)[0]
-        txt_term = _anchor_ce(adapter.encode_text(batch.text), batch.labels, ia, tau)[0]
+        img_term = anchor_ce(adapter.encode_image(batch.image), batch.labels, ta, tau)
+        txt_term = anchor_ce(adapter.encode_text(batch.text), batch.labels, ia, tau)
         assert base.total == base.static_term == img_term
         assert static.static_term == img_term + txt_term
 

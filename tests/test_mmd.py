@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import craft.mmd as mmd_mod
 from craft.core import TILE, ConfigError, NumericError, ShapeError, make_rng, pairwise_sq_dists
 from craft.dataio import SyntheticConfig, generate_synthetic
-from craft.mmd import (KernelSpec, anchor_align, median_heuristic, mmd2_biased,
+from craft.mmd import (KernelSpec, _mmd2_both, anchor_align, median_heuristic, mmd2_biased,
                        mmd2_biased_grad, mmd2_unbiased, permutation_test)
 
 from conftest import blas_shaped_pairs, orthonormal_anchors, random_anchors, unit_rows
@@ -212,6 +213,24 @@ def test_mmd2_vanishes_as_bandwidth_grows(rng):
 def test_mmd2_empty_rejected(rng):
     with pytest.raises(ShapeError):
         mmd2_biased(np.zeros((0, 3)), rng.standard_normal((4, 3)), KernelSpec(1.0))
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (40, 25), (TILE + 7, 30)])
+def test_mmd2_both_reads_both_estimators_from_one_walk(monkeypatch, m, n):
+    rng = make_rng(m)
+    x, y = rng.standard_normal((m, 4)), 0.5 + rng.standard_normal((n, 4))
+    kernel = KernelSpec(1.3)
+    expected = (mmd2_biased(x, y, kernel), mmd2_unbiased(x, y, kernel))
+    blocks = []
+    block = mmd_mod._kernel_block
+
+    def counting(*args, **kwargs):
+        blocks.append(args)
+        return block(*args, **kwargs)
+
+    monkeypatch.setattr(mmd_mod, "_kernel_block", counting)
+    assert [v.hex() for v in _mmd2_both(x, y, kernel)] == [v.hex() for v in expected]
+    assert len(blocks) == 3
 
 
 def test_mmd2_unbiased_identical_two_points():

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import craft.train as train_mod
 from craft.adapter import Adapter, encode, param_count, read_checkpoint, write_checkpoint
@@ -145,12 +146,31 @@ def test_cosine_lr_out_of_range():
 def test_sgd_step_examples(rng):
     size = param_count(2)
     adapter = Adapter(np.ones(size))
-    np.testing.assert_array_equal(sgd_step(adapter, np.zeros(size), 0.3).params, adapter.params)
+    params = adapter.params
+    assert sgd_step(adapter, np.zeros(size), 0.3) is adapter
+    np.testing.assert_array_equal(adapter.params, np.ones(size))
+    sgd_step(adapter, np.full(size, 0.5), 0.0)
+    np.testing.assert_array_equal(adapter.params, np.ones(size))
     some_grad = np.full(size, 0.5)
-    np.testing.assert_array_equal(sgd_step(adapter, some_grad, 0.0).params, adapter.params)
-    stepped = sgd_step(adapter, some_grad, 0.1)
-    np.testing.assert_allclose(stepped.params, np.full(size, 0.95), atol=1e-15)
-    np.testing.assert_array_equal(adapter.params, np.ones(size))  # the input is left as it was
+    sgd_step(adapter, some_grad, 0.1)
+    np.testing.assert_allclose(adapter.params, np.full(size, 0.95), atol=1e-15)
+    # in place: the same vector, so the block views see the step too
+    assert adapter.params is params
+    np.testing.assert_allclose(adapter.w_img, np.full((2, 2), 0.95), atol=1e-15)
+    np.testing.assert_allclose(some_grad, np.full(size, 0.05), atol=1e-15)  # consumed
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6),
+       lr=st.floats(1e-6, 10.0), scale=st.floats(1e-3, 1e3))
+def test_sgd_step_in_place_is_bitwise(seed, dim, lr, scale):
+    rng = np.random.default_rng(seed)
+    params = rng.standard_normal(param_count(dim))
+    gradient = scale * rng.standard_normal(param_count(dim))
+    expected = params - lr * gradient
+    adapter = Adapter(params.copy())
+    sgd_step(adapter, gradient.copy(), lr)
+    assert adapter.params.tobytes() == expected.tobytes()
 
 
 def test_sgd_step_layout_mismatch(rng):
@@ -351,21 +371,28 @@ def test_train_equals_its_contract_bitwise(mode, freeze):
 
 
 def test_train_steps_through_loss_and_gradient(monkeypatch):
-    # one call of the public engine per step, with the run's config fifth
+    # one call of the public engine per step, with the run's config fifth,
+    # and one sgd_step per step on the one adapter that train returns
     source, target, ta, ia = small_data()
     cfg = TrainConfig(epochs=3, batch_size=3, learning_rate=0.05, temperature=5.0,
                       mode=Mode.ALIGNED_MMD)
-    calls = []
+    calls, stepped = [], []
 
     def counting(*args, **kwargs):
         calls.append(args[4])
         return loss_and_gradient(*args, **kwargs)
 
+    def counting_step(adapter, gradient, lr):
+        stepped.append(adapter)
+        return sgd_step(adapter, gradient, lr)
+
     monkeypatch.setattr(train_mod, "loss_and_gradient", counting)
-    train(source, target, ta, ia, cfg)
+    monkeypatch.setattr(train_mod, "sgd_step", counting_step)
+    adapter, _ = train(source, target, ta, ia, cfg)
     n = int(np.count_nonzero(source.modality_mask(Modality.IMAGE)))
-    assert len(calls) == cfg.epochs * math.ceil(n / cfg.batch_size)
+    assert len(calls) == len(stepped) == cfg.epochs * math.ceil(n / cfg.batch_size)
     assert all(c is cfg for c in calls)
+    assert all(a is adapter for a in stepped)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +415,16 @@ def test_train_rejects_label_outside_an_anchor_set(no_steps):
         cfg = TrainConfig(epochs=1, batch_size=4, temperature=5.0, mode=mode)
         with pytest.raises(LabelError):
             train(source, None, text_anchors, image_anchors, cfg)
+
+
+def test_train_rejects_source_without_images(no_steps):
+    # the oracle pools target images, but the train accuracy scores the source's
+    source, target, ta, ia = small_data()
+    text_only = source.subset(source.modality_mask(Modality.TEXT))
+    for mode in (Mode.ALIGNED, Mode.ORACLE):
+        cfg = TrainConfig(epochs=1, batch_size=4, temperature=5.0, mode=mode)
+        with pytest.raises(ConfigError, match="source set has no image records"):
+            train(text_only, target, ta, ia, cfg)
 
 
 def test_train_rejects_anchor_or_target_dimension_mismatch(no_steps, rng):
