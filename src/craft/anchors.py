@@ -24,7 +24,7 @@ class AnchorSet:
 
     vectors: np.ndarray  # (K, H)
     modality: Modality
-    class_names: list[str] | None = None
+    class_names: list[str]
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -34,7 +34,7 @@ class AnchorSet:
         return self.vectors.shape[1]
 
     def validate(self) -> None:
-        if self.class_names is not None and len(self.class_names) != len(self):
+        if len(self.class_names) != len(self):
             raise AnchorError("static anchor count does not match class names")
         norms = np.linalg.norm(self.vectors, axis=1)
         # written so that a NaN norm fails the check too
@@ -219,8 +219,6 @@ def write_anchors(path: str | Path, text_anchors: AnchorSet | None = None,
     if not sets:
         raise AnchorError("nothing to write")
     names = sets[0].class_names
-    if names is None:
-        raise AnchorError("static anchors need class names to be serialized")
     for a in sets:
         a.validate()
         if a.class_names != names:

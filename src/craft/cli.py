@@ -118,8 +118,9 @@ def cmd_eval(args) -> int:
     out.with_suffix(".txt").write_text(_report_text(report) + "\n")
     anchors = experiments.eval_text_anchors(cfg, prepared, adapter)
     for name, emb_set in prepared.eval_sets.items():
-        matrix = confusion(adapter, emb_set, anchors[name])
-        out.with_name(f"{out.stem}_confusion_{name}.csv").write_text(confusion_csv(matrix))
+        counts = confusion(adapter, emb_set, anchors[name])
+        out.with_name(f"{out.stem}_confusion_{name}.csv").write_text(
+            confusion_csv(counts, anchors[name].class_names))
     print(json.dumps({"report": str(out)}, sort_keys=True))
     return 0
 
@@ -150,6 +151,7 @@ def _report_text(report: dict) -> str:
 
 
 def cmd_mmd(args) -> int:
+    rng = make_rng(args.seed if args.seed is not None else 0, 4)
     set_a = read_embeddings(args.a)
     set_b = read_embeddings(args.b)
     text_anchors, _ = read_anchors(args.anchors)
@@ -158,14 +160,13 @@ def cmd_mmd(args) -> int:
     rows_a = anchor_align(set_a.image_vectors(), text_anchors)
     rows_b = anchor_align(set_b.image_vectors(), text_anchors)
     kernel = KernelSpec(median_heuristic(np.concatenate([rows_a, rows_b])))
-    seed = args.seed if args.seed is not None else 0
     biased, unbiased = _mmd2_both(rows_a, rows_b, kernel)
     result = {
         "bandwidth": kernel.bandwidth,
         "mmd2_biased": biased,
         "mmd2_unbiased": unbiased,
         "n_perms": args.n_perms,
-        "p_value": permutation_test(rows_a, rows_b, kernel, args.n_perms, make_rng(seed, 4)),
+        "p_value": permutation_test(rows_a, rows_b, kernel, args.n_perms, rng),
     }
     print(json.dumps(result, sort_keys=True))
     return 0

@@ -68,8 +68,11 @@ class EvalError(CraftError):
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Deterministic PCG64 generator for ``seed`` and an optional substream key."""
+    """Deterministic PCG64 generator for ``seed`` and an optional substream
+    key; a negative seed or key is a ConfigError."""
     entropy = [int(seed), *(int(s) for s in stream)]
+    if min(entropy) < 0:
+        raise ConfigError(f"seeds must be non-negative integers, got {min(entropy)}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,27 +20,6 @@ from .anchors import AnchorSet
 from .core import EvalError, SplitError
 from .dataio import EmbeddingSet, Modality
 from .mmd import anchor_align
-
-
-@dataclass
-class GroupReport:
-    per_group_accuracy: dict[int, float]
-    worst_group: float
-    average: float
-    gap: float
-
-
-@dataclass
-class OODReport:
-    source_accuracy: float
-    target_accuracies: list[float]
-    target_average: float
-
-
-@dataclass
-class ConfusionMatrix:
-    counts: np.ndarray  # (K, K), rows true, columns predicted
-    class_names: list[str]
 
 
 def format_pct(value: float) -> str:
@@ -84,15 +62,16 @@ def accuracy(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: Ancho
 
 
 def confusion(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: AnchorSet
-              ) -> ConfusionMatrix:
+              ) -> np.ndarray:
+    """(K, K) int64 counts of the set's images, rows true class, columns
+    predicted class."""
     labels, preds = _image_predictions(adapter, emb_set, static_text_anchors)
     k = len(static_text_anchors)
     if labels.max() >= k:
         raise EvalError(f"set labels exceed the {k} anchor classes")
     counts = np.zeros((k, k), dtype=np.int64)
     np.add.at(counts, (labels, preds), 1)
-    names = static_text_anchors.class_names or [str(i) for i in range(k)]
-    return ConfusionMatrix(counts=counts, class_names=list(names))
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +91,10 @@ def base_to_novel(adapter: Adapter, base_set: EmbeddingSet, novel_set: Embedding
 
 
 def group_metrics(per_group_correct: Mapping[int, int],
-                  per_group_total: Mapping[int, int]) -> GroupReport:
-    """Worst-group and (unweighted) average-group accuracy with their gap."""
+                  per_group_total: Mapping[int, int]) -> dict:
+    """Worst-group and (unweighted) average-group accuracy with their gap:
+    report.json's ``group`` section, ``per_group_accuracy`` keyed by each
+    group's decimal string in ascending group order."""
     if not per_group_total:
         raise EvalError("no groups")
     if set(per_group_correct) - set(per_group_total):
@@ -123,16 +104,16 @@ def group_metrics(per_group_correct: Mapping[int, int],
         total = per_group_total[group]
         if total <= 0:
             raise EvalError(f"group {group} has no samples")
-        per_group[int(group)] = per_group_correct.get(group, 0) / total
+        per_group[str(int(group))] = per_group_correct.get(group, 0) / total
     values = np.array(list(per_group.values()))
     worst = float(values.min())
     avg = float(values.mean())
-    return GroupReport(per_group_accuracy=per_group, worst_group=worst,
-                       average=avg, gap=avg - worst)
+    return {"per_group_accuracy": per_group, "worst_group": worst,
+            "average": avg, "gap": avg - worst}
 
 
 def group_accuracy_report(adapter: Adapter, emb_set: EmbeddingSet,
-                          static_text_anchors: AnchorSet) -> GroupReport:
+                          static_text_anchors: AnchorSet) -> dict:
     """Group robustness over (class, spurious-alignment) cells: group key
     is class_id * 2 + group_id, so every image record's group id must be 0
     or 1; any other value is an EvalError naming the first such record."""
@@ -154,19 +135,18 @@ def group_accuracy_report(adapter: Adapter, emb_set: EmbeddingSet,
     return group_metrics(correct, total)
 
 
-def ood_report(source_accuracy: float, target_accuracies: Sequence[float]) -> OODReport:
-    """Assemble the OOD summary; the average covers targets only."""
+def ood_report(source_accuracy: float, target_accuracies: Sequence[float]) -> dict:
+    """report.json's ``ood`` section; the average covers targets only."""
     if not target_accuracies:
         raise EvalError("need at least one target accuracy")
     targets = [float(a) for a in target_accuracies]
-    return OODReport(source_accuracy=float(source_accuracy),
-                     target_accuracies=targets,
-                     target_average=float(np.mean(targets)))
+    return {"source_accuracy": float(source_accuracy), "target_accuracies": targets,
+            "target_average": float(np.mean(targets))}
 
 
 def ood_suite(adapter: Adapter, source_test: EmbeddingSet,
               target_tests: Sequence[EmbeddingSet], static_text_anchors: AnchorSet
-              ) -> OODReport:
+              ) -> dict:
     """Source accuracy plus per-target accuracies over sets sharing the
     source class vocabulary."""
     if not target_tests:
@@ -183,10 +163,10 @@ def ood_suite(adapter: Adapter, source_test: EmbeddingSet,
 # Rendering
 
 
-def confusion_csv(matrix: ConfusionMatrix) -> str:
+def confusion_csv(counts: np.ndarray, class_names: Sequence[str]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["true\\predicted", *matrix.class_names])
-    for name, row in zip(matrix.class_names, matrix.counts):
+    writer.writerow(["true\\predicted", *class_names])
+    for name, row in zip(class_names, counts):
         writer.writerow([name, *row.tolist()])
     return buf.getvalue()

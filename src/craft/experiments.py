@@ -261,20 +261,9 @@ def evaluate_prepared(cfg: RunConfig, prepared: PreparedExperiment, adapter: Ada
         report.update(base_to_novel(adapter, sets["base"], sets["novel"],
                                     anchors["base"], anchors["novel"]))
     elif cfg.kind == "group-robustness":
-        group = group_accuracy_report(adapter, sets["heldout"], anchors["heldout"])
-        report["group"] = {
-            "per_group_accuracy": {str(k): v for k, v in group.per_group_accuracy.items()},
-            "worst_group": group.worst_group,
-            "average": group.average,
-            "gap": group.gap,
-        }
+        report["group"] = group_accuracy_report(adapter, sets["heldout"], anchors["heldout"])
     else:
-        ood = ood_suite(adapter, sets["source"], [sets["target"]], anchors["source"])
-        report["ood"] = {
-            "source_accuracy": ood.source_accuracy,
-            "target_accuracies": ood.target_accuracies,
-            "target_average": ood.target_average,
-        }
+        report["ood"] = ood_suite(adapter, sets["source"], [sets["target"]], anchors["source"])
         report["domain_mmd2"] = _domain_mmd_diagnostics(
             adapter, sets["source"], sets["target"], prepared.text_anchors, cfg.train.temperature)
     return report

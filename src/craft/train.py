@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -73,10 +73,7 @@ class EpochRecord:
     train_accuracy: float
 
     def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "learning_rate": self.learning_rate,
-                "total": self.total, "static_term": self.static_term,
-                "stochastic_term": self.stochastic_term, "mmd_term": self.mmd_term,
-                "train_accuracy": self.train_accuracy}
+        return asdict(self)
 
 
 @dataclass

@@ -141,12 +141,12 @@ def test_criterion_05_reported_table_arithmetic():
     with criterion(5, "group and OOD report arithmetic reproduces published rows", 1):
         report = group_metrics({0: 785, 1: 890, 2: 954, 3: 955},
                                {0: 1000, 1: 1000, 2: 1000, 3: 1000})
-        assert format_pct(report.worst_group) == "78.5"
-        assert format_pct(report.average) == "89.6"
-        assert format_pct(report.gap) == "11.1"
+        assert format_pct(report["worst_group"]) == "78.5"
+        assert format_pct(report["average"]) == "89.6"
+        assert format_pct(report["gap"]) == "11.1"
 
         ood = ood_report(0.712, [0.641, 0.490, 0.507, 0.767])
-        assert format_pct(ood.target_average) == "60.1"
+        assert format_pct(ood["target_average"]) == "60.1"
 
 
 # Frozen pinned-seed results of the bundled reference benchmark.

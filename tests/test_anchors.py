@@ -257,7 +257,7 @@ def test_anchors_unit_norm():
 
 
 def test_validate_rejects_nan_anchor():
-    anchors = AnchorSet(np.eye(4)[:2].copy(), Modality.TEXT)
+    anchors = AnchorSet(np.eye(4)[:2].copy(), Modality.TEXT, class_names=["a", "b"])
     anchors.validate()
     anchors.vectors[1] = [np.nan, 0.0, 0.0, 0.0]
     with pytest.raises(AnchorError, match="unit-normalized"):

@@ -181,6 +181,37 @@ def test_config_value_of_wrong_type_is_config_error(pipeline, tmp_path, section,
     assert not (tmp_path / "a.cadp").exists()
 
 
+@pytest.mark.parametrize("command, section", [
+    ("gen", None), ("anchors", None), ("train", None), ("eval", None), ("mmd", None),
+    ("gen", "synthetic"), ("train", "train"),
+])
+def test_negative_seed_is_config_error(pipeline, tmp_path, command, section):
+    # --seed -1 on each command, or seed -4 in one config section
+    pipeline_dir, config, data, ckpt, *_ = pipeline
+    if section is None:
+        seed, value = ["--seed", "-1"], -1
+    else:
+        doc = json.loads(config.read_text())
+        doc[section]["seed"] = -4
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc))
+        seed, value = [], -4
+    args = {
+        "gen": ["--config", str(config), "--out", str(tmp_path / "d")],
+        "anchors": ["--data", str(data / "source.cemb"), "--out", str(tmp_path / "a.cemb")],
+        "train": ["--config", str(config), "--data", str(data), "--out", str(tmp_path / "a.cadp")],
+        "eval": ["--config", str(config), "--checkpoint", str(ckpt), "--data", str(data),
+                 "--out", str(tmp_path / "r.json")],
+        "mmd": ["--a", str(data / "source.cemb"), "--b", str(data / "target.cemb"),
+                "--anchors", str(pipeline_dir / "anchors.cemb")],
+    }[command]
+    result = run_cli(command, *args, *seed)
+    assert result.returncode == 2, result.stderr
+    assert json.loads(result.stderr) == {  # exactly one JSON object
+        "command": command, "error": "ConfigError",
+        "message": f"seeds must be non-negative integers, got {value}"}
+
+
 def test_checkpoint_dimension_mismatch_is_data_error(tmp_path):
     config = small_config(tmp_path)
     data = tmp_path / "data"

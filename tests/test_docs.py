@@ -1,8 +1,10 @@
+import ast
 import importlib
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def readme_block(heading: str) -> str:
@@ -17,6 +19,15 @@ def test_readme_library_example_runs(capsys):
     assert len(printed) == 1 and 0.0 <= float(printed[0]) <= 1.0
 
 
+def resolves(name: str) -> bool:
+    """Whether ``module.attr[.attr...]`` names an attribute of ``craft.module``."""
+    module, *path = name.split(".")
+    obj = importlib.import_module(f"craft.{module}")
+    for attr in path:
+        obj = getattr(obj, attr, None)
+    return obj is not None
+
+
 CITED_MODULES = ("core", "dataio", "anchors", "adapter", "losses", "mmd", "train",
                  "evaluation", "experiments", "cli")
 
@@ -27,11 +38,43 @@ def test_readme_names_resolve():
     pattern = rf"`({'|'.join(CITED_MODULES)})((?:\.\w+)+)"
     cited = set(re.findall(pattern, README.read_text()))
     assert cited
-    missing = []
-    for module, path in sorted(cited):
-        obj = importlib.import_module(f"craft.{module}")
-        for attr in path.lstrip(".").split("."):
-            obj = getattr(obj, attr, None)
-        if obj is None:
-            missing.append(module + path)
+    missing = [module + path for module, path in sorted(cited) if not resolves(module + path)]
     assert not missing, f"README cites names that do not exist: {missing}"
+
+
+# Wrapped by perfbench/spans.py and dropped from it with the next change to
+# the benchmark; the library no longer has them.
+STALE_BENCHMARK_NAMES = {"adapter.Adapter.to_flat", "adapter.Adapter.from_flat",
+                         "mmd.KernelSpec.matrix"}
+
+
+def benchmark_names() -> set[str]:
+    """The craft names the benchmark uses, read from its source without
+    importing it: spans.py's TARGETS, and workloads.py's craft imports and
+    its attribute uses of the craft modules it imports whole."""
+    spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    targets = next(node.value for node in spans.body if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "TARGETS")
+    names = {f"{module}.{attr}" for module, attr in ast.literal_eval(targets)}
+    workloads = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    modules = set()
+    for node in ast.walk(workloads):
+        if isinstance(node, ast.ImportFrom) and node.module == "craft":
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("craft."):
+            module = node.module.removeprefix("craft.")
+            names |= {f"{module}.{alias.name}" for alias in node.names}
+    for node in ast.walk(workloads):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.add(f"{node.value.id}.{node.attr}")
+    return names | modules
+
+
+def test_benchmark_names_resolve():
+    # a deleted or renamed function that perfbench wraps would otherwise only
+    # show as a per-layer metric reading 0
+    names = benchmark_names()
+    assert {"train.sgd_step", "experiments.evaluate_prepared", "cli.main"} <= names
+    missing = sorted(name for name in names if not resolves(name))
+    assert set(missing) <= STALE_BENCHMARK_NAMES, f"perfbench uses missing craft names: {missing}"

@@ -59,7 +59,7 @@ def test_class_distribution_equidistant_uniform():
 
 
 def test_class_distribution_errors():
-    empty = AnchorSet(np.zeros((0, 3)), Modality.TEXT)
+    empty = AnchorSet(np.zeros((0, 3)), Modality.TEXT, class_names=[])
     with pytest.raises(AnchorError):
         check_terms(3, np.zeros(2, dtype=np.int64), empty, None, TrainConfig(mode=Mode.BASELINE_CE))
     with pytest.raises(ConfigError):

@@ -408,8 +408,8 @@ def no_steps(monkeypatch):
 
 def test_train_rejects_label_outside_an_anchor_set(no_steps):
     source, _, ta, ia = small_data()  # 4 classes
-    fewer_text = AnchorSet(ta.vectors[:3], Modality.TEXT)
-    fewer_image = AnchorSet(ia.vectors[:3], Modality.IMAGE)
+    fewer_text = AnchorSet(ta.vectors[:3], Modality.TEXT, class_names=ta.class_names[:3])
+    fewer_image = AnchorSet(ia.vectors[:3], Modality.IMAGE, class_names=ia.class_names[:3])
     for text_anchors, image_anchors, mode in ((fewer_text, ia, Mode.BASELINE_CE),
                                               (ta, fewer_image, Mode.ALIGNED)):
         cfg = TrainConfig(epochs=1, batch_size=4, temperature=5.0, mode=mode)
@@ -429,7 +429,7 @@ def test_train_rejects_source_without_images(no_steps):
 
 def test_train_rejects_anchor_or_target_dimension_mismatch(no_steps, rng):
     source, target, ta, ia = small_data()  # dim 8
-    wide = AnchorSet(unit_rows(rng, 4, 9), Modality.IMAGE)
+    wide = AnchorSet(unit_rows(rng, 4, 9), Modality.IMAGE, class_names=ia.class_names)
     with pytest.raises(ShapeError):
         train(source, None, ta, wide, TrainConfig(epochs=1, temperature=5.0))
     _, narrow_target, _, _ = small_data(dim=6)
@@ -440,7 +440,7 @@ def test_train_rejects_anchor_or_target_dimension_mismatch(no_steps, rng):
 
 def test_train_rejects_empty_anchor_set(no_steps):
     source, _, ta, ia = small_data()
-    empty = AnchorSet(np.zeros((0, source.dim)), Modality.TEXT)
+    empty = AnchorSet(np.zeros((0, source.dim)), Modality.TEXT, class_names=[])
     with pytest.raises(AnchorError):
         train(source, None, empty, ia, TrainConfig(epochs=1, temperature=5.0))
 
