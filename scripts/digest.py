@@ -6,8 +6,9 @@ over its checkpoint bytes, history JSONL and report JSON, and one clip-scale
 training epoch (K=100, H=512, 20 samples/class/modality, ood, aligned-mmd,
 batch 128), hashed over its checkpoint bytes and history JSONL, and one
 multi-centroid k-means anchor build (see ``kmeans_anchors``), hashed over
-its anchor file, and two two-sample tests (see ``two_sample``), hashed over
-the JSON lines of ``craft mmd``.
+its anchor file, two two-sample tests (see ``two_sample``), hashed over
+the JSON lines of ``craft mmd``, and the synthetic generator (see
+``generator``), hashed over the five columns of its two sets.
 
 The BLAS thread count can change the last bits of a GEMM, so the script
 runs the numeric backend on one thread, whatever the caller set, and its
@@ -116,6 +117,23 @@ def two_sample(seed: int, workdir: Path) -> str:
     return digest.hexdigest()
 
 
+def generator(seed: int) -> str:
+    """sha256 over the five columns of both sets of ``generate_synthetic`` at
+    K=100, H=128, 20 samples/class/modality and group strength 0.8: at domain
+    shift 0.0, whose rotation is the identity, and at shift 1.0."""
+    digest = hashlib.sha256()
+    for shift in (0.0, 1.0):
+        cfg = override(reference_config(), seed=seed,
+                       synthetic=dict(num_classes=100, dim=128, samples_per_class_per_modality=20,
+                                      group_spurious_strength=0.8, domain_shift_magnitude=shift))
+        for emb in dataio.generate_synthetic(cfg.synthetic):
+            for column in (emb.vectors, emb.class_ids, emb.modalities, emb.domains,
+                           emb.group_ids):
+                digest.update(f"{column.dtype.str}{column.shape}".encode())
+                digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7, help="seed of every run")
@@ -134,6 +152,7 @@ def main():
         print(f"{kmeans_anchors(args.seed, workdir)}  kmeans anchors (4 centroids/class, H=512)")
         print(f"{two_sample(args.seed, workdir)}  two-sample tests "
               f"(craft mmd, 1000 permutations, shift 1.0 and 0.0)")
+        print(f"{generator(args.seed)}  generator (K=100, H=128, groups 0.8, shift 0.0 and 1.0)")
 
 
 if __name__ == "__main__":

@@ -156,6 +156,11 @@ class SyntheticConfig:
             raise ConfigError("dim must be >= 2")
         if self.samples_per_class_per_modality < 1:
             raise ConfigError("samples_per_class_per_modality must be >= 1")
+        # a set's (2·K·n, dim) vectors and the (dim, dim) rotation draw, in float64
+        rows = 2 * self.num_classes * self.samples_per_class_per_modality
+        if 8 * max(rows, self.dim) * self.dim > np.iinfo(np.intp).max:
+            raise ConfigError(f"{rows} records of dim {self.dim} need arrays larger than "
+                              f"numpy's largest array ({np.iinfo(np.intp).max} bytes)")
         for name in ("cluster_spread", "cross_modal_noise", "domain_shift_magnitude",
                      "group_spurious_strength", "majority_fraction"):
             value = getattr(self, name)
@@ -179,8 +184,11 @@ def _block_rotation(rng: np.random.Generator, dim: int, angle: float) -> np.ndar
     """Orthogonal map rotating every vector by ``angle`` radians: Givens
     rotations in floor(dim/2) planes of one random orthonormal basis.
     ``angle = 0`` returns the exact identity."""
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    draw = rng.standard_normal((dim, dim))  # drawn at any angle: the stream stays put
     rot = np.eye(dim)
+    if angle == 0.0:  # each plane below would add only a signed zero
+        return rot
+    q, _ = np.linalg.qr(draw)
     c, s = math.cos(angle), math.sin(angle)
     for i in range(0, dim - 1, 2):
         q1, q2 = q[:, i], q[:, i + 1]
@@ -189,27 +197,25 @@ def _block_rotation(rng: np.random.Generator, dim: int, angle: float) -> np.ndar
     return rot
 
 
-def _sample_modality(rng, means, offset, noise_scale, cfg, domain, with_groups):
-    """Draw per-class samples around ``means + offset``; returns columnar arrays."""
+def _sample_modality(rng, out, means, offset, noise_scale, cfg, with_groups):
+    """Write per-class samples around ``means + offset`` into the rows of
+    ``out``, class by class; returns their group ids."""
     k, h = means.shape
     n = cfg.samples_per_class_per_modality
-    vectors, class_ids, group_ids = [], [], []
+    groups = np.zeros(k * n, dtype=np.int64)
     half = (k + 1) // 2
     for c in range(k):
-        raw = means[c] + offset + noise_scale * rng.standard_normal((n, h))
-        groups = np.zeros(n, dtype=np.int64)
+        raw = rng.standard_normal((n, h))
+        raw *= noise_scale
+        raw += means[c] + offset
         if with_groups and cfg.group_spurious_strength > 0:
             majority = rng.random(n) < cfg.majority_fraction
-            groups = np.where(majority, 0, 1)
+            groups[c * n:(c + 1) * n] = ~majority
             class_sign = 1.0 if c < half else -1.0
             sample_sign = np.where(majority, 1.0, -1.0)
             raw[:, -1] += cfg.group_spurious_strength * class_sign * sample_sign
-        vectors.append(l2_normalize(raw))
-        class_ids.append(np.full(n, c, dtype=np.int64))
-        group_ids.append(groups)
-    count = k * n
-    return (np.concatenate(vectors), np.concatenate(class_ids),
-            np.full(count, int(domain), dtype=np.uint8), np.concatenate(group_ids))
+        out[c * n:(c + 1) * n] = l2_normalize(raw)
+    return groups
 
 
 def _latent_geometry(cfg: SyntheticConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -238,21 +244,20 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[EmbeddingSet, EmbeddingSet
     cfg.validate()
     rng = make_rng(cfg.seed)
     geo = _latent_geometry(cfg, rng)
-    class_names = [f"class_{c:03d}" for c in range(cfg.num_classes)]
+    k, n = cfg.num_classes, cfg.samples_per_class_per_modality
 
     def build(image_means, domain):
-        iv, ic, idom, ig = _sample_modality(rng, image_means, geo["image_offset"],
-                                            cfg.cluster_spread, cfg, domain, True)
-        tv, tc, tdom, tg = _sample_modality(rng, geo["text_means"], geo["text_offset"],
-                                            cfg.cross_modal_noise, cfg, domain, False)
-        vectors = np.concatenate([iv, tv])
-        modalities = np.concatenate([
-            np.full(len(ic), int(Modality.IMAGE), dtype=np.uint8),
-            np.full(len(tc), int(Modality.TEXT), dtype=np.uint8),
-        ])
-        return make_embedding_set(
-            vectors, np.concatenate([ic, tc]), modalities,
-            np.concatenate([idom, tdom]), np.concatenate([ig, tg]), class_names)
+        vectors = np.empty((2 * k * n, cfg.dim))
+        image_groups = _sample_modality(rng, vectors[:k * n], image_means, geo["image_offset"],
+                                        cfg.cluster_spread, cfg, True)
+        text_groups = _sample_modality(rng, vectors[k * n:], geo["text_means"],
+                                       geo["text_offset"], cfg.cross_modal_noise, cfg, False)
+        return EmbeddingSet(
+            vectors=vectors, class_ids=np.tile(np.repeat(np.arange(k, dtype=np.int64), n), 2),
+            modalities=np.repeat(np.array([Modality.IMAGE, Modality.TEXT], dtype=np.uint8), k * n),
+            domains=np.full(2 * k * n, int(domain), dtype=np.uint8),
+            group_ids=np.concatenate([image_groups, text_groups]),
+            class_names=[f"class_{c:03d}" for c in range(k)])
 
     source = build(geo["class_means"], Domain.IN_DOMAIN)
     target = build(geo["target_means"], Domain.OUT_OF_DOMAIN)

@@ -362,6 +362,21 @@ def test_out_of_memory_is_one_json_error(tmp_path):
     assert error["error"] == "MemoryError" and error["command"] == "gen"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("num_classes", 2**70), ("samples_per_class_per_modality", 2**62)], ids=["K", "n"])
+def test_gen_refuses_sizes_numpy_cannot_hold(tmp_path, key, value):
+    # a set of 2·K·n records of dim H needs more bytes than numpy's largest array
+    config = small_config(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["synthetic"][key] = value
+    config.write_text(json.dumps(doc))
+    result = run_cli("gen", "--config", str(config), "--out", str(tmp_path / "d"))
+    assert result.returncode == 2, result.stderr
+    error = json.loads(result.stderr)  # exactly one JSON object
+    assert error["error"] == "ConfigError" and "largest array" in error["message"]
+    assert not (tmp_path / "d").exists()
+
+
 def test_missing_data_file_is_data_error(tmp_path):
     config = small_config(tmp_path)
     result = run_cli("train", "--config", str(config), "--data", str(tmp_path / "nope"),

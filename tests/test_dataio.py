@@ -1,4 +1,6 @@
+import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from craft.anchors import kmeans
-from craft.core import ConfigError, FormatError, SplitError, make_rng
-from craft.dataio import (MAX_DIM, Domain, Modality, SyntheticConfig, _latent_geometry,
+from craft.core import ConfigError, FormatError, SplitError, l2_normalize, make_rng
+from craft.dataio import (MAX_DIM, Domain, Modality, SyntheticConfig, _block_rotation,
+                          _latent_geometry,
                           few_shot_split, generate_synthetic, read_embeddings,
                           split_base_novel, write_embeddings)
+from craft.experiments import reference_config
 
 from conftest import apply_edits, byte_edits, toy_embedding_set
 
@@ -38,6 +42,8 @@ def test_config_validation():
         small_cfg(group_spurious_strength=1.5).validate()
     with pytest.raises(ConfigError):
         small_cfg(domain_shift_magnitude=float("nan")).validate()
+    with pytest.raises(ConfigError, match="largest array"):
+        small_cfg(dim=2**30).validate()  # the (dim, dim) rotation draw
 
 
 def latents(cfg):
@@ -88,6 +94,77 @@ def test_generator_deterministic():
     b, _ = generate_synthetic(small_cfg())
     np.testing.assert_array_equal(a.vectors, b.vectors)
     np.testing.assert_array_equal(a.class_ids, b.class_ids)
+
+
+def per_class_oracle(cfg):
+    """Both sets' columns by the per-class formula: per set and modality,
+    each class's samples are drawn, shifted and normalised into a list of
+    blocks, and the lists are concatenated."""
+    rng = make_rng(cfg.seed)
+    geo = _latent_geometry(cfg, rng)
+    k, n = cfg.num_classes, cfg.samples_per_class_per_modality
+    sets = []
+    for image_means, domain in ((geo["class_means"], 0), (geo["target_means"], 1)):
+        vectors, class_ids, modalities, group_ids = [], [], [], []
+        for modality, means, offset, noise in (
+                (0, image_means, geo["image_offset"], cfg.cluster_spread),
+                (1, geo["text_means"], geo["text_offset"], cfg.cross_modal_noise)):
+            for c in range(k):
+                raw = means[c] + offset + noise * rng.standard_normal((n, cfg.dim))
+                groups = np.zeros(n, dtype=np.int64)
+                if modality == 0 and cfg.group_spurious_strength > 0:
+                    majority = rng.random(n) < cfg.majority_fraction
+                    groups = np.where(majority, 0, 1)
+                    class_sign = 1.0 if c < (k + 1) // 2 else -1.0
+                    raw[:, -1] += (cfg.group_spurious_strength * class_sign
+                                   * np.where(majority, 1.0, -1.0))
+                vectors.append(l2_normalize(raw))
+                class_ids.append(np.full(n, c, dtype=np.int64))
+                modalities.append(np.full(n, modality, dtype=np.uint8))
+                group_ids.append(groups)
+        sets.append([np.concatenate(vectors), np.concatenate(class_ids),
+                     np.concatenate(modalities), np.full(2 * k * n, domain, dtype=np.uint8),
+                     np.concatenate(group_ids)])
+    return sets
+
+
+@pytest.mark.parametrize("changes", [
+    {}, {"domain_shift_magnitude": 1.0},
+    {"num_classes": 2, "group_spurious_strength": 0.8},
+    {"num_classes": 7, "dim": 33, "samples_per_class_per_modality": 1},
+], ids=["reference", "shift-1", "k2-groups", "k7-d33-n1"])
+def test_generator_matches_per_class_oracle(changes):
+    cfg = dataclasses.replace(reference_config().synthetic, **changes)
+    for emb, expected in zip(generate_synthetic(cfg), per_class_oracle(cfg)):
+        columns = (emb.vectors, emb.class_ids, emb.modalities, emb.domains, emb.group_ids)
+        for got, want in zip(columns, expected):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
+        assert emb.class_names == [f"class_{c:03d}" for c in range(cfg.num_classes)]
+
+
+@pytest.mark.parametrize("dim", [2, 5, 16])
+def test_block_rotation_at_angle_zero_is_identity_and_keeps_the_stream(dim):
+    rng, turned = make_rng(4), make_rng(4)
+    rot = _block_rotation(rng, dim, 0.0)
+    assert rot.dtype == np.float64 and rot.tobytes() == np.eye(dim).tobytes()
+    _block_rotation(turned, dim, 0.3)
+    assert rng.standard_normal(3).tobytes() == turned.standard_normal(3).tobytes()
+
+
+def test_generator_memory_is_its_two_sets():
+    # each set is allocated once at its final size: the peak is both sets'
+    # vectors plus a class block and the latent geometry
+    cfg = SyntheticConfig(num_classes=20, dim=128, samples_per_class_per_modality=200,
+                          cluster_spread=0.35, cross_modal_noise=0.65,
+                          group_spurious_strength=0.5, seed=7)
+    tracemalloc.start()
+    try:
+        source, target = generate_synthetic(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (source.vectors.nbytes + target.vectors.nbytes)
 
 
 def test_per_class_kmeans_centroids_near_latents():
