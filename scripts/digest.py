@@ -7,8 +7,9 @@ training epoch (K=100, H=512, 20 samples/class/modality, ood, aligned-mmd,
 batch 128), hashed over its checkpoint bytes and history JSONL, and one
 multi-centroid k-means anchor build (see ``kmeans_anchors``), hashed over
 its anchor file, two two-sample tests (see ``two_sample``), hashed over
-the JSON lines of ``craft mmd``, and the synthetic generator (see
-``generator``), hashed over the five columns of its two sets.
+the JSON lines of ``craft mmd``, the synthetic generator (see
+``generator``), hashed over the five columns of its two sets, and the
+CEMB files of ``craft gen`` (see ``gen_files``).
 
 The BLAS thread count can change the last bits of a GEMM, so the script
 runs the numeric backend on one thread, whatever the caller set, and its
@@ -24,6 +25,7 @@ import io
 import json
 import os
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 THREADS = "1"
@@ -134,6 +136,24 @@ def generator(seed: int) -> str:
     return digest.hexdigest()
 
 
+def gen_files(seed: int, workdir: Path) -> str:
+    """sha256 of the source and target CEMB files that ``craft gen`` writes,
+    run in process, at the desk ``ood`` config (shift 1.0) and at the clip
+    config (K=100, H=512, 20 samples/class/modality, shift 1.0)."""
+    doc = json.loads(resources.files("craft").joinpath("reference.json").read_text())
+    doc["kind"] = "ood"
+    doc["synthetic"]["domain_shift_magnitude"] = 1.0
+    digest = hashlib.sha256()
+    for synthetic in ({}, dict(num_classes=100, dim=512, samples_per_class_per_modality=20)):
+        doc["synthetic"].update(synthetic)
+        (workdir / "gen.json").write_text(json.dumps(doc))
+        run_craft("gen", "--config", str(workdir / "gen.json"), "--out", str(workdir / "gen"),
+                  "--seed", str(seed))
+        for name in ("source.cemb", "target.cemb"):
+            digest.update((workdir / "gen" / name).read_bytes())
+    return digest.hexdigest()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7, help="seed of every run")
@@ -153,6 +173,7 @@ def main():
         print(f"{two_sample(args.seed, workdir)}  two-sample tests "
               f"(craft mmd, 1000 permutations, shift 1.0 and 0.0)")
         print(f"{generator(args.seed)}  generator (K=100, H=128, groups 0.8, shift 0.0 and 1.0)")
+        print(f"{gen_files(args.seed, workdir)}  craft gen files (desk ood and clip, shift 1.0)")
 
 
 if __name__ == "__main__":

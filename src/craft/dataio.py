@@ -182,18 +182,17 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _block_rotation(rng: np.random.Generator, dim: int, angle: float) -> np.ndarray:
     """Orthogonal map rotating every vector by ``angle`` radians: Givens
-    rotations in floor(dim/2) planes of one random orthonormal basis.
-    ``angle = 0`` returns the exact identity."""
+    rotations in the planes of column pairs (0, 1), (2, 3), ... of one random
+    orthonormal basis, summed by one GEMM; an odd dim's last axis stays
+    fixed. ``angle = 0`` returns the exact identity."""
     draw = rng.standard_normal((dim, dim))  # drawn at any angle: the stream stays put
     rot = np.eye(dim)
-    if angle == 0.0:  # each plane below would add only a signed zero
+    if angle == 0.0:  # each plane would add only a signed zero
         return rot
     q, _ = np.linalg.qr(draw)
     c, s = math.cos(angle), math.sin(angle)
-    for i in range(0, dim - 1, 2):
-        q1, q2 = q[:, i], q[:, i + 1]
-        rot += ((c - 1.0) * (np.outer(q1, q1) + np.outer(q2, q2))
-                + s * (np.outer(q2, q1) - np.outer(q1, q2)))
+    q1, q2 = q[:, 0:dim - 1:2], q[:, 1::2]
+    rot += np.hstack([q1, q2]) @ np.hstack([(c - 1.0) * q1 - s * q2, s * q1 + (c - 1.0) * q2]).T
     return rot
 
 

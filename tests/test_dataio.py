@@ -1,5 +1,9 @@
 import dataclasses
+import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -150,6 +154,67 @@ def test_block_rotation_at_angle_zero_is_identity_and_keeps_the_stream(dim):
     assert rot.dtype == np.float64 and rot.tobytes() == np.eye(dim).tobytes()
     _block_rotation(turned, dim, 0.3)
     assert rng.standard_normal(3).tobytes() == turned.standard_normal(3).tobytes()
+
+
+def plane_loop_rotation(rng, dim, angle):
+    """``_block_rotation`` plane by plane, four outer products per plane;
+    returns the rotation and the orthonormal basis of its planes."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.eye(dim)
+    for i in range(0, dim - 1, 2):
+        q1, q2 = q[:, i], q[:, i + 1]
+        rot += ((c - 1.0) * (np.outer(q1, q1) + np.outer(q2, q2))
+                + s * (np.outer(q2, q1) - np.outer(q1, q2)))
+    return rot, q
+
+
+@pytest.mark.parametrize("angle", [0.3, 0.65, 1.0, math.pi])
+@pytest.mark.parametrize("dim", [2, 3, 5, 16, 33, 128])
+def test_block_rotation_matches_the_plane_loop(dim, angle):
+    rot = _block_rotation(make_rng(5), dim, angle)
+    oracle, q = plane_loop_rotation(make_rng(5), dim, angle)
+    # one GEMM sums the planes in another order: a few ulps per entry
+    assert np.abs(rot - oracle).max() <= 8 * dim * np.finfo(np.float64).eps
+    np.testing.assert_allclose(rot @ rot.T, np.eye(dim), rtol=0, atol=1e-13)
+    for i in range(0, dim - 1, 2):
+        turned = rot @ q[:, i]
+        assert abs(q[:, i] @ turned - math.cos(angle)) <= 1e-14
+        assert abs(q[:, i + 1] @ turned - math.sin(angle)) <= 1e-14
+    if dim % 2:
+        np.testing.assert_allclose(rot @ q[:, -1], q[:, -1], rtol=0, atol=1e-14)
+
+
+GENERATOR_CHILD = """
+import dataclasses, hashlib
+from craft.dataio import generate_synthetic
+from craft.experiments import reference_config
+for changes in ({"domain_shift_magnitude": 1.0},
+                {"num_classes": 100, "dim": 128, "samples_per_class_per_modality": 20,
+                 "group_spurious_strength": 0.8, "domain_shift_magnitude": 1.0},
+                {"num_classes": 100, "dim": 512, "samples_per_class_per_modality": 20,
+                 "domain_shift_magnitude": 1.0}):
+    digest = hashlib.sha256()
+    for emb in generate_synthetic(dataclasses.replace(reference_config().synthetic, **changes)):
+        for column in (emb.vectors, emb.class_ids, emb.modalities, emb.domains, emb.group_ids):
+            digest.update(column.tobytes())
+    print(digest.hexdigest())
+"""
+
+
+def test_generator_thread_invariant_at_the_shapes_in_use():
+    """The desk ``ood`` shape (K=16, H=16), the digest's generator shape
+    (K=100, H=128) and the clip shape (K=100, H=512), all at shift 1.0, give
+    the same bytes at 1 and 2 BLAS threads. Some other dims do not: the QR
+    and the square GEMMs of the rotations sum in a thread-dependent order
+    there (README, "Checking that behaviour is unchanged")."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        digests.append(subprocess.run([sys.executable, "-c", GENERATOR_CHILD], env=env,
+                                      check=True, capture_output=True, text=True).stdout)
+    assert len(digests[0].split()) == 3
+    assert digests[0] == digests[1]
 
 
 def test_generator_memory_is_its_two_sets():
