@@ -1,6 +1,6 @@
 """Run perfbench/run.py alternately on two checkouts and write each run's
-context and result lines, with per-metric quartiles and the pairs the change
-won, to one JSON file.
+context and result lines, with each side's attempted and failed op counts,
+per-metric quartiles and the pairs the change won, to one JSON file.
 
 Usage: python scripts/bench_pairs.py PARENT CHANGE --out BENCH_16.json \\
            --pairs clip-ood-mmd=10 desk-tables=3 [--seed 7]
@@ -39,21 +39,24 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summary(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric, over its complete pairs: each side's
-    quartiles, and the number of pairs in which the change read better."""
+    """Per workload, over its complete pairs: the attempted and failed op
+    counts of each side (under ``ops``), and per metric each side's
+    quartiles and the number of pairs in which the change read better."""
     out = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         by_pair = {}
         for run in runs:
             if run["workload"] == workload:
-                by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
+                by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
         pairs = [pair for pair in by_pair.values() if len(pair) == 2]
         if len(pairs) < 2:
             continue
-        out[workload] = {}
-        for name in pairs[0]["parent"]:
+        out[workload] = {"ops": {side: {key: sum(pair[side][key] for pair in pairs)
+                                        for key in ("attempted", "failed")} for side in SIDES}}
+        for name in pairs[0]["parent"]["metrics"]:
             sign = 1.0 if better.get(name, "lower") == "lower" else -1.0
-            values = {side: [pair[side][name]["value"] for pair in pairs] for side in SIDES}
+            values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs]
+                      for side in SIDES}
             wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
             out[workload][name] = {"pairs": len(pairs), "change_wins": wins,
                                    **{side: quartiles(values[side]) for side in SIDES}}

@@ -172,8 +172,17 @@ def cmd_mmd(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises a missing, unknown or mistyped flag as
+    a ConfigError, so that it leaves one JSON object like any other error;
+    ``--help`` still prints and exits 0. Subparsers take this class too."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="craft",
         description="Anchor-based cross-modal alignment and MMD domain matching "
                     "over dual-modality embeddings.")
@@ -224,23 +233,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None  # until the arguments parse
     try:
+        args = build_parser().parse_args(argv)
         threads = os.environ.get("CRAFT_THREADS")
         if threads and not _valid_threads(threads):
             raise ConfigError(f"CRAFT_THREADS must be a positive integer, got {threads!r}")
         return args.func(args)
-    except CraftError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                          "command": args.command}, sort_keys=True), file=sys.stderr)
-        return exc.exit_code
-    except (OSError, MemoryError) as exc:
+    except (CraftError, OSError, MemoryError) as exc:
         # numpy raises a private MemoryError subclass; report the public name
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         print(json.dumps({"error": name, "message": str(exc),
-                          "command": args.command}, sort_keys=True), file=sys.stderr)
-        return 3
+                          "command": getattr(args, "command", None)}, sort_keys=True),
+              file=sys.stderr)
+        return exc.exit_code if isinstance(exc, CraftError) else 3
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ class TrainConfig:
     seed: int = 0
     mode: Mode = Mode.ALIGNED
     bandwidth: float | None = None  # None: median heuristic at each evaluation
-    freeze_bandwidth: bool = False  # capture the heuristic once, on the first batch
 
     def resolved_learning_rate(self) -> float:
         if self.learning_rate is not None:
@@ -177,7 +176,7 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
             raise ConfigError("target set has no image records")
 
     check_terms(source.dim, img_labels, static_text_anchors, static_image_anchors, cfg)
-    # None: the median heuristic of each batch, until freeze_bandwidth fixes it
+    # fixed for the run; None: the median heuristic of each batch
     kernel = KernelSpec(cfg.bandwidth) if cfg.bandwidth is not None else None
 
     adapter = Adapter.zeros(source.dim)
@@ -205,8 +204,6 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
                                                                        size=take, replace=False)]
                 report, g = loss_and_gradient(adapter, batch, static_text_anchors,
                                               static_image_anchors, cfg, kernel, grad)
-                if cfg.freeze_bandwidth and kernel is None and report.bandwidth is not None:
-                    kernel = KernelSpec(report.bandwidth)
                 sgd_step(adapter, g, lr)
                 total += report.total
                 static_term += report.static_term

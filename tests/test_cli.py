@@ -1,7 +1,10 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -11,8 +14,10 @@ import resource
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from craft import experiments
+from craft import cli, experiments
 from craft.adapter import Adapter, write_checkpoint
 from craft.core import AnchorError, make_rng
 from craft.dataio import Modality, few_shot_split, generate_synthetic, write_embeddings
@@ -511,3 +516,104 @@ def test_end_to_end_determinism(tmp_path):
         outputs.append((ckpt.with_suffix(".cadp.history.jsonl").read_bytes(),
                         strip_timestamp(report)))
     assert outputs[0] == outputs[1]
+
+
+def run_main(argv):
+    """``cli.main`` in process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--config"], "craft gen: argument --config: expected one argument"),
+    (["gen", "--config", "c.json", "--out", "d", "--bogus"],
+     "craft: unrecognized arguments: --bogus"),
+    (["gen", "--config", "c.json", "--out", "d", "--seed", "abc"],
+     "craft gen: argument --seed: invalid int value: 'abc'"),
+], ids=["missing", "unknown", "mistyped"])
+def test_argument_error_is_one_json_config_error(argv, message):
+    code, out, err = run_main(argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"command": None, "error": "ConfigError", "message": message}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(pipeline, tmp_path_factory):
+    """A valid argv per subcommand, on copies of the pipeline's inputs, and
+    good and bad paths to swap in; the fuzzed commands write only below
+    ``out`` and the root."""
+    pipeline_dir, config, data, ckpt, *_ = pipeline
+    root = tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(data, root / "data")
+    for src in (config, ckpt, pipeline_dir / "anchors.cemb"):
+        shutil.copy(src, root / src.name)
+    (root / "text.txt").write_text("not a config, not a CEMB file\n")
+    (root / "out").mkdir()
+    cfg, src, tgt = root / "config.json", root / "data" / "source.cemb", root / "data" / "target.cemb"
+    valid = {
+        "gen": ["--config", cfg, "--out", root / "out" / "gen"],
+        "anchors": ["--data", src, "--out", root / "out" / "a.cemb", "--seed", "3"],
+        "train": ["--config", cfg, "--data", root / "data", "--out", root / "out" / "x.cadp"],
+        "eval": ["--config", cfg, "--checkpoint", root / "adapter.cadp", "--data", root / "data",
+                 "--out", root / "out" / "r.json"],
+        "mmd": ["--a", src, "--b", tgt, "--anchors", root / "anchors.cemb", "--n-perms", "100"],
+    }
+    paths = [cfg, root / "data", src, tgt, root / "adapter.cadp", root / "anchors.cemb",
+             root / "text.txt", root / "missing.json", REFERENCE]
+    outputs = [root / "out", root / "out" / "y.cadp", root / "text.txt" / "below", root]
+    return ({name: [str(a) for a in argv] for name, argv in valid.items()},
+            [str(p) for p in paths], [str(p) for p in outputs])
+
+
+FLAGS = ["--config", "--out", "--seed", "--data", "--centroids-per-class", "--checkpoint",
+         "--kind", "--mode", "--a", "--b", "--anchors", "--n-perms", "--bogus"]
+WORDS = ["-1", "0", "3", "100", "abc", "2.5", "", "99999999999999999999", "ood", "oracle",
+         "aligned-mmd", "base-to-novel", "warp"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_with_a_code_and_one_json_error(cli_inputs, data):
+    # a valid argv of one of the five subcommands with its flag pairs kept,
+    # dropped or given another value, and extra flags (some without a value)
+    # of good and bad values and paths, in process through cli.main
+    valid, paths, outputs = cli_inputs
+    command = data.draw(st.sampled_from(sorted(valid)))
+    values = st.sampled_from(paths + outputs + WORDS)
+    argv = [command]
+    for flag, value in zip(valid[command][::2], valid[command][1::2]):
+        action = data.draw(st.sampled_from(["keep", "keep", "keep", "drop", "swap"]))
+        if action == "swap":
+            value = data.draw(st.sampled_from(outputs) if flag == "--out" else values)
+        argv += [flag, value] if action != "drop" else []
+    for flag, value in data.draw(st.lists(st.tuples(st.sampled_from(FLAGS), st.none() | values),
+                                          max_size=2)):
+        if flag == "--out" and value in paths:
+            value = outputs[0]  # never overwrite the shared inputs
+        argv += [flag] if value is None else [flag, value]
+    cwd = os.getcwd()
+    os.chdir(outputs[0])  # where ``eval`` without ``--out`` writes its report
+    try:
+        code, _, err = run_main(argv)
+    finally:
+        os.chdir(cwd)
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), (argv, err)
+    if code:
+        error = json.loads(err)  # exactly one JSON object
+        assert isinstance(error, dict) and {"error", "message", "command"} <= error.keys()
+    else:
+        assert err == ""
+
+
+def test_freeze_bandwidth_key_is_refused_as_unknown(tmp_path):
+    # the option is gone: a fixed ``bandwidth`` is the one constant-sigma knob
+    doc = json.loads(REFERENCE.read_text())
+    doc["train"]["freeze_bandwidth"] = True
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_main(["gen", "--config", str(path), "--out", str(tmp_path / "d")])
+    assert code == 2
+    assert json.loads(err)["message"] == "unknown config key train.freeze_bandwidth"

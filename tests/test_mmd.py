@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import craft.core as core_mod
 import craft.mmd as mmd_mod
 from craft.core import TILE, ConfigError, NumericError, ShapeError, make_rng, pairwise_sq_dists
 from craft.dataio import SyntheticConfig, generate_synthetic
@@ -82,11 +83,11 @@ def test_median_heuristic_beyond_one_tile_with_ties():
     # many equal distances put most pairs into the middle buckets
     rng = make_rng(26)
     points = rng.standard_normal((3, 5))
-    for n in (TILE + 1, TILE + 188):
+    for n in (mmd_mod._ONE_PARTITION + 1, mmd_mod._ONE_PARTITION + 188):
         samples = points[rng.integers(0, 3, size=n)]
         d2 = pairwise_sq_dists(samples, samples)
         assert median_heuristic(samples) == math.sqrt(np.median(d2[np.triu_indices(n, k=1)]) / 2.0)
-    assert median_heuristic(np.tile(points[0], (TILE + 88, 1))) == 1.0
+    assert median_heuristic(np.tile(points[0], (mmd_mod._ONE_PARTITION + 88, 1))) == 1.0
     # the two middle pairs in different buckets: 1 point at 0, 252 at 1 and
     # 276 near 3 give 69,828 of 139,656 pairs below 1.5 and the rest above 4
     samples = np.concatenate([[0.0], np.ones(252), 3.0 + rng.uniform(0.0, 0.01, 276)])[:, None]
@@ -168,10 +169,13 @@ def test_kernel_layer_memory_bounded_at_clip_eval_shape():
 
 def test_kernel_layer_memory_is_a_few_tiles():
     # the bandwidth, the estimators and the permutation test hold a few
-    # (TILE, TILE) tiles at a time, not the (m, n) or pooled (N, N) matrices
+    # (TILE, TILE) tiles at a time, not the (m, n) or pooled (N, N) matrices;
+    # beside them, the samples' GramRows (rows and transposed blocks) and the
+    # permutation test's weight rows come to at most four copies of the rows
     rows = make_rng(27).standard_normal((2400, 100))
     kernel = KernelSpec(10.0)
-    bound = 8 * TILE * TILE * 8
+    bound = 4 * rows.nbytes + 8 * TILE * TILE * 8
+    assert bound <= 16 * 2 ** 20
     for estimate in (lambda: median_heuristic(rows),
                      lambda: mmd2_biased(rows[:400], rows[400:], kernel),
                      lambda: mmd2_unbiased(rows[:400], rows[400:], kernel),
@@ -215,7 +219,7 @@ def test_mmd2_empty_rejected(rng):
         mmd2_biased(np.zeros((0, 3)), rng.standard_normal((4, 3)), KernelSpec(1.0))
 
 
-@pytest.mark.parametrize("m, n", [(2, 3), (40, 25), (TILE + 7, 30)])
+@pytest.mark.parametrize("m, n", [(2, 3), (40, 25), (2 * TILE + 7, 30)])
 def test_mmd2_both_reads_both_estimators_from_one_walk(monkeypatch, m, n):
     rng = make_rng(m)
     x, y = rng.standard_normal((m, 4)), 0.5 + rng.standard_normal((n, 4))
@@ -231,6 +235,29 @@ def test_mmd2_both_reads_both_estimators_from_one_walk(monkeypatch, m, n):
     monkeypatch.setattr(mmd_mod, "_kernel_block", counting)
     assert [v.hex() for v in _mmd2_both(x, y, kernel)] == [v.hex() for v in expected]
     assert len(blocks) == 3
+
+
+@pytest.mark.parametrize("n", [TILE - 1, TILE, TILE + 1, 2 * TILE + 70, 3 * TILE + 5])
+def test_self_block_upper_walk_is_the_full_grid_bitwise(monkeypatch, n):
+    # K(x, x) over its upper tiles equals the full grid of a second GramRows
+    # of the same rows, bitwise: the sum, and the matrix kept for the gradient
+    tiles = []
+    gram_tile = core_mod._gram_tile
+    monkeypatch.setattr(core_mod, "_gram_tile", lambda *args: tiles.append(args) or gram_tile(*args))
+    blocks = -(-n // TILE)
+    for d, bandwidth in ((7, 2.5), (16, 10.0), (3, 2.5)):
+        x = make_rng(n).standard_normal((n, d))
+        kernel = KernelSpec(bandwidth)
+        gx, full = core_mod.GramRows(x), core_mod.GramRows(x.copy())
+        tiles.clear()
+        total, kept = mmd_mod._kernel_block(gx, gx, kernel, keep=True)
+        assert len(tiles) == blocks * (blocks + 1) // 2
+        expected_total, expected = mmd_mod._kernel_block(gx, full, kernel, keep=True)
+        assert total.hex() == expected_total.hex()
+        np.testing.assert_array_equal(kept, expected)
+        assert mmd_mod._kernel_block(gx, gx, kernel)[0].hex() == total.hex()
+        np.testing.assert_array_equal(pairwise_sq_dists(gx, gx), pairwise_sq_dists(gx, full))
+        assert mmd2_biased(x, x, kernel) == 0.0
 
 
 def test_mmd2_unbiased_identical_two_points():
