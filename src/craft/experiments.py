@@ -213,7 +213,7 @@ def prepare(cfg: RunConfig, source: EmbeddingSet, target: EmbeddingSet | None
 def train_prepared(cfg: RunConfig, prepared: PreparedExperiment
                    ) -> tuple[Adapter, TrainHistory]:
     target = prepared.train_target
-    if cfg.train.mode in (Mode.ALIGNED_MMD, Mode.ORACLE) and target is None:
+    if cfg.train.mode is Mode.ALIGNED_MMD and target is None:
         raise ConfigError(f"experiment kind {cfg.kind!r} provides no target set "
                           f"required by mode {cfg.train.mode.value!r}")
     return train(prepared.train_set, target, prepared.text_anchors,

@@ -30,12 +30,11 @@ if TYPE_CHECKING:  # train imports this module
 
 class Mode(Enum):
     """Training objectives: plain text cross-entropy, the aligned losses,
-    aligned plus domain matching, and the labeled-target oracle."""
+    and aligned plus domain matching."""
 
     BASELINE_CE = "baseline"
     ALIGNED = "aligned"
     ALIGNED_MMD = "aligned-mmd"
-    ORACLE = "oracle"
 
 
 @dataclass
@@ -44,7 +43,6 @@ class LossReport:
     static_term: float
     stochastic_term: float
     mmd_term: float
-    bandwidth: float | None = None  # kernel bandwidth the MMD term used
 
 
 @dataclass
@@ -98,13 +96,12 @@ def _contrastive(u: np.ndarray, v: np.ndarray, temperature: float
 
 def _anchor_mmd(phi_src: np.ndarray, u_tgt: np.ndarray, anchors: AnchorSet,
                 temperature: float, kernel: KernelSpec | None
-                ) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Biased MMD^2 between anchor-aligned source and target features, its
-    gradients for both feature batches, and the bandwidth used: the
-    kernel's, or without one the median heuristic over both batches'
-    aligned rows. ``phi_src`` are the source features' aligned rows,
-    ``anchor_align(u_src, anchors, temperature)``, which the anchor
-    cross-entropy reads too.
+                ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Biased MMD^2 between anchor-aligned source and target features and
+    its gradients for both feature batches, with ``kernel``, or without one
+    the median heuristic over both batches' aligned rows. ``phi_src`` are
+    the source features' aligned rows, ``anchor_align(u_src, anchors,
+    temperature)``, which the anchor cross-entropy reads too.
 
     The gradients hold the bandwidth constant, the median heuristic's too:
     an optimiser that could move it would be rewarded for inflating it, so,
@@ -116,8 +113,7 @@ def _anchor_mmd(phi_src: np.ndarray, u_tgt: np.ndarray, anchors: AnchorSet,
     if kernel is None:
         kernel = KernelSpec(median_heuristic(np.concatenate([phi_src, phi_tgt])))
     value, g_src, g_tgt = mmd2_biased_grad(phi_src, phi_tgt, kernel)
-    return (value, temperature * g_src @ anchors.vectors,
-            temperature * g_tgt @ anchors.vectors, kernel.bandwidth)
+    return value, temperature * g_src @ anchors.vectors, temperature * g_tgt @ anchors.vectors
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +167,8 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
     """Mode-specific loss of one batch and its exact gradient, written into
     ``grad`` and laid out like ``adapter.params``.
 
-    Baseline: the image half of the anchor cross-entropy. Aligned and oracle:
-    both halves plus the contrastive term. Aligned-MMD adds the MMD term over
+    Baseline: the image half of the anchor cross-entropy. Aligned: both
+    halves plus the contrastive term. Aligned-MMD adds the MMD term over
     ``batch.target_image`` with ``kernel``, or without one the median
     heuristic of the batch. Terms with zero weight are skipped.
 
@@ -186,7 +182,6 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
     x, labels = batch.image, batch.labels
     grad.params.fill(0.0)
     static_term = stochastic_term = mmd_term = 0.0
-    bandwidth = None
 
     u, r_img = encode_with_cache(adapter.w_img, adapter.b_img, x)
     g_u = np.zeros(u.shape)
@@ -217,8 +212,7 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
         if with_mmd:
             x_tgt = batch.target_image
             u_tgt, r_tgt = encode_with_cache(adapter.w_img, adapter.b_img, x_tgt)
-            mmd_term, g_src, g_tgt, bandwidth = _anchor_mmd(
-                phi_u, u_tgt, static_text_anchors, tau, kernel)
+            mmd_term, g_src, g_tgt = _anchor_mmd(phi_u, u_tgt, static_text_anchors, tau, kernel)
             _require_finite(mmd_term, "domain MMD term")
             g_u += cfg.w_mmd * g_src
             _norm_backward(cfg.w_mmd * g_tgt, u_tgt, r_tgt, x_tgt, grad.w_img, grad.b_img)
@@ -228,7 +222,7 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
         + cfg.w_mmd * mmd_term
     report = LossReport(total=_require_finite(total, "total loss"),
                         static_term=static_term, stochastic_term=stochastic_term,
-                        mmd_term=mmd_term, bandwidth=bandwidth)
+                        mmd_term=mmd_term)
     _norm_backward(g_u, u, r_img, x, grad.w_img, grad.b_img)
     if not np.isfinite(grad.params).all():
         raise NumericError("gradient is non-finite")

@@ -259,6 +259,9 @@ def permutation_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     """
     if n_perms < 100:
         raise ConfigError("n_perms must be >= 100")
+    if 8 * (1 + n_perms) > np.iinfo(np.intp).max:
+        raise ConfigError(f"n_perms {n_perms} needs a statistics array larger than "
+                          f"numpy's largest array ({np.iinfo(np.intp).max} bytes)")
     x, y = _check_sets(x, y, 1)
     m, n = x.shape[0], y.shape[0]
     pooled = GramRows(np.concatenate([x, y]))

@@ -108,24 +108,6 @@ def sgd_step(adapter: Adapter, gradient: np.ndarray, lr: float) -> Adapter:
     return adapter
 
 
-def _pooled_records(source: EmbeddingSet, target: EmbeddingSet | None, mode: Mode
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Labeled image and text training pools; the oracle mode pools the target."""
-    sets = [source]
-    if mode is Mode.ORACLE:
-        sets.append(target)
-    img_vecs, img_labels, txt_vecs, txt_labels = [], [], [], []
-    for s in sets:
-        img = s.modality_mask(Modality.IMAGE)
-        txt = s.modality_mask(Modality.TEXT)
-        img_vecs.append(s.vectors[img])
-        img_labels.append(s.class_ids[img])
-        txt_vecs.append(s.vectors[txt])
-        txt_labels.append(s.class_ids[txt])
-    return (np.concatenate(img_vecs), np.concatenate(img_labels),
-            np.concatenate(txt_vecs), np.concatenate(txt_labels))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def train(source: EmbeddingSet, target: EmbeddingSet | None,
           static_text_anchors: AnchorSet, static_image_anchors: AnchorSet,
@@ -136,8 +118,7 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
     same-class text record, mode-specific loss, SGD step at the epoch's
     cosine-annealed rate. Target batches for the MMD term come from an
     independent substream of the seed. Each epoch's train accuracy is
-    ``evaluation.accuracy`` over the source, bitwise, taken from the
-    source images at the head of the pool.
+    ``evaluation.accuracy`` over the source's images, bitwise.
 
     Every argument is checked here, before the first step, so this is where
     the loss's arguments enter. A step, ``losses.loss_and_gradient``,
@@ -147,19 +128,23 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
     error, numpy's overflow and invalid-value warnings are silenced.
     """
     cfg.validate()
-    if cfg.mode in (Mode.ALIGNED_MMD, Mode.ORACLE):
+    target_imgs = None
+    if cfg.mode is Mode.ALIGNED_MMD:
         if target is None:
             raise ConfigError(f"mode {cfg.mode.value} requires a target set")
         if target.dim != source.dim:
             raise ShapeError(f"target dim {target.dim} != source dim {source.dim}")
+        target_imgs = target.image_vectors()
+        if target_imgs.shape[0] == 0:
+            raise ConfigError("target set has no image records")
 
-    img_vecs, img_labels, txt_vecs, txt_labels = _pooled_records(source, target, cfg.mode)
+    img = source.modality_mask(Modality.IMAGE)
+    txt = source.modality_mask(Modality.TEXT)
+    img_vecs, img_labels = source.vectors[img], source.class_ids[img]
+    txt_vecs, txt_labels = source.vectors[txt], source.class_ids[txt]
     n = img_vecs.shape[0]
-    # the pool starts with the source's images, which the train accuracy scores
-    n_source = int(np.count_nonzero(source.modality_mask(Modality.IMAGE)))
-    if n_source == 0:
+    if n == 0:
         raise ConfigError("source set has no image records to train on")
-    source_imgs, source_labels = img_vecs[:n_source], img_labels[:n_source]
     # the same-class text records of image i are text_order[first[i]:first[i] + count[i]]
     text_order = np.argsort(txt_labels, kind="stable")
     sorted_labels = txt_labels[text_order]
@@ -168,12 +153,6 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
     missing = np.unique(img_labels[count == 0]).tolist()
     if missing:
         raise ConfigError(f"classes {missing} have image records but no text records")
-
-    target_imgs = None
-    if cfg.mode is Mode.ALIGNED_MMD:
-        target_imgs = target.image_vectors()
-        if target_imgs.shape[0] == 0:
-            raise ConfigError("target set has no image records")
 
     check_terms(source.dim, img_labels, static_text_anchors, static_image_anchors, cfg)
     # fixed for the run; None: the median heuristic of each batch
@@ -209,12 +188,12 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
                 static_term += report.static_term
                 stochastic_term += report.stochastic_term
                 mmd_term += report.mmd_term
-            preds = predict_batch(adapter.encode_image(source_imgs), static_text_anchors)
+            preds = predict_batch(adapter.encode_image(img_vecs), static_text_anchors)
         except NumericError as exc:
             raise type(exc)(f"{exc} (epoch {epoch}, step {step})") from None
         steps = step + 1
         history.records.append(EpochRecord(
             epoch=epoch, learning_rate=lr, total=total / steps,
             static_term=static_term / steps, stochastic_term=stochastic_term / steps,
-            mmd_term=mmd_term / steps, train_accuracy=hit_rate(source_labels, preds)))
+            mmd_term=mmd_term / steps, train_accuracy=hit_rate(img_labels, preds)))
     return adapter, history

@@ -72,10 +72,10 @@ def test_criterion_01_subsumption_identity():
 def test_criterion_02_gradient_correctness():
     with criterion(2, "analytic gradients match central finite differences", 60):
         rng = make_rng(202)
-        modes = [Mode.BASELINE_CE, Mode.ALIGNED, Mode.ALIGNED_MMD, Mode.ORACLE]
+        modes = list(Mode)
         worst = 0.0
         for i in range(100):
-            adapter, batch, ta, ia, cfg = random_case(rng, modes[i % 4])
+            adapter, batch, ta, ia, cfg = random_case(rng, modes[i % len(modes)])
             _, grad = engine(adapter, batch, ta, ia, cfg)
             fd = finite_difference(adapter, batch, ta, ia, cfg, step=1e-5)
             rel = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-8)

@@ -132,6 +132,19 @@ def test_mmd_output_fields(pipeline):
     assert 0.0 < doc["p_value"] <= 1.0
 
 
+def test_mmd_refuses_n_perms_numpy_cannot_hold(pipeline):
+    # 1 + n_perms float64 statistics need more bytes than numpy's largest array
+    tmp_path, _, data, *_ = pipeline
+    code, out, err = run_main(["mmd", "--a", str(data / "source.cemb"),
+                               "--b", str(data / "target.cemb"),
+                               "--anchors", str(tmp_path / "anchors.cemb"),
+                               "--n-perms", "99999999999999999999"])
+    assert code == 2 and out == ""
+    error = json.loads(err)  # exactly one JSON object
+    assert error["error"] == "ConfigError" and error["command"] == "mmd"
+    assert "largest array" in error["message"]
+
+
 def test_help_lists_flags():
     result = run_cli("--help")
     assert result.returncode == 0
@@ -155,13 +168,15 @@ def test_unknown_config_key_names_key(tmp_path):
 
 
 def test_invalid_mode_value(tmp_path):
-    doc = json.loads(REFERENCE.read_text())
-    doc["train"]["mode"] = "warp-drive"
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    result = run_cli("gen", "--config", str(path), "--out", str(tmp_path / "d"))
-    assert result.returncode == 2
-    assert "warp-drive" in json.loads(result.stderr)["message"]
+    # "oracle", a deleted mode, is refused like any unknown name
+    for mode in ("warp-drive", "oracle"):
+        doc = json.loads(REFERENCE.read_text())
+        doc["train"]["mode"] = mode
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli("gen", "--config", str(path), "--out", str(tmp_path / "d"))
+        assert result.returncode == 2
+        assert mode in json.loads(result.stderr)["message"]
 
 
 @pytest.mark.parametrize("section, key, value", [

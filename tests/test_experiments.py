@@ -204,13 +204,6 @@ def test_run_experiment_ood_report_fields():
     assert len(report["ood"]["target_accuracies"]) == 1
 
 
-def test_oracle_mode_runs_on_ood_kind():
-    doc = reference_doc(kind="ood")
-    cfg = run_config_from_dict(doc)
-    out = run_experiment(cfg, mode=Mode.ORACLE)
-    assert out["report"]["mode"] == "oracle"
-
-
 def test_base_to_novel_kind_rejects_target_modes():
     cfg = run_config_from_dict(reference_doc())
     with pytest.raises(ConfigError, match="target"):

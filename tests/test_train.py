@@ -241,9 +241,8 @@ def test_train_history_length_and_lr():
 
 def test_train_mode_requires_target():
     source, _, ta, ia = small_data()
-    for mode in (Mode.ALIGNED_MMD, Mode.ORACLE):
-        with pytest.raises(ConfigError, match="target"):
-            train(source, None, ta, ia, TrainConfig(mode=mode, temperature=5.0))
+    with pytest.raises(ConfigError, match="target"):
+        train(source, None, ta, ia, TrainConfig(mode=Mode.ALIGNED_MMD, temperature=5.0))
 
 
 def test_train_all_modes_run():
@@ -298,16 +297,13 @@ def test_reference_loss_ema_smoke():
 
 
 def contract_train(source, target, ta, ia, cfg):
-    """What ``train`` promises, step by step: the pooled records, the seeded
-    shuffle, one ``rng.integers`` per image for its same-class text record,
-    ``loss_and_gradient`` and ``sgd_step``."""
-    sets = [source, target] if cfg.mode is Mode.ORACLE else [source]
-    img = [s.modality_mask(Modality.IMAGE) for s in sets]
-    txt = [s.modality_mask(Modality.TEXT) for s in sets]
-    img_vecs = np.concatenate([s.vectors[m] for s, m in zip(sets, img)])
-    img_labels = np.concatenate([s.class_ids[m] for s, m in zip(sets, img)])
-    txt_vecs = np.concatenate([s.vectors[m] for s, m in zip(sets, txt)])
-    txt_labels = np.concatenate([s.class_ids[m] for s, m in zip(sets, txt)])
+    """What ``train`` promises, step by step: the source's labeled records,
+    the seeded shuffle, one ``rng.integers`` per image for its same-class
+    text record, ``loss_and_gradient`` and ``sgd_step``."""
+    img = source.modality_mask(Modality.IMAGE)
+    txt = source.modality_mask(Modality.TEXT)
+    img_vecs, img_labels = source.vectors[img], source.class_ids[img]
+    txt_vecs, txt_labels = source.vectors[txt], source.class_ids[txt]
     pools = {c: np.where(txt_labels == c)[0] for c in np.unique(img_labels)}
     target_imgs = target.image_vectors() if cfg.mode is Mode.ALIGNED_MMD else None
     rng, rng_target = make_rng(cfg.seed, 0), make_rng(cfg.seed, 1)
@@ -339,8 +335,7 @@ def contract_train(source, target, ta, ia, cfg):
 
 
 @pytest.mark.parametrize("mode, fixed", [(Mode.BASELINE_CE, False), (Mode.ALIGNED, False),
-                                         (Mode.ALIGNED_MMD, False), (Mode.ALIGNED_MMD, True),
-                                         (Mode.ORACLE, False)])
+                                         (Mode.ALIGNED_MMD, False), (Mode.ALIGNED_MMD, True)])
 def test_train_equals_its_contract_bitwise(mode, fixed):
     # batch 3 leaves a short last batch; uneven text pools make the draws differ per class;
     # with ``fixed`` the MMD kernel has one bandwidth for the run
@@ -406,13 +401,11 @@ def test_train_rejects_label_outside_an_anchor_set(no_steps):
 
 
 def test_train_rejects_source_without_images(no_steps):
-    # the oracle pools target images, but the train accuracy scores the source's
     source, target, ta, ia = small_data()
     text_only = source.subset(source.modality_mask(Modality.TEXT))
-    for mode in (Mode.ALIGNED, Mode.ORACLE):
-        cfg = TrainConfig(epochs=1, batch_size=4, temperature=5.0, mode=mode)
-        with pytest.raises(ConfigError, match="source set has no image records"):
-            train(text_only, target, ta, ia, cfg)
+    cfg = TrainConfig(epochs=1, batch_size=4, temperature=5.0, mode=Mode.ALIGNED)
+    with pytest.raises(ConfigError, match="source set has no image records"):
+        train(text_only, target, ta, ia, cfg)
 
 
 def test_train_rejects_anchor_or_target_dimension_mismatch(no_steps, rng):
@@ -421,9 +414,9 @@ def test_train_rejects_anchor_or_target_dimension_mismatch(no_steps, rng):
     with pytest.raises(ShapeError):
         train(source, None, ta, wide, TrainConfig(epochs=1, temperature=5.0))
     _, narrow_target, _, _ = small_data(dim=6)
-    for mode in (Mode.ALIGNED_MMD, Mode.ORACLE):
-        with pytest.raises(ShapeError, match="target dim"):
-            train(source, narrow_target, ta, ia, TrainConfig(epochs=1, temperature=5.0, mode=mode))
+    with pytest.raises(ShapeError, match="target dim"):
+        train(source, narrow_target, ta, ia,
+              TrainConfig(epochs=1, temperature=5.0, mode=Mode.ALIGNED_MMD))
 
 
 def test_train_rejects_empty_anchor_set(no_steps):
