@@ -2,23 +2,8 @@
 matching, and a desk-scale training/evaluation harness over dual-modality
 embedding spaces.
 
-Submodules load lazily so the CLI's CRAFT_THREADS shim can cap the numeric
-backend's thread pool before numpy is imported.
+The package imports no submodule, so the CLI's CRAFT_THREADS shim can cap
+the numeric backend's thread pool before numpy is imported.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
-
-_SUBMODULES = ("core", "dataio", "anchors", "adapter", "losses", "mmd",
-               "train", "evaluation", "experiments", "cli")
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

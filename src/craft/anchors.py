@@ -178,21 +178,15 @@ def kmeans(points: np.ndarray, m: int, rng: np.random.Generator,
 def build_static_image_anchors(emb_set: EmbeddingSet, rng: np.random.Generator,
                                centroids_per_class: int = 1) -> AnchorSet:
     """Per class: k-means the image records and keep one normalized
-    representative (the centroid nearest the class mean when
-    centroids_per_class > 1)."""
+    representative, the centroid nearest the class mean."""
     anchors = np.empty((emb_set.num_classes, emb_set.dim))
     for c, (name, rows) in enumerate(zip(emb_set.class_names, emb_set.class_rows(Modality.IMAGE))):
         feats = emb_set.vectors[rows]
         if feats.shape[0] == 0:
             raise ClusterError(f"class {name} has no image records")
-        result = kmeans(feats, centroids_per_class, rng)
-        if centroids_per_class == 1:
-            representative = result.centroids[0]
-        else:
-            mean = feats.mean(axis=0)
-            nearest = int(np.argmin(pairwise_sq_dists(result.centroids, mean[None, :]).ravel()))
-            representative = result.centroids[nearest]
-        anchors[c] = l2_normalize(representative)
+        centroids = kmeans(feats, centroids_per_class, rng).centroids
+        nearest = np.argmin(pairwise_sq_dists(centroids, feats.mean(axis=0)[None, :]))
+        anchors[c] = l2_normalize(centroids[nearest])
     return AnchorSet(anchors, Modality.IMAGE, class_names=list(emb_set.class_names))
 
 

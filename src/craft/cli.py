@@ -36,7 +36,8 @@ from .core import CraftError, ConfigError, AnchorError  # noqa: E402
 from .dataio import generate_synthetic, read_embeddings, write_embeddings  # noqa: E402
 from .evaluation import confusion, confusion_csv, format_pct  # noqa: E402
 from .losses import Mode  # noqa: E402
-from .mmd import KernelSpec, _mmd2_both, anchor_align, median_heuristic, permutation_test  # noqa: E402
+from .mmd import (KernelSpec, _mmd2_both, anchor_align, check_n_perms,  # noqa: E402
+                  median_heuristic, permutation_test)
 from .core import make_rng  # noqa: E402
 
 MODE_CHOICES = [m.value for m in Mode]
@@ -151,6 +152,7 @@ def _report_text(report: dict) -> str:
 
 
 def cmd_mmd(args) -> int:
+    check_n_perms(args.n_perms)
     rng = make_rng(args.seed if args.seed is not None else 0, 4)
     set_a = read_embeddings(args.a)
     set_b = read_embeddings(args.b)

@@ -156,16 +156,6 @@ def _gram_tile(x: GramRows, i: int, y: GramRows, j: int) -> np.ndarray:
     """Squared distances between the TILE-row blocks of ``x`` and ``y`` that
     start at rows ``i`` and ``j``; see ``pairwise_sq_dists``.
 
-    The second cross product ``y x^T`` is read back transposed. In an
-    unpadded (TILE, TILE) array its rows lie 2 KiB apart, so that read
-    walks addresses that share their cache sets and evicts itself. Its
-    rows are therefore padded by 8 doubles; GEMM writes the same values
-    into any row stride. On a 2-core x86 VM the padded transposed add of a
-    full tile takes 88-106 us against 119-134 us unpadded: 4% of the cross
-    step at d = 100 and 10% at d = 16 on one BLAS thread, about 0 on two.
-    The padded buffer is freed before ``norms`` is made, so at most two
-    (TILE, TILE) temporaries are alive at once.
-
     A diagonal tile of a set against itself (``x is y``, ``i == j``) takes
     one GEMM: its second product is the same call on the same operands.
     Its tile is then exactly symmetric.
@@ -175,10 +165,7 @@ def _gram_tile(x: GramRows, i: int, y: GramRows, j: int) -> np.ndarray:
     if x is y and i == j:
         cross += cross.T  # numpy reads the overlapping operand from a copy
     else:
-        padded = np.empty((yj.shape[0], xi.shape[0] + 8))
-        np.matmul(yj, x.blocks_t[i // TILE], out=padded[:, :xi.shape[0]])
-        cross += padded[:, :xi.shape[0]].T
-        del padded
+        cross += (yj @ x.blocks_t[i // TILE]).T
     norms = x.sq_norms[i:i + TILE, None] + y.sq_norms[None, j:j + TILE]
     d2 = np.subtract(norms, cross, out=cross)
     norms *= (2 * xi.shape[1] + 8) * _EPS

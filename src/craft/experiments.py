@@ -269,10 +269,10 @@ def evaluate_prepared(cfg: RunConfig, prepared: PreparedExperiment, adapter: Ada
     return report
 
 
-def run_experiment(cfg: RunConfig, mode: Mode | None = None) -> dict:
+def run_experiment(cfg: RunConfig) -> dict:
     """Generate, prepare, train, and evaluate in memory; returns the report
     plus the trained adapter and history under non-JSON keys."""
-    cfg = override(cfg, train=None if mode is None else {"mode": mode})
+    cfg.validate()
     source, target = generate_synthetic(cfg.synthetic)
     prepared = prepare(cfg, source, target)
     adapter, history = train_prepared(cfg, prepared)

@@ -126,7 +126,7 @@ def check_terms(dim: int, labels: np.ndarray, static_text_anchors: AnchorSet,
     anchor set non-empty and of the adapter's dimension ``dim``. When the
     mode scores ``labels`` against the anchors (the anchor cross-entropy),
     every label must be in range of each set."""
-    scored = cfg.mode is Mode.BASELINE_CE or cfg.w_static != 0.0
+    scored = cfg.w_static != 0.0
     anchor_sets = [static_text_anchors]
     if scored and cfg.mode is not Mode.BASELINE_CE:
         if static_image_anchors is None:
@@ -183,39 +183,38 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
     grad.params.fill(0.0)
     static_term = stochastic_term = mmd_term = 0.0
 
+    aligned = mode is not Mode.BASELINE_CE  # gates the text encode, terms and backward
     u, r_img = encode_with_cache(adapter.w_img, adapter.b_img, x)
     g_u = np.zeros(u.shape)
-    if mode is Mode.BASELINE_CE:
-        static_term, g = _anchor_ce(anchor_align(u, static_text_anchors, tau), labels,
-                                    static_text_anchors, tau)
-        _require_finite(static_term, "baseline cross-entropy term")
-        g_u += cfg.w_static * g
-    else:
+    if aligned:
         y = batch.text
         v, r_txt = encode_with_cache(adapter.w_txt, adapter.b_txt, y)
         g_v = np.zeros(v.shape)
-        with_mmd = mode is Mode.ALIGNED_MMD and cfg.w_mmd != 0.0
-        if cfg.w_static != 0.0 or with_mmd:
-            phi_u = anchor_align(u, static_text_anchors, tau)  # read by both terms
-        if cfg.w_static != 0.0:
-            img_term, g_img = _anchor_ce(phi_u, labels, static_text_anchors, tau)
+    with_mmd = mode is Mode.ALIGNED_MMD and cfg.w_mmd != 0.0
+    if cfg.w_static != 0.0 or with_mmd:
+        phi_u = anchor_align(u, static_text_anchors, tau)  # read by both terms
+    if cfg.w_static != 0.0:
+        static_term, g_img = _anchor_ce(phi_u, labels, static_text_anchors, tau)
+        if aligned:
             txt_term, g_txt = _anchor_ce(anchor_align(v, static_image_anchors, tau), labels,
                                          static_image_anchors, tau)
-            static_term = _require_finite(img_term + txt_term, "static alignment term")
-            g_u += cfg.w_static * g_img
+            static_term += txt_term
             g_v += cfg.w_static * g_txt
-        if cfg.w_stochastic != 0.0:
-            stochastic_term, g_img, g_txt = _contrastive(u, v, tau)
-            _require_finite(stochastic_term, "stochastic alignment term")
-            g_u += cfg.w_stochastic * g_img
-            g_v += cfg.w_stochastic * g_txt
-        if with_mmd:
-            x_tgt = batch.target_image
-            u_tgt, r_tgt = encode_with_cache(adapter.w_img, adapter.b_img, x_tgt)
-            mmd_term, g_src, g_tgt = _anchor_mmd(phi_u, u_tgt, static_text_anchors, tau, kernel)
-            _require_finite(mmd_term, "domain MMD term")
-            g_u += cfg.w_mmd * g_src
-            _norm_backward(cfg.w_mmd * g_tgt, u_tgt, r_tgt, x_tgt, grad.w_img, grad.b_img)
+        _require_finite(static_term, "static alignment term")
+        g_u += cfg.w_static * g_img
+    if aligned and cfg.w_stochastic != 0.0:
+        stochastic_term, g_img, g_txt = _contrastive(u, v, tau)
+        _require_finite(stochastic_term, "stochastic alignment term")
+        g_u += cfg.w_stochastic * g_img
+        g_v += cfg.w_stochastic * g_txt
+    if with_mmd:
+        x_tgt = batch.target_image
+        u_tgt, r_tgt = encode_with_cache(adapter.w_img, adapter.b_img, x_tgt)
+        mmd_term, g_src, g_tgt = _anchor_mmd(phi_u, u_tgt, static_text_anchors, tau, kernel)
+        _require_finite(mmd_term, "domain MMD term")
+        g_u += cfg.w_mmd * g_src
+        _norm_backward(cfg.w_mmd * g_tgt, u_tgt, r_tgt, x_tgt, grad.w_img, grad.b_img)
+    if aligned:
         _norm_backward(g_v, v, r_txt, y, grad.w_txt, grad.b_txt)
 
     total = cfg.w_static * static_term + cfg.w_stochastic * stochastic_term \

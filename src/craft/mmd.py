@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorSet
-from .core import (TILE, ConfigError, GramRows, NumericError, ShapeError, pairwise_sq_dists,
-                   sq_dist_tiles)
+from .core import TILE, ConfigError, GramRows, NumericError, ShapeError, sq_dist_tiles
 
 
 @dataclass(frozen=True)
@@ -35,17 +34,17 @@ class KernelSpec:
 # the values.
 _BUCKET_SHIFT = 46
 
-# Up to this many samples the median heuristic partitions the whole (n, n)
-# matrix, 2 MiB at most: there that is faster than the two bucket passes
-# (2.7 against 7.2 ms at 300 samples of dim 100, 7.3 against 10.4 at 512,
-# on a 2-core x86 VM).
+# Up to this many samples the median heuristic partitions all its upper
+# pairs at once, 1 MiB at most: there that is faster than the two bucket
+# passes (1.6 against 4.4 ms at 300 samples of dim 100, 5.0 against 7.6 at
+# 512, on one BLAS thread of a 2-core x86 VM).
 _ONE_PARTITION = 512
 
 
 def _upper_pairs(samples: GramRows):
     """The squared distances of the pairs i < j of ``samples``, tile by tile."""
     for i, j, d2 in sq_dist_tiles(samples, samples, upper=True):
-        yield d2[np.triu_indices(len(d2), k=1)] if i == j else d2.ravel()
+        yield d2[~np.tri(len(d2), dtype=bool)] if i == j else d2.ravel()
 
 
 def _buckets(d2: np.ndarray) -> np.ndarray:
@@ -63,7 +62,7 @@ def median_heuristic(samples: np.ndarray) -> float:
 
     The median is exact: that of the upper triangle of
     ``pairwise_sq_dists(samples, samples)``. Up to ``_ONE_PARTITION``
-    samples it is one partition of that matrix. Beyond, a first pass over
+    samples it is one partition of those pairs. Beyond, a first pass over
     the upper tiles counts the pairs per bucket of leading bits and a second
     keeps only the one or two buckets that hold the middle ranks, so memory
     stays at a few tiles unless most pairs share their leading bits. Both
@@ -78,15 +77,10 @@ def median_heuristic(samples: np.ndarray) -> float:
         raise NumericError("median heuristic of non-finite samples")
     samples = GramRows(samples)
     p = n * (n - 1) // 2
+    ranks = np.array([(p - 1) // 2, p // 2])  # the middle one or two, 0-based
     if n <= _ONE_PARTITION:
-        # bitwise symmetric: sorted, its off-diagonal entries are the p
-        # pairs each twice; behind the n diagonal entries (set to -1) the
-        # two middle pairs sit at n+p-1 and n+p, for odd and even p alike
-        d2 = pairwise_sq_dists(samples, samples)
-        np.fill_diagonal(d2, -1.0)
-        pairs, ranks = d2.ravel(), np.array([n + p - 1, n + p])
+        pairs = np.concatenate(list(_upper_pairs(samples)))
     else:
-        ranks = np.array([(p - 1) // 2, p // 2])  # the middle one or two, 0-based
         # d2 >= 0, so its bits sort as its values
         counts = sum(np.bincount(_buckets(d2), minlength=1 << 17) for d2 in _upper_pairs(samples))
         ends = np.cumsum(counts)
@@ -215,7 +209,7 @@ def mmd2_biased_grad(x: np.ndarray, y: np.ndarray, kernel: KernelSpec
     x, y, ((sxx, kxx), (syy, kyy), (sxy, kxy)) = _mmd_blocks(x, y, kernel, 1, keep=True)
     m, n = x.shape[0], y.shape[0]
     inv_s2 = 1.0 / kernel.bandwidth ** 2
-    value = sxx / (m * m) + syy / (n * n) - 2.0 * sxy / (m * n)
+    value = _biased(m, n, sxx, syy, sxy)
     # d k(a, b) / d a = k(a, b) (b - a) / sigma^2
     gx = (2.0 / (m * m)) * inv_s2 * (kxx @ x - kxx.sum(axis=1)[:, None] * x) \
         - (2.0 / (m * n)) * inv_s2 * (kxy @ y - kxy.sum(axis=1)[:, None] * x)
@@ -244,6 +238,16 @@ def anchor_align(features: np.ndarray, static_text_anchors: AnchorSet,
 _PERM_BLOCK = 256  # weight rows per pass over the tiles: O(_PERM_BLOCK * N) memory
 
 
+def check_n_perms(n_perms: int) -> None:
+    """Refuse, as a ConfigError, a permutation count below 100 or one whose
+    ``1 + n_perms`` float64 statistics exceed numpy's largest array."""
+    if n_perms < 100:
+        raise ConfigError("n_perms must be >= 100")
+    if 8 * (1 + n_perms) > np.iinfo(np.intp).max:
+        raise ConfigError(f"n_perms {n_perms} needs a statistics array larger than "
+                          f"numpy's largest array ({np.iinfo(np.intp).max} bytes)")
+
+
 def permutation_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
                      n_perms: int, rng: np.random.Generator) -> float:
     """p-value of the biased-MMD^2 two-sample test under label permutation,
@@ -257,11 +261,7 @@ def permutation_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     pooled kernel, one pass per block, as the (j, i) tile is bitwise the
     transpose of the (i, j) one; the (N, N) kernel is never held.
     """
-    if n_perms < 100:
-        raise ConfigError("n_perms must be >= 100")
-    if 8 * (1 + n_perms) > np.iinfo(np.intp).max:
-        raise ConfigError(f"n_perms {n_perms} needs a statistics array larger than "
-                          f"numpy's largest array ({np.iinfo(np.intp).max} bytes)")
+    check_n_perms(n_perms)
     x, y = _check_sets(x, y, 1)
     m, n = x.shape[0], y.shape[0]
     pooled = GramRows(np.concatenate([x, y]))

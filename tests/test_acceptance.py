@@ -22,7 +22,7 @@ from craft.anchors import kmeans
 from craft.core import l2_normalize, make_rng
 from craft.dataio import SyntheticConfig, generate_synthetic, read_embeddings, write_embeddings
 from craft.evaluation import format_pct, group_metrics, ood_report
-from craft.experiments import reference_config, run_experiment
+from craft.experiments import override, reference_config, run_experiment
 from craft.losses import LossBatch, Mode
 from craft.mmd import KernelSpec, median_heuristic, mmd2_biased, mmd2_unbiased, permutation_test
 
@@ -192,7 +192,7 @@ def test_criterion_07_ood_ablation():
             synthetic=dataclasses.replace(cfg.synthetic, domain_shift_magnitude=1.0))
         got = {}
         for mode in (Mode.ALIGNED, Mode.ALIGNED_MMD):
-            report = run_experiment(ood_cfg, mode=mode)["report"]
+            report = run_experiment(override(ood_cfg, train={"mode": mode}))["report"]
             got[mode.value] = {"target_average": report["ood"]["target_average"],
                                "adapted_mmd2": report["domain_mmd2"]["adapted_mmd2"]}
         assert got["aligned-mmd"]["adapted_mmd2"] <= 0.5 * got["aligned"]["adapted_mmd2"]

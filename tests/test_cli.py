@@ -145,6 +145,16 @@ def test_mmd_refuses_n_perms_numpy_cannot_hold(pipeline):
     assert "largest array" in error["message"]
 
 
+@pytest.mark.parametrize("n_perms", ["50", "99999999999999999999"])
+def test_mmd_refuses_n_perms_before_reading_files(tmp_path, n_perms):
+    missing = str(tmp_path / "missing.cemb")
+    code, out, err = run_main(["mmd", "--a", missing, "--b", missing, "--anchors", missing,
+                               "--n-perms", n_perms])
+    assert code == 2 and out == ""
+    error = json.loads(err)  # exactly one JSON object
+    assert error["error"] == "ConfigError" and error["command"] == "mmd"
+
+
 def test_help_lists_flags():
     result = run_cli("--help")
     assert result.returncode == 0
@@ -495,6 +505,15 @@ def test_craft_threads_env_accepted(tmp_path):
     json.loads(result.stdout)
     assert (out / "source.cemb").is_file()
     assert (out / "target.cemb").is_file()
+
+
+def test_importing_the_package_loads_no_numpy():
+    # the CRAFT_THREADS shim in cli must run before numpy loads
+    result = subprocess.run([sys.executable, "-c",
+                             "import sys, craft; print('numpy' in sys.modules)"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 @pytest.mark.parametrize("value", ["0", "abc", "-3"])

@@ -15,7 +15,7 @@ from craft.adapter import Adapter
 from craft.anchors import build_static_text_anchors
 from craft.core import ConfigError, make_rng
 from craft.dataio import SyntheticConfig, generate_synthetic
-from craft.experiments import (RunConfig, eval_text_anchors, load_run_config, prepare,
+from craft.experiments import (RunConfig, eval_text_anchors, load_run_config, override, prepare,
                                reference_config, run_config_from_dict, run_experiment)
 from craft.losses import Mode
 from craft.train import TrainConfig
@@ -196,8 +196,8 @@ def test_run_experiment_group_robustness():
 def test_run_experiment_ood_report_fields():
     doc = reference_doc(kind="ood")
     doc["synthetic"]["domain_shift_magnitude"] = 0.8
-    cfg = run_config_from_dict(doc)
-    out = run_experiment(cfg, mode=Mode.ALIGNED_MMD)
+    cfg = override(run_config_from_dict(doc), train={"mode": Mode.ALIGNED_MMD})
+    out = run_experiment(cfg)
     report = out["report"]
     assert report["mode"] == "aligned-mmd"
     assert report["domain_mmd2"]["frozen_mmd2"] > 0.0
@@ -205,9 +205,9 @@ def test_run_experiment_ood_report_fields():
 
 
 def test_base_to_novel_kind_rejects_target_modes():
-    cfg = run_config_from_dict(reference_doc())
+    cfg = override(run_config_from_dict(reference_doc()), train={"mode": Mode.ALIGNED_MMD})
     with pytest.raises(ConfigError, match="target"):
-        run_experiment(cfg, mode=Mode.ALIGNED_MMD)
+        run_experiment(cfg)
 
 
 def test_run_experiment_deterministic():

@@ -10,7 +10,7 @@ from craft.adapter import Adapter
 from craft.anchors import AnchorSet
 from craft.core import AnchorError, ConfigError, LabelError, l2_normalize, make_rng, softmax_rows
 from craft.dataio import Modality
-from craft.losses import (LossBatch, Mode, _anchor_ce, _contrastive, check_terms,
+from craft.losses import (LossBatch, LossReport, Mode, _anchor_ce, _contrastive, check_terms,
                           loss_and_gradient)
 from craft.mmd import KernelSpec, anchor_align, median_heuristic
 from craft.train import TrainConfig
@@ -322,6 +322,16 @@ def test_baseline_report_shape(rng):
     report, _ = engine(adapter, batch, ta, ia, cfg)
     assert report.stochastic_term == 0.0 and report.mmd_term == 0.0
     assert report.total == pytest.approx(cfg.w_static * report.static_term, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_zero_weight_terms_are_skipped_in_every_mode(mode):
+    # no term has weight, so none is computed: the baseline's image half too
+    adapter, batch, ta, ia, cfg = random_case(make_rng(5), mode)
+    cfg = dataclasses.replace(cfg, w_static=0.0, w_stochastic=0.0, w_mmd=0.0)
+    report, grad = engine(adapter, batch, ta, ia, cfg)
+    assert report == LossReport(total=0.0, static_term=0.0, stochastic_term=0.0, mmd_term=0.0)
+    assert not grad.any()
 
 
 def test_mmd_kernel_defaults_to_median_heuristic(rng):

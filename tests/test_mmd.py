@@ -65,9 +65,10 @@ def test_median_heuristic_matches_bruteforce(rng):
 
 
 def test_median_heuristic_is_upper_triangle_median():
-    # odd (n = 2, 3, 6, 7, 699) and even (n = 4, 5, 8, 700) pair counts
+    # odd (n = 2, 3, 6, 7, 699) and even (n = 4, 5, 8, 300, 512, 700) pair
+    # counts; 300 and 512 are two tiles, up to _ONE_PARTITION
     rng = make_rng(21)
-    for n in (2, 3, 4, 5, 6, 7, 8, 699, 700):
+    for n in (2, 3, 4, 5, 6, 7, 8, 300, 512, 699, 700):
         samples = float(rng.uniform(0.1, 30.0)) * rng.standard_normal((n, int(rng.integers(1, 301))))
         d2 = pairwise_sq_dists(samples, samples)
         assert median_heuristic(samples) == math.sqrt(np.median(d2[np.triu_indices(n, k=1)]) / 2.0)
