@@ -124,8 +124,8 @@ def check_terms(dim: int, labels: np.ndarray, static_text_anchors: AnchorSet,
                 static_image_anchors: AnchorSet | None, cfg: TrainConfig) -> None:
     """Check what the mode's terms read besides the batch arrays: each
     anchor set non-empty and of the adapter's dimension ``dim``. When the
-    mode scores ``labels`` against the anchors (the anchor cross-entropy),
-    every label must be in range of each set."""
+    anchor cross-entropy has weight, it scores ``labels`` against the
+    anchors, so every label must be in range of each set."""
     scored = cfg.w_static != 0.0
     anchor_sets = [static_text_anchors]
     if scored and cfg.mode is not Mode.BASELINE_CE:
