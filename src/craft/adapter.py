@@ -78,11 +78,14 @@ def encode_with_cache(weight: np.ndarray, bias: np.ndarray, base: np.ndarray
 
     The cache is what the backward pass needs: dL/dz = (g - (u.g) u) / r.
     """
-    z = base + base @ weight.T + bias
+    z = base @ weight.T  # then base + W base + b, in place: addition commutes
+    z += base
+    z += bias
     norms = np.sqrt((z * z).sum(axis=1))  # np.linalg.norm(z, axis=1), without its dispatch
     if norms.size and not (norms.min() > 0.0 and norms.max() < np.inf):
         raise NormalizationError("adapter produced a zero or non-finite vector norm")
-    return z / norms[:, None], norms
+    z /= norms[:, None]
+    return z, norms
 
 
 # ---------------------------------------------------------------------------

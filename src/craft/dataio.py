@@ -17,6 +17,7 @@ CEMB layout (little-endian):
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -158,9 +159,14 @@ class SyntheticConfig:
             raise ConfigError("samples_per_class_per_modality must be >= 1")
         # a set's (2·K·n, dim) vectors and the (dim, dim) rotation draw, in float64
         rows = 2 * self.num_classes * self.samples_per_class_per_modality
-        if 8 * max(rows, self.dim) * self.dim > np.iinfo(np.intp).max:
+        size = 8 * max(rows, self.dim) * self.dim
+        if size > np.iinfo(np.intp).max:
             raise ConfigError(f"{rows} records of dim {self.dim} need arrays larger than "
                               f"numpy's largest array ({np.iinfo(np.intp).max} bytes)")
+        memory = _physical_memory()
+        if memory is not None and size > memory:
+            raise ConfigError(f"{rows} records of dim {self.dim} need a {size}-byte array, "
+                              f"more than this machine's physical memory ({memory} bytes)")
         for name in ("cluster_spread", "cross_modal_noise", "domain_shift_magnitude",
                      "group_spurious_strength", "majority_fraction"):
             value = getattr(self, name)
@@ -174,6 +180,16 @@ class SyntheticConfig:
             raise ConfigError("group_spurious_strength must be in [0, 1]")
         if not 0.0 < self.majority_fraction < 1.0:
             raise ConfigError("majority_fraction must be in (0, 1)")
+
+
+def _physical_memory() -> int | None:
+    """The machine's physical memory in bytes, or None where the OS does
+    not report it."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return page * pages if page > 0 and pages > 0 else None
 
 
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .adapter import Adapter, encode_with_cache
 from .anchors import AnchorSet
 from .core import AnchorError, LabelError, NumericError, ShapeError, softmax_rows
-from .mmd import KernelSpec, anchor_align, median_heuristic, mmd2_biased_grad
+from .mmd import KernelSpec, anchor_align, mmd2_biased_grad
 
 if TYPE_CHECKING:  # train imports this module
     from .train import TrainConfig
@@ -99,7 +99,9 @@ def _anchor_mmd(phi_src: np.ndarray, u_tgt: np.ndarray, anchors: AnchorSet,
                 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Biased MMD^2 between anchor-aligned source and target features and
     its gradients for both feature batches, with ``kernel``, or without one
-    the median heuristic over both batches' aligned rows. ``phi_src`` are
+    the median heuristic over the distances between both batches' aligned
+    rows that the kernel sums (see ``mmd2_biased_grad``, which takes it from
+    the distance blocks it holds; the rows are not pooled). ``phi_src`` are
     the source features' aligned rows, ``anchor_align(u_src, anchors,
     temperature)``, which the anchor cross-entropy reads too.
 
@@ -110,8 +112,6 @@ def _anchor_mmd(phi_src: np.ndarray, u_tgt: np.ndarray, anchors: AnchorSet,
     direction is -0.111 against an analytic -0.045; with the bandwidth
     fixed at the same value they agree to 5e-9."""
     phi_tgt = anchor_align(u_tgt, anchors, temperature)
-    if kernel is None:
-        kernel = KernelSpec(median_heuristic(np.concatenate([phi_src, phi_tgt])))
     value, g_src, g_tgt = mmd2_biased_grad(phi_src, phi_tgt, kernel)
     return value, temperature * g_src @ anchors.vectors, temperature * g_tgt @ anchors.vectors
 
@@ -152,12 +152,20 @@ def _require_finite(value: float, term: str) -> float:
 
 
 def _norm_backward(g: np.ndarray, u: np.ndarray, r: np.ndarray, base: np.ndarray,
-                   weight_grad: np.ndarray, bias_grad: np.ndarray) -> None:
+                   weight_grad: np.ndarray, bias_grad: np.ndarray, first: bool) -> None:
     """Backpropagate g = dL/du through u = z / ||z||, z = base + W base + b,
-    adding into the weight and bias gradient blocks."""
-    g_z = (g - (g * u).sum(axis=1, keepdims=True) * u) / r[:, None]
-    weight_grad += g_z.T @ base
-    bias_grad += g_z.sum(axis=0)
+    into the weight and bias gradient blocks: written over them when this is
+    their ``first`` contribution, added to them otherwise."""
+    g_z = g * u
+    dots = g_z.sum(axis=1, keepdims=True)
+    np.subtract(g, np.multiply(dots, u, out=g_z), out=g_z)  # g_z = (g - (g.u) u) / r
+    g_z /= r[:, None]
+    if first:
+        np.matmul(g_z.T, base, out=weight_grad)
+        np.sum(g_z, axis=0, out=bias_grad)
+    else:
+        weight_grad += g_z.T @ base
+        bias_grad += g_z.sum(axis=0)
 
 
 def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: AnchorSet,
@@ -172,6 +180,9 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
     ``batch.target_image`` with ``kernel``, or without one the median
     heuristic of the batch. Terms with zero weight are skipped.
 
+    ``grad``'s previous contents are never read: each block is written by
+    its first contribution, and the baseline's text block is zeroed.
+
     The arguments are checked where they enter, by ``train.train`` (which
     calls ``check_terms``): float64 rows of the adapter's dimension,
     index-paired image and text rows, and labels in range of the anchor
@@ -180,7 +191,6 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
     tau = cfg.temperature
     mode = cfg.mode
     x, labels = batch.image, batch.labels
-    grad.params.fill(0.0)
     static_term = stochastic_term = mmd_term = 0.0
 
     aligned = mode is not Mode.BASELINE_CE  # gates the text encode, terms and backward
@@ -213,16 +223,20 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
         mmd_term, g_src, g_tgt = _anchor_mmd(phi_u, u_tgt, static_text_anchors, tau, kernel)
         _require_finite(mmd_term, "domain MMD term")
         g_u += cfg.w_mmd * g_src
-        _norm_backward(cfg.w_mmd * g_tgt, u_tgt, r_tgt, x_tgt, grad.w_img, grad.b_img)
+        _norm_backward(cfg.w_mmd * g_tgt, u_tgt, r_tgt, x_tgt, grad.w_img, grad.b_img, first=True)
     if aligned:
-        _norm_backward(g_v, v, r_txt, y, grad.w_txt, grad.b_txt)
+        _norm_backward(g_v, v, r_txt, y, grad.w_txt, grad.b_txt, first=True)
+    else:  # no term reads the text adapter
+        grad.w_txt.fill(0.0)
+        grad.b_txt.fill(0.0)
 
     total = cfg.w_static * static_term + cfg.w_stochastic * stochastic_term \
         + cfg.w_mmd * mmd_term
     report = LossReport(total=_require_finite(total, "total loss"),
                         static_term=static_term, stochastic_term=stochastic_term,
                         mmd_term=mmd_term)
-    _norm_backward(g_u, u, r_img, x, grad.w_img, grad.b_img)
+    _norm_backward(g_u, u, r_img, x, grad.w_img, grad.b_img,
+                   first=not with_mmd)
     if not np.isfinite(grad.params).all():
         raise NumericError("gradient is non-finite")
     return report, grad.params

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorSet
-from .core import TILE, ConfigError, GramRows, NumericError, ShapeError, sq_dist_tiles
+from .core import (TILE, ConfigError, GramRows, NumericError, ShapeError, pairwise_sq_dists,
+                   sq_dist_tiles)
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,22 @@ def _in_buckets(d2: np.ndarray, first: int, last: int) -> np.ndarray:
     return d2[(b >= first) & (b <= last)]
 
 
+def _middle_ranks(p: int) -> np.ndarray:
+    """The 0-based ranks of the middle one or two of ``p`` values."""
+    return np.array([(p - 1) // 2, p // 2])
+
+
+def _bandwidth(pairs: np.ndarray, ranks: np.ndarray) -> float:
+    """The median heuristic's rule: sqrt(med / 2), med the mean of the
+    values of ``pairs`` at the two ``ranks`` (partitioned in place), or 1.0
+    when med is 0."""
+    pairs.partition(ranks)
+    med = 0.5 * (pairs[ranks[0]] + pairs[ranks[1]])
+    if med == 0.0:
+        return 1.0
+    return math.sqrt(med / 2.0)
+
+
 def median_heuristic(samples: np.ndarray) -> float:
     """sigma = sqrt(median of squared pairwise distances / 2); 1.0 when all
     points coincide. Raises NumericError on a NaN or infinite sample.
@@ -76,8 +93,7 @@ def median_heuristic(samples: np.ndarray) -> float:
         # partition would sort NaN distances last and hide them
         raise NumericError("median heuristic of non-finite samples")
     samples = GramRows(samples)
-    p = n * (n - 1) // 2
-    ranks = np.array([(p - 1) // 2, p // 2])  # the middle one or two, 0-based
+    ranks = _middle_ranks(n * (n - 1) // 2)
     if n <= _ONE_PARTITION:
         pairs = np.concatenate(list(_upper_pairs(samples)))
     else:
@@ -87,23 +103,19 @@ def median_heuristic(samples: np.ndarray) -> float:
         first, last = np.searchsorted(ends, ranks, side="right")
         ranks -= ends[first] - counts[first]
         pairs = np.concatenate([_in_buckets(d2, first, last) for d2 in _upper_pairs(samples)])
-    pairs.partition(ranks)
-    med = 0.5 * (pairs[ranks[0]] + pairs[ranks[1]])
-    if med == 0.0:
-        return 1.0
-    return math.sqrt(med / 2.0)
+    return _bandwidth(pairs, ranks)
 
 
 # ---------------------------------------------------------------------------
-# Estimators. Every kernel quantity is read tile by tile from _kernel_tiles,
-# the kernel values of the sq_dist_tiles tiles. A block K(X, Y) is summed
-# transpose-invariantly at both levels: each tile's sum adds numpy's pairwise
-# sums of the tile and of its contiguous transpose, and the grid of tile sums
-# is summed the same way. As the tiles are swap-bitwise, sum K(X, Y) ==
-# sum K(Y, X) bitwise, so mmd2_biased(X, Y) == mmd2_biased(Y, X) exactly and
-# mmd2_biased(X, X) == 0.0. Memory is one tile and the GramRows of the two
-# samples, plus the (m, n) matrices the gradient asks for; the permutation
-# test holds O(TILE^2 + 256 N) for N pooled samples.
+# Estimators. Every kernel block K(X, Y) is summed over the grid of its
+# (TILE, TILE) tiles, transpose-invariantly at both levels: each tile's sum
+# adds numpy's pairwise sums of the tile and of its contiguous transpose, and
+# the grid of tile sums is summed the same way. As the tiles of sq_dist_tiles
+# are swap-bitwise, sum K(X, Y) == sum K(Y, X) bitwise, so mmd2_biased(X, Y)
+# == mmd2_biased(Y, X) exactly and mmd2_biased(X, X) == 0.0. The estimators
+# read the tiles as _kernel_tiles computes them, one at a time; the gradient
+# holds the (m, n) matrices it needs and sums the same tiles out of them. The
+# permutation test holds O(TILE^2 + 256 N) for N pooled samples.
 
 
 def _kernel_tiles(x: GramRows, y: GramRows, kernel: KernelSpec, upper: bool = False):
@@ -119,31 +131,37 @@ def _sym_sum(a: np.ndarray, symmetric: bool = False) -> float:
     return 0.5 * (float(a.sum()) + float(np.ascontiguousarray(a.T).sum()))
 
 
-def _kernel_block(x: GramRows, y: GramRows, kernel: KernelSpec, keep: bool = False
-                  ) -> tuple[float, np.ndarray | None]:
-    """The sum of K(x, y) and, with ``keep``, the (m, n) matrix itself (its
-    one tile when it fits in one); without, the matrix is never held.
+def _grid_sum(tiles, m: int, n: int, upper: bool) -> float:
+    """The sum of an (m, n) kernel block from its tiles ``(i, j, tile)``.
 
-    A sample against itself (``x is y``) is walked over its upper tiles
-    only, bitwise the full grid: a diagonal tile is exactly symmetric, and
-    an off-diagonal tile's sum and transpose stand in for its mirror's."""
-    m, n = x.shape[0], y.shape[0]
-    upper = x is y
+    A sample against itself (``upper``) comes as its upper tiles only,
+    bitwise the full grid: a diagonal tile is exactly symmetric, and an
+    off-diagonal tile's sum stands in for its mirror's."""
     if m <= TILE and n <= TILE:
         # one tile: the symmetric sum of its 1x1 grid, 0.5 (s + s), is s
-        ((_, _, tile),) = _kernel_tiles(x, y, kernel)
-        return _sym_sum(tile, upper), (tile if keep else None)
+        ((_, _, tile),) = tiles
+        return _sym_sum(tile, upper)
     sums = np.empty((-(-m // TILE), -(-n // TILE)))
-    k = np.empty((m, n)) if keep else None
-    for i, j, tile in _kernel_tiles(x, y, kernel, upper):
+    for i, j, tile in tiles:
         sums[i // TILE, j // TILE] = _sym_sum(tile, upper and i == j)
-        if k is not None:
-            k[i:i + TILE, j:j + TILE] = tile
-        if upper and i != j:  # the mirror tile, bitwise this one transposed
+        if upper and i != j:
             sums[j // TILE, i // TILE] = sums[i // TILE, j // TILE]
-            if k is not None:
-                k[j:j + TILE, i:i + TILE] = tile.T
-    return _sym_sum(sums), k
+    return _sym_sum(sums)
+
+
+def _kernel_block(x: GramRows, y: GramRows, kernel: KernelSpec) -> float:
+    """The sum of K(x, y), one tile at a time; the matrix is never held."""
+    upper = x is y
+    return _grid_sum(_kernel_tiles(x, y, kernel, upper), x.shape[0], y.shape[0], upper)
+
+
+def _held_block(k: np.ndarray, upper: bool) -> float:
+    """The sum of a held kernel block ``k``, bitwise ``_kernel_block``'s:
+    the same tiles, sliced out of ``k``."""
+    m, n = k.shape
+    return _grid_sum(((i, j, k[i:i + TILE, j:j + TILE])
+                      for i in range(0, m, TILE) for j in range(i if upper else 0, n, TILE)),
+                     m, n, upper)
 
 
 def _check_sets(x: np.ndarray, y: np.ndarray, min_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,20 +174,13 @@ def _check_sets(x: np.ndarray, y: np.ndarray, min_size: int) -> tuple[np.ndarray
     return x, y
 
 
-def _mmd_blocks(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, min_size: int,
-                keep: bool = False) -> tuple[np.ndarray, np.ndarray, list]:
-    """The checked sets x and y, and the blocks K(x, x), K(y, y) and K(x, y)
-    as ``_kernel_block`` returns them: (sum, matrix if ``keep``)."""
-    x, y = _check_sets(x, y, min_size)
-    gx, gy = GramRows(x), GramRows(y)
-    return x, y, [_kernel_block(a, b, kernel, keep) for a, b in ((gx, gx), (gy, gy), (gx, gy))]
-
-
 def _block_sums(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, min_size: int
                 ) -> tuple[int, int, float, float, float]:
     """m, n and the sums of K(x, x), K(y, y) and K(x, y)."""
-    x, y, ((sxx, _), (syy, _), (sxy, _)) = _mmd_blocks(x, y, kernel, min_size)
-    return x.shape[0], y.shape[0], sxx, syy, sxy
+    x, y = _check_sets(x, y, min_size)
+    gx, gy = GramRows(x), GramRows(y)
+    return (x.shape[0], y.shape[0],
+            *(_kernel_block(a, b, kernel) for a, b in ((gx, gx), (gy, gy), (gx, gy))))
 
 
 def _biased(m: int, n: int, sxx: float, syy: float, sxy: float) -> float:
@@ -200,16 +211,37 @@ def _mmd2_both(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> tuple[float,
     return _biased(*sums), _unbiased(*sums)
 
 
-def mmd2_biased_grad(x: np.ndarray, y: np.ndarray, kernel: KernelSpec
+def mmd2_biased_grad(x: np.ndarray, y: np.ndarray, kernel: KernelSpec | None = None
                      ) -> tuple[float, np.ndarray, np.ndarray]:
     """Biased MMD^2 and its gradients with respect to each sample matrix.
 
-    The bandwidth is treated as a constant under differentiation.
+    Holds the three squared-distance blocks d2(x, x), d2(y, y) and d2(x, y)
+    of ``pairwise_sq_dists`` and turns them into kernel blocks in place.
+    Without a ``kernel``, sigma is the median heuristic's rule over the
+    distances the kernel sums: the pairs i < j of each self block and all
+    pairs of the cross block. That is ``median_heuristic`` of the pooled
+    rows wherever the pooled tile's sub-blocks are bitwise the separate
+    blocks, as at every configured shape; elsewhere a distance may differ in
+    its last bit. The value is bitwise ``mmd2_biased(x, y, KernelSpec(sigma))``.
+    Memory is the three (m, n)-order blocks, which the gradient needs.
+
+    The bandwidth is treated as a constant under differentiation. Raises
+    NumericError on a NaN or infinite sample when it takes the median.
     """
-    x, y, ((sxx, kxx), (syy, kyy), (sxy, kxy)) = _mmd_blocks(x, y, kernel, 1, keep=True)
+    x, y = _check_sets(x, y, 1)
+    if kernel is None and not (np.isfinite(x).all() and np.isfinite(y).all()):
+        # partition would sort NaN distances last and hide them
+        raise NumericError("median heuristic of non-finite samples")
     m, n = x.shape[0], y.shape[0]
+    rx, ry = GramRows(x), GramRows(y)
+    dxx, dyy, dxy = (pairwise_sq_dists(a, b) for a, b in ((rx, rx), (ry, ry), (rx, ry)))
+    if kernel is None:
+        pairs = np.concatenate([dxx[~np.tri(m, dtype=bool)], dyy[~np.tri(n, dtype=bool)],
+                                dxy.ravel()])
+        kernel = KernelSpec(_bandwidth(pairs, _middle_ranks(pairs.size)))
+    kxx, kyy, kxy = (kernel.of_sq_dists(d2) for d2 in (dxx, dyy, dxy))
     inv_s2 = 1.0 / kernel.bandwidth ** 2
-    value = _biased(m, n, sxx, syy, sxy)
+    value = _biased(m, n, _held_block(kxx, True), _held_block(kyy, True), _held_block(kxy, False))
     # d k(a, b) / d a = k(a, b) (b - a) / sigma^2
     gx = (2.0 / (m * m)) * inv_s2 * (kxx @ x - kxx.sum(axis=1)[:, None] * x) \
         - (2.0 / (m * n)) * inv_s2 * (kxy @ y - kxy.sum(axis=1)[:, None] * x)

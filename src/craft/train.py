@@ -117,8 +117,12 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
     Per epoch: seeded shuffle of the image pool, each image paired with a
     same-class text record, mode-specific loss, SGD step at the epoch's
     cosine-annealed rate. Target batches for the MMD term come from an
-    independent substream of the seed. Each epoch's train accuracy is
-    ``evaluation.accuracy`` over the source's images, bitwise.
+    independent substream of the seed; with ``cfg.bandwidth`` None each
+    step's sigma is the median heuristic over the distances of its MMD
+    blocks (see ``mmd.mmd2_biased_grad``). Each epoch's train accuracy is
+    ``evaluation.accuracy`` over the source's images, bitwise, so the image
+    pool is held; each step's text and target rows are read by index from
+    the sets' vectors, which are never copied whole.
 
     Every argument is checked here, before the first step, so this is where
     the loss's arguments enter. A step, ``losses.loss_and_gradient``,
@@ -128,26 +132,27 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
     error, numpy's overflow and invalid-value warnings are silenced.
     """
     cfg.validate()
-    target_imgs = None
+    target_rows = None
     if cfg.mode is Mode.ALIGNED_MMD:
         if target is None:
             raise ConfigError(f"mode {cfg.mode.value} requires a target set")
         if target.dim != source.dim:
             raise ShapeError(f"target dim {target.dim} != source dim {source.dim}")
-        target_imgs = target.image_vectors()
-        if target_imgs.shape[0] == 0:
+        target_rows = np.flatnonzero(target.modality_mask(Modality.IMAGE))
+        if target_rows.size == 0:
             raise ConfigError("target set has no image records")
 
     img = source.modality_mask(Modality.IMAGE)
-    txt = source.modality_mask(Modality.TEXT)
+    txt_rows = np.flatnonzero(source.modality_mask(Modality.TEXT))
     img_vecs, img_labels = source.vectors[img], source.class_ids[img]
-    txt_vecs, txt_labels = source.vectors[txt], source.class_ids[txt]
+    txt_labels = source.class_ids[txt_rows]
     n = img_vecs.shape[0]
     if n == 0:
         raise ConfigError("source set has no image records to train on")
-    # the same-class text records of image i are text_order[first[i]:first[i] + count[i]]
-    text_order = np.argsort(txt_labels, kind="stable")
-    sorted_labels = txt_labels[text_order]
+    # the records of the same-class texts of image i are text_order[first[i]:first[i] + count[i]]
+    by_label = np.argsort(txt_labels, kind="stable")
+    text_order = txt_rows[by_label]
+    sorted_labels = txt_labels[by_label]
     first = np.searchsorted(sorted_labels, img_labels, side="left")
     count = np.searchsorted(sorted_labels, img_labels, side="right") - first
     missing = np.unique(img_labels[count == 0]).tolist()
@@ -175,12 +180,13 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
         try:
             for step, start in enumerate(range(0, n, size)):
                 sel = perm[start:start + size]
-                batch = LossBatch(image=img_vecs[sel], text=txt_vecs[paired[start:start + size]],
+                batch = LossBatch(image=img_vecs[sel],
+                                  text=source.vectors[paired[start:start + size]],
                                   labels=labels[start:start + size])
-                if target_imgs is not None:
-                    take = min(len(sel), target_imgs.shape[0])
-                    batch.target_image = target_imgs[rng_target.choice(target_imgs.shape[0],
-                                                                       size=take, replace=False)]
+                if target_rows is not None:
+                    take = min(len(sel), target_rows.size)
+                    batch.target_image = target.vectors[target_rows[rng_target.choice(
+                        target_rows.size, size=take, replace=False)]]
                 report, g = loss_and_gradient(adapter, batch, static_text_anchors,
                                               static_image_anchors, cfg, kernel, grad)
                 sgd_step(adapter, g, lr)

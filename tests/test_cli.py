@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import resource
@@ -21,6 +22,8 @@ from craft import cli, experiments
 from craft.adapter import Adapter, write_checkpoint
 from craft.core import AnchorError, make_rng
 from craft.dataio import Modality, few_shot_split, generate_synthetic, write_embeddings
+
+from conftest import apply_edits, byte_edits
 
 REFERENCE = Path(__file__).resolve().parent.parent / "src" / "craft" / "reference.json"
 
@@ -407,6 +410,26 @@ def test_gen_refuses_sizes_numpy_cannot_hold(tmp_path, key, value):
     assert not (tmp_path / "d").exists()
 
 
+def test_gen_refuses_sizes_beyond_physical_memory_before_allocating(tmp_path):
+    # dim 200,000: a 320 GB rotation draw, within numpy's limit but beyond
+    # any machine this runs on, is refused by the config check alone
+    config = small_config(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["synthetic"]["dim"] = 200_000
+    config.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code, out, err = run_main(["gen", "--config", str(config), "--out", str(tmp_path / "d")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    error = json.loads(err)  # exactly one JSON object
+    assert error["error"] == "ConfigError" and "physical memory" in error["message"]
+    assert peak < 1 << 20
+    assert not (tmp_path / "d").exists()
+
+
 def test_missing_data_file_is_data_error(tmp_path):
     config = small_config(tmp_path)
     result = run_cli("train", "--config", str(config), "--data", str(tmp_path / "nope"),
@@ -651,3 +674,34 @@ def test_freeze_bandwidth_key_is_refused_as_unknown(tmp_path):
     code, _, err = run_main(["gen", "--config", str(path), "--out", str(tmp_path / "d")])
     assert code == 2
     assert json.loads(err)["message"] == "unknown config key train.freeze_bandwidth"
+
+
+@pytest.fixture(scope="module")
+def edit_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("edits")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_edited_input_files_exit_with_a_code_and_one_json_error(pipeline, edit_dir, data):
+    # byte edits of the CEMB file of ``craft anchors`` and of either file
+    # ``craft mmd`` reads first (its --a set or its anchors), through cli.main
+    pipeline_dir, _, source_dir, *_ = pipeline
+    files = {"--a": source_dir / "source.cemb", "--b": source_dir / "target.cemb",
+             "--anchors": pipeline_dir / "anchors.cemb"}
+    command = data.draw(st.sampled_from(["anchors", "mmd"]))
+    flag = "--a" if command == "anchors" else data.draw(st.sampled_from(["--a", "--anchors"]))
+    raw = files[flag].read_bytes()
+    edited = edit_dir / "edited.cemb"
+    edited.write_bytes(apply_edits(raw, data.draw(byte_edits(len(raw)))))
+    files[flag] = edited
+    if command == "anchors":
+        argv = ["anchors", "--data", str(edited), "--out", str(edit_dir / "a.cemb"), "--seed", "3"]
+    else:
+        argv = ["mmd", *(str(a) for pair in files.items() for a in pair), "--n-perms", "100"]
+    code, _, err = run_main(argv)
+    event(f"{command} exit {code}")
+    assert code in (0, 2, 3, 4), (argv, err)
+    if code:
+        error = json.loads(err)  # exactly one JSON object
+        assert isinstance(error, dict) and {"error", "message", "command"} <= error.keys()

@@ -20,6 +20,8 @@ from craft.experiments import (RunConfig, eval_text_anchors, load_run_config, ov
 from craft.losses import Mode
 from craft.train import TrainConfig
 
+from conftest import apply_edits, byte_edits
+
 
 def reference_doc(**overrides):
     doc = {
@@ -122,6 +124,27 @@ def test_fuzzed_config_is_loaded_or_refused(config_dir, replacements):
                 assert type(value) is int
             elif f.type in ("float", "float | None") and value is not None:
                 assert type(value) in (int, float) and math.isfinite(value)
+
+
+_RAW_CONFIG = json.dumps(reference_doc()).encode()
+_DIM_DIGIT = _RAW_CONFIG.index(b'"dim": 8') + len(b'"dim": ')
+
+
+@given(byte_edits(len(_RAW_CONFIG)))
+@example([("overwrite", _DIM_DIGIT, b"0")])
+@example([("overwrite", _DIM_DIGIT, b"9e9")])
+@example([("overwrite", _DIM_DIGIT, b"\xff")])
+@example([("truncate", len(_RAW_CONFIG) - 1), ("extend", b"}}")])
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_config_bytes_are_loaded_or_refused(config_dir, edits):
+    # raw bytes, not field values: any edit gives a RunConfig or a ConfigError
+    path = config_dir / "raw.json"
+    path.write_bytes(apply_edits(_RAW_CONFIG, edits))
+    try:
+        cfg = load_run_config(path)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 @pytest.mark.parametrize("raw", [b"[" * 100_000, b'{"seed": ' + b"1" * 5000 + b"}",

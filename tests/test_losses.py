@@ -334,6 +334,21 @@ def test_zero_weight_terms_are_skipped_in_every_mode(mode):
     assert not grad.any()
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_gradient_buffer_contents_are_never_read(mode):
+    # each block of the buffer is written by some term before anything adds
+    # to it (the baseline's text block with zeros): a buffer of NaN gives
+    # what a zeroed one gives
+    adapter, batch, ta, ia, cfg = random_case(make_rng(11), mode)
+    kernel = None if cfg.bandwidth is None else KernelSpec(cfg.bandwidth)
+    expected_report, expected = loss_and_gradient(adapter, batch, ta, ia, cfg, kernel,
+                                                  Adapter.zeros(adapter.dim))
+    dirty = Adapter(np.full(adapter.params.size, np.nan))
+    report, grad = loss_and_gradient(adapter, batch, ta, ia, cfg, kernel, dirty)
+    assert report == expected_report
+    assert grad is dirty.params and np.array_equal(grad, expected)
+
+
 def test_mmd_kernel_defaults_to_median_heuristic(rng):
     # no kernel: the MMD term takes the median heuristic over the batch's
     # anchor-aligned source and target rows

@@ -241,7 +241,8 @@ def test_mmd2_both_reads_both_estimators_from_one_walk(monkeypatch, m, n):
 @pytest.mark.parametrize("n", [TILE - 1, TILE, TILE + 1, 2 * TILE + 70, 3 * TILE + 5])
 def test_self_block_upper_walk_is_the_full_grid_bitwise(monkeypatch, n):
     # K(x, x) over its upper tiles equals the full grid of a second GramRows
-    # of the same rows, bitwise: the sum, and the matrix kept for the gradient
+    # of the same rows, bitwise: the sum, and the matrix the gradient holds
+    # with the sum it takes of it
     tiles = []
     gram_tile = core_mod._gram_tile
     monkeypatch.setattr(core_mod, "_gram_tile", lambda *args: tiles.append(args) or gram_tile(*args))
@@ -251,13 +252,15 @@ def test_self_block_upper_walk_is_the_full_grid_bitwise(monkeypatch, n):
         kernel = KernelSpec(bandwidth)
         gx, full = core_mod.GramRows(x), core_mod.GramRows(x.copy())
         tiles.clear()
-        total, kept = mmd_mod._kernel_block(gx, gx, kernel, keep=True)
+        total = mmd_mod._kernel_block(gx, gx, kernel)
         assert len(tiles) == blocks * (blocks + 1) // 2
-        expected_total, expected = mmd_mod._kernel_block(gx, full, kernel, keep=True)
+        expected_total = mmd_mod._kernel_block(gx, full, kernel)
         assert total.hex() == expected_total.hex()
-        np.testing.assert_array_equal(kept, expected)
-        assert mmd_mod._kernel_block(gx, gx, kernel)[0].hex() == total.hex()
-        np.testing.assert_array_equal(pairwise_sq_dists(gx, gx), pairwise_sq_dists(gx, full))
+        held = kernel.of_sq_dists(pairwise_sq_dists(gx, gx))
+        expected = kernel.of_sq_dists(pairwise_sq_dists(gx, full))
+        np.testing.assert_array_equal(held, expected)
+        assert mmd_mod._held_block(held, True).hex() == total.hex()
+        assert mmd_mod._held_block(expected, False).hex() == total.hex()
         assert mmd2_biased(x, x, kernel) == 0.0
 
 
@@ -304,6 +307,64 @@ def test_grad_value_matches_plain_estimator(rng):
     fd = (mmd2_biased(x + eps * vx, y + eps * vy, kernel)
           - mmd2_biased(x - eps * vx, y - eps * vy, kernel)) / (2 * eps)
     assert fd == pytest.approx(np.sum(gx * vx) + np.sum(gy * vy), rel=1e-6)
+
+
+def block_sigma(x, y):
+    """Oracle of the gradient's bandwidth: the median heuristic's rule over
+    the pairs i < j of d2(x, x) and d2(y, y) and all pairs of d2(x, y)."""
+    m, n = len(x), len(y)
+    pairs = np.concatenate([pairwise_sq_dists(x, x)[np.triu_indices(m, k=1)],
+                            pairwise_sq_dists(y, y)[np.triu_indices(n, k=1)],
+                            pairwise_sq_dists(x, y).ravel()])
+    med = np.median(pairs)
+    return 1.0 if med == 0.0 else math.sqrt(med / 2.0)
+
+
+def assert_grads_equal(got, expected):
+    assert got[0].hex() == expected[0].hex()
+    np.testing.assert_array_equal(got[1], expected[1])
+    np.testing.assert_array_equal(got[2], expected[2])
+
+
+@pytest.mark.parametrize("m, n, k", [(8, 8, 16), (128, 128, 100), (64, 64, 100), (300, 280, 12)],
+                         ids=["desk", "clip", "clip-last", "beyond-one-tile"])
+def test_grad_without_kernel_takes_sigma_from_its_blocks(m, n, k):
+    # anchor-aligned rows at the shapes training meets (desk batches of 8 at
+    # K=16, clip batches of 128 and the last of 64 at K=100), and one beyond
+    # a tile per side; there the pooled median heuristic gives the same sigma
+    rng = make_rng(m, n)
+    anchors = random_anchors(rng, k, 24)
+    for _ in range(3):
+        x = anchor_align(unit_rows(rng, m, 24), anchors, 15.0)
+        y = anchor_align(unit_rows(rng, n, 24) + 0.3, anchors, 15.0)
+        sigma = block_sigma(x, y)
+        got = mmd2_biased_grad(x, y)
+        assert_grads_equal(got, mmd2_biased_grad(x, y, KernelSpec(sigma)))
+        assert got[0].hex() == mmd2_biased(x, y, KernelSpec(sigma)).hex()
+        assert sigma == median_heuristic(np.concatenate([x, y]))
+
+
+def test_grad_sigma_can_differ_from_the_pooled_median_in_the_last_bit():
+    # a shape of a seeded sweep of 600 (m, n < 200, dim 2-100) where the
+    # pooled 56x56 tile rounds 40 of its 208 cross distances one ulp away
+    # from the separate 4x52 block, one of them at a middle rank: the two
+    # sigmas differ by one ulp, and the gradient keeps the block's
+    rng = make_rng(0, 99)
+    m, n = (int(v) for v in rng.integers(1, 200, size=2))
+    d = int(rng.integers(2, 101))
+    assert (m, n, d) == (4, 52, 51)
+    x, y = rng.standard_normal((m, d)), rng.standard_normal((n, d)) + 0.1
+    sigma, pooled = block_sigma(x, y), median_heuristic(np.concatenate([x, y]))
+    assert abs(sigma - pooled) == np.spacing(pooled)
+    assert_grads_equal(mmd2_biased_grad(x, y), mmd2_biased_grad(x, y, KernelSpec(sigma)))
+
+
+def test_grad_without_kernel_rejects_non_finite_and_falls_back_on_coincident_rows():
+    x = np.ones((5, 3))
+    assert_grads_equal(mmd2_biased_grad(x, x.copy()), mmd2_biased_grad(x, x, KernelSpec(1.0)))
+    x[2, 1] = np.nan
+    with pytest.raises(NumericError):
+        mmd2_biased_grad(x, np.ones((5, 3)))
 
 
 # ---------------------------------------------------------------------------
