@@ -6,9 +6,11 @@ Usage: python scripts/bench_pairs.py PARENT CHANGE --out BENCH_16.json \\
            --pairs clip-ood-mmd=10 desk-tables=3 [--seed 7]
 
 PARENT and CHANGE are checkout roots, each with its own perfbench/ and src/.
-Pair i runs the parent first when i is even, the change first when it is
-odd. The run length (`run_seconds`) and whether lower or higher is better
-come from CHANGE's BENCHMARK.json; ties count as no win. The file is
+Their resolved paths must have the same length, as peak RSS follows the
+checkout path's length; otherwise the script exits 2 before any run. The
+file records both paths. Pair i runs the parent first when i is even, the
+change first when it is odd. The run length (`run_seconds`) and whether
+lower or higher is better come from CHANGE's BENCHMARK.json; ties count as no win. The file is
 rewritten after every run, so an interrupted session keeps the pairs it
 finished.
 """
@@ -71,9 +73,14 @@ def main():
     parser.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
     parser.add_argument("--seed", type=int, default=7, help="workload seed (default 7)")
     args = parser.parse_args()
+    paths = {side: str(path.resolve()) for side, path in zip(SIDES, (args.parent, args.change))}
+    if len(paths["parent"]) != len(paths["change"]):
+        parser.exit(2, f"bench_pairs: checkout paths differ in length: {paths['parent']} "
+                       f"({len(paths['parent'])}) and {paths['change']} "
+                       f"({len(paths['change'])})\n")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
-    doc = {"seed": args.seed, "seconds": benchmark["run_seconds"],
+    doc = {"paths": paths, "seed": args.seed, "seconds": benchmark["run_seconds"],
            "order": "pair i runs the parent first when i is even", "runs": [], "summary": {}}
     for spec in args.pairs:
         workload, count = spec.split("=")

@@ -1,13 +1,13 @@
-"""The training objective: one private function per loss term, composed by
-:func:`loss_and_gradient` into the mode's total and its exact analytic
-gradient with respect to the adapter parameters (including the
-output-normalization Jacobian).
+"""The training objective: the loss terms, composed by :func:`loss_and_gradient`
+into the mode's total and its exact analytic gradient with respect to the
+adapter parameters (including the output-normalization Jacobian).
 
 The terms are the anchor cross-entropy (image half against the static text
 anchors, text half against the static image anchors; the baseline text
-cross-entropy is the image half), the in-batch contrastive term, and biased
-MMD^2 over anchor-aligned features. All values are batch means, so their
-scale is batch-size invariant.
+cross-entropy is the image half) and the in-batch contrastive term, private
+functions here, and biased MMD^2 over anchor-aligned features,
+``mmd.mmd2_biased_grad``. All values are batch means, so their scale is
+batch-size invariant.
 """
 
 from __future__ import annotations
@@ -47,13 +47,13 @@ class LossReport:
 
 @dataclass
 class LossBatch:
-    """Index-paired base embeddings sharing labels, plus an optional
-    unlabeled target image batch for the MMD term."""
+    """Index-paired base embeddings sharing labels. For the MMD term the
+    image rows go on with an unlabeled target batch: the B source rows,
+    then the Bt target rows, stacked."""
 
-    image: np.ndarray  # (B, H) unit rows
+    image: np.ndarray  # (B, H) unit rows, or (B + Bt, H) for the MMD term
     text: np.ndarray | None  # (B, H) unit rows; the baseline reads none
     labels: np.ndarray  # (B,)
-    target_image: np.ndarray | None = None  # (Bt, H)
 
 
 # ---------------------------------------------------------------------------
@@ -94,28 +94,6 @@ def _contrastive(u: np.ndarray, v: np.ndarray, temperature: float
     return value, temperature * d_sims @ v, temperature * d_sims.T @ u
 
 
-def _anchor_mmd(phi_src: np.ndarray, u_tgt: np.ndarray, anchors: AnchorSet,
-                temperature: float, kernel: KernelSpec | None
-                ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Biased MMD^2 between anchor-aligned source and target features and
-    its gradients for both feature batches, with ``kernel``, or without one
-    the median heuristic over the distances between both batches' aligned
-    rows that the kernel sums (see ``mmd2_biased_grad``, which takes it from
-    the distance blocks it holds; the rows are not pooled). ``phi_src`` are
-    the source features' aligned rows, ``anchor_align(u_src, anchors,
-    temperature)``, which the anchor cross-entropy reads too.
-
-    The gradients hold the bandwidth constant, the median heuristic's too:
-    an optimiser that could move it would be rewarded for inflating it, so,
-    as is common practice, it is left out of the differentiation. On the
-    desk ``ood`` batch the derivative of the computed value in one random
-    direction is -0.111 against an analytic -0.045; with the bandwidth
-    fixed at the same value they agree to 5e-9."""
-    phi_tgt = anchor_align(u_tgt, anchors, temperature)
-    value, g_src, g_tgt = mmd2_biased_grad(phi_src, phi_tgt, kernel)
-    return value, temperature * g_src @ anchors.vectors, temperature * g_tgt @ anchors.vectors
-
-
 # ---------------------------------------------------------------------------
 # Checks
 
@@ -152,20 +130,15 @@ def _require_finite(value: float, term: str) -> float:
 
 
 def _norm_backward(g: np.ndarray, u: np.ndarray, r: np.ndarray, base: np.ndarray,
-                   weight_grad: np.ndarray, bias_grad: np.ndarray, first: bool) -> None:
+                   weight_grad: np.ndarray, bias_grad: np.ndarray) -> None:
     """Backpropagate g = dL/du through u = z / ||z||, z = base + W base + b,
-    into the weight and bias gradient blocks: written over them when this is
-    their ``first`` contribution, added to them otherwise."""
+    written over the weight and bias gradient blocks."""
     g_z = g * u
     dots = g_z.sum(axis=1, keepdims=True)
     np.subtract(g, np.multiply(dots, u, out=g_z), out=g_z)  # g_z = (g - (g.u) u) / r
     g_z /= r[:, None]
-    if first:
-        np.matmul(g_z.T, base, out=weight_grad)
-        np.sum(g_z, axis=0, out=bias_grad)
-    else:
-        weight_grad += g_z.T @ base
-        bias_grad += g_z.sum(axis=0)
+    np.matmul(g_z.T, base, out=weight_grad)
+    np.sum(g_z, axis=0, out=bias_grad)
 
 
 def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: AnchorSet,
@@ -176,12 +149,23 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
     ``grad`` and laid out like ``adapter.params``.
 
     Baseline: the image half of the anchor cross-entropy. Aligned: both
-    halves plus the contrastive term. Aligned-MMD adds the MMD term over
-    ``batch.target_image`` with ``kernel``, or without one the median
-    heuristic of the batch. Terms with zero weight are skipped.
+    halves plus the contrastive term. Aligned-MMD adds the MMD term between
+    the batch's source and target image rows, stacked in ``batch.image``,
+    after both are anchor-aligned (``mmd.mmd2_biased_grad``), with
+    ``kernel``, or without one ``median_heuristic`` of the pooled aligned
+    rows. The stacked rows go through one encode, one alignment and one
+    backward pass. Terms with zero weight are skipped; without the MMD term
+    only the source rows are read.
 
-    ``grad``'s previous contents are never read: each block is written by
-    its first contribution, and the baseline's text block is zeroed.
+    The MMD gradient holds the bandwidth constant, the median heuristic's
+    too: an optimiser that could move it would be rewarded for inflating it,
+    so, as is common practice, it is left out of the differentiation. On the
+    desk ``ood`` batch the derivative of the computed value in one random
+    direction is -0.111 against an analytic -0.045; with the bandwidth fixed
+    at the same value they agree to 5e-9.
+
+    ``grad``'s previous contents are never read: each block is written
+    once, and the baseline's text block is zeroed.
 
     The arguments are checked where they enter, by ``train.train`` (which
     calls ``check_terms``): float64 rows of the adapter's dimension,
@@ -190,42 +174,42 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
     """
     tau = cfg.temperature
     mode = cfg.mode
-    x, labels = batch.image, batch.labels
+    labels = batch.labels
+    b = labels.shape[0]
     static_term = stochastic_term = mmd_term = 0.0
 
     aligned = mode is not Mode.BASELINE_CE  # gates the text encode, terms and backward
+    with_mmd = mode is Mode.ALIGNED_MMD and cfg.w_mmd != 0.0
+    x = batch.image if with_mmd else batch.image[:b]
     u, r_img = encode_with_cache(adapter.w_img, adapter.b_img, x)
     g_u = np.zeros(u.shape)
+    u_src, g_src = u[:b], g_u[:b]  # the source rows, which the other terms read
     if aligned:
         y = batch.text
         v, r_txt = encode_with_cache(adapter.w_txt, adapter.b_txt, y)
         g_v = np.zeros(v.shape)
-    with_mmd = mode is Mode.ALIGNED_MMD and cfg.w_mmd != 0.0
     if cfg.w_static != 0.0 or with_mmd:
         phi_u = anchor_align(u, static_text_anchors, tau)  # read by both terms
     if cfg.w_static != 0.0:
-        static_term, g_img = _anchor_ce(phi_u, labels, static_text_anchors, tau)
+        static_term, g_img = _anchor_ce(phi_u[:b], labels, static_text_anchors, tau)
         if aligned:
             txt_term, g_txt = _anchor_ce(anchor_align(v, static_image_anchors, tau), labels,
                                          static_image_anchors, tau)
             static_term += txt_term
             g_v += cfg.w_static * g_txt
         _require_finite(static_term, "static alignment term")
-        g_u += cfg.w_static * g_img
+        g_src += cfg.w_static * g_img
     if aligned and cfg.w_stochastic != 0.0:
-        stochastic_term, g_img, g_txt = _contrastive(u, v, tau)
+        stochastic_term, g_img, g_txt = _contrastive(u_src, v, tau)
         _require_finite(stochastic_term, "stochastic alignment term")
-        g_u += cfg.w_stochastic * g_img
+        g_src += cfg.w_stochastic * g_img
         g_v += cfg.w_stochastic * g_txt
     if with_mmd:
-        x_tgt = batch.target_image
-        u_tgt, r_tgt = encode_with_cache(adapter.w_img, adapter.b_img, x_tgt)
-        mmd_term, g_src, g_tgt = _anchor_mmd(phi_u, u_tgt, static_text_anchors, tau, kernel)
+        mmd_term, g_phi = mmd2_biased_grad(phi_u, b, kernel)
         _require_finite(mmd_term, "domain MMD term")
-        g_u += cfg.w_mmd * g_src
-        _norm_backward(cfg.w_mmd * g_tgt, u_tgt, r_tgt, x_tgt, grad.w_img, grad.b_img, first=True)
+        g_u += cfg.w_mmd * tau * g_phi @ static_text_anchors.vectors
     if aligned:
-        _norm_backward(g_v, v, r_txt, y, grad.w_txt, grad.b_txt, first=True)
+        _norm_backward(g_v, v, r_txt, y, grad.w_txt, grad.b_txt)
     else:  # no term reads the text adapter
         grad.w_txt.fill(0.0)
         grad.b_txt.fill(0.0)
@@ -235,8 +219,7 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
     report = LossReport(total=_require_finite(total, "total loss"),
                         static_term=static_term, stochastic_term=stochastic_term,
                         mmd_term=mmd_term)
-    _norm_backward(g_u, u, r_img, x, grad.w_img, grad.b_img,
-                   first=not with_mmd)
+    _norm_backward(g_u, u, r_img, x, grad.w_img, grad.b_img)
     if not np.isfinite(grad.params).all():
         raise NumericError("gradient is non-finite")
     return report, grad.params

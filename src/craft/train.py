@@ -100,9 +100,6 @@ def sgd_step(adapter: Adapter, gradient: np.ndarray, lr: float) -> Adapter:
     """One plain SGD update, in place: ``adapter.params`` becomes
     ``params - lr * gradient``, bitwise. ``gradient`` is consumed: it is
     scaled by ``lr`` in place on the way. Returns ``adapter``."""
-    if gradient.shape != adapter.params.shape:
-        raise ShapeError(f"gradient shape {gradient.shape} does not match "
-                         f"the adapter's parameters {adapter.params.shape}")
     gradient *= lr
     adapter.params -= gradient
     return adapter
@@ -117,9 +114,11 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
     Per epoch: seeded shuffle of the image pool, each image paired with a
     same-class text record, mode-specific loss, SGD step at the epoch's
     cosine-annealed rate. Target batches for the MMD term come from an
-    independent substream of the seed; with ``cfg.bandwidth`` None each
-    step's sigma is the median heuristic over the distances of its MMD
-    blocks (see ``mmd.mmd2_biased_grad``). Each epoch's train accuracy is
+    independent substream of the seed. A step's image rows are its source
+    rows, then its target rows, taken into one buffer, so the loss encodes,
+    aligns and backpropagates them as one batch; with ``cfg.bandwidth``
+    None each step's sigma is ``median_heuristic`` of the pooled aligned
+    rows (see ``mmd.mmd2_biased_grad``). Each epoch's train accuracy is
     ``evaluation.accuracy`` over the source's images, bitwise, so the image
     pool is held; each step's text and target rows are read by index from
     the sets' vectors, which are never copied whole.
@@ -169,6 +168,8 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
     lr0 = cfg.resolved_learning_rate()
     grad = Adapter.zeros(source.dim)  # every step's gradient, overwritten
     size = cfg.batch_size
+    # every step's image rows, overwritten: its source rows, then its target rows
+    images = np.empty((2 * min(size, n), source.dim))
     history = TrainHistory()
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, cfg.epochs, lr0)
@@ -180,13 +181,19 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
         try:
             for step, start in enumerate(range(0, n, size)):
                 sel = perm[start:start + size]
-                batch = LossBatch(image=img_vecs[sel],
+                rows = len(sel)
+                # the indices are in range by construction; "clip" writes
+                # straight into out, where "raise" would go through a buffer
+                np.take(img_vecs, sel, axis=0, out=images[:rows], mode="clip")
+                if target_rows is not None:
+                    take = min(rows, target_rows.size)
+                    np.take(target.vectors, target_rows[rng_target.choice(
+                        target_rows.size, size=take, replace=False)], axis=0,
+                        out=images[rows:rows + take], mode="clip")
+                    rows += take
+                batch = LossBatch(image=images[:rows],
                                   text=source.vectors[paired[start:start + size]],
                                   labels=labels[start:start + size])
-                if target_rows is not None:
-                    take = min(len(sel), target_rows.size)
-                    batch.target_image = target.vectors[target_rows[rng_target.choice(
-                        target_rows.size, size=take, replace=False)]]
                 report, g = loss_and_gradient(adapter, batch, static_text_anchors,
                                               static_image_anchors, cfg, kernel, grad)
                 sgd_step(adapter, g, lr)

@@ -37,7 +37,7 @@ def test_l2_normalize_unit_norm_and_direction(rng):
 @example(np.array([1e200]))  # squared norm overflows
 @settings(max_examples=200)
 def test_l2_normalize_idempotent(v):
-    if np.linalg.norm(v) == 0.0:
+    if not v.any():
         return
     once = l2_normalize(v)
     np.testing.assert_allclose(l2_normalize(once), once, atol=1e-9)

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,3 +80,16 @@ def test_benchmark_names_resolve():
     assert {"train.sgd_step", "experiments.evaluate_prepared", "cli.main"} <= names
     missing = sorted(name for name in names if not resolves(name))
     assert set(missing) <= STALE_BENCHMARK_NAMES, f"perfbench uses missing craft names: {missing}"
+
+
+def test_bench_pairs_refuses_checkouts_at_paths_of_unequal_length(tmp_path):
+    # peak RSS follows the checkout path's length, so pairs from paths of
+    # unequal length are refused with one line and exit 2, before any run
+    parent, change, out = tmp_path / "a", tmp_path / "bb", tmp_path / "bench.json"
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+                             str(parent), str(change), "--out", str(out),
+                             "--pairs", "desk-tables=1"], capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stdout == "" and result.stderr.count("\n") == 1
+    assert str(parent) in result.stderr and str(change) in result.stderr
+    assert not out.exists()

@@ -264,11 +264,10 @@ def random_case(rng, mode):
     h = int(rng.integers(3, 8))
     b = int(rng.integers(2, 6))
     k = int(rng.integers(2, 5))
-    batch = LossBatch(
-        image=unit_rows(rng, b, h), text=unit_rows(rng, b, h),
-        labels=rng.integers(0, k, b),
-        target_image=unit_rows(rng, int(rng.integers(2, 6)), h)
-        if mode is Mode.ALIGNED_MMD else None)
+    batch = LossBatch(image=unit_rows(rng, b, h), text=unit_rows(rng, b, h),
+                      labels=rng.integers(0, k, b))
+    if mode is Mode.ALIGNED_MMD:  # the target rows go under the source rows
+        batch.image = np.concatenate([batch.image, unit_rows(rng, int(rng.integers(2, 6)), h)])
     cfg = TrainConfig(mode=mode, temperature=float(rng.uniform(0.5, 6.0)),
                       w_static=float(rng.uniform(0.2, 2.0)),
                       w_stochastic=float(rng.uniform(0.2, 2.0)),
@@ -350,12 +349,27 @@ def test_gradient_buffer_contents_are_never_read(mode):
 
 
 def test_mmd_kernel_defaults_to_median_heuristic(rng):
-    # no kernel: the MMD term takes the median heuristic over the batch's
-    # anchor-aligned source and target rows
+    # no kernel: the MMD term takes median_heuristic of the batch's pooled
+    # anchor-aligned rows, the source rows then the target rows, bitwise
     adapter, batch, ta, ia, cfg = random_case(rng, Mode.ALIGNED_MMD)
-    rows = [anchor_align(adapter.encode_image(x), ta, cfg.temperature)
-            for x in (batch.image, batch.target_image)]
-    sigma = median_heuristic(np.concatenate(rows))
+    assert_default_kernel_is_pooled_median(adapter, batch, ta, ia, cfg)
+
+
+@pytest.mark.parametrize("b, b_t", [(128, 128), (64, 50)], ids=["clip", "short-last"])
+def test_mmd_kernel_defaults_to_median_heuristic_at_clip_batches(rng, b, b_t):
+    # the same at the stacked batches of a clip step (K=100) and of a short
+    # last step, where the target side is smaller
+    h, k = 24, 100
+    batch = LossBatch(unit_rows(rng, b + b_t, h), unit_rows(rng, b, h), rng.integers(0, k, b))
+    adapter = Adapter(0.1 * rng.standard_normal(2 * (h * h + h)))
+    ta, ia = random_anchors(rng, k, h), random_anchors(rng, k, h, Modality.IMAGE)
+    cfg = TrainConfig(mode=Mode.ALIGNED_MMD, temperature=15.0, w_mmd=8.0)
+    assert_default_kernel_is_pooled_median(adapter, batch, ta, ia, cfg)
+
+
+def assert_default_kernel_is_pooled_median(adapter, batch, ta, ia, cfg):
+    pooled = anchor_align(adapter.encode_image(batch.image), ta, cfg.temperature)
+    sigma = median_heuristic(pooled)
     report, grad = engine(adapter, batch, ta, ia, dataclasses.replace(cfg, bandwidth=None))
     expected, expected_grad = engine(adapter, batch, ta, ia,
                                      dataclasses.replace(cfg, bandwidth=sigma))

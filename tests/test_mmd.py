@@ -98,6 +98,24 @@ def test_median_heuristic_beyond_one_tile_with_ties():
     assert median_heuristic(samples) == math.sqrt(np.median(pairs) / 2.0)
 
 
+def test_bandwidth_selects_as_a_partition_at_both_ranks(rng):
+    # one selection and the least value past it give what a partition at
+    # both middle ranks gives, bitwise, with ties, with an odd or even
+    # count and with NaN, which both rank last
+    for size in (1, 2, 3, 10, 11, 400, 401):
+        for values in (rng.uniform(0.0, 5.0, size), rng.integers(0, 3, size).astype(float)):
+            for nans in (0, 1, size // 2):
+                pairs = values.copy()
+                pairs[rng.permutation(size)[:nans]] = np.nan
+                ranks = mmd_mod._middle_ranks(size)
+                reference = pairs.copy()
+                reference.partition(ranks)
+                med = 0.5 * (reference[ranks[0]] + reference[ranks[1]])
+                expected = 1.0 if med == 0.0 else math.sqrt(med / 2.0)
+                got = mmd_mod._bandwidth(pairs, ranks)
+                assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
 def test_median_heuristic_needs_two(rng):
     with pytest.raises(ConfigError):
         median_heuristic(rng.standard_normal((1, 3)))
@@ -292,79 +310,91 @@ def test_mmd2_unbiased_zero_mean_under_null():
     assert abs(mean) <= 3 * se
 
 
+def pooled_oracle(z, m, kernel):
+    """The value of the pooled tile: ``_biased`` over the three sub-blocks of
+    the kernel of ``pairwise_sq_dists(z, z)``, each summed over its TILE
+    grid."""
+    k = kernel.of_sq_dists(pairwise_sq_dists(z, z))
+    return mmd_mod._biased(m, len(z) - m, mmd_mod._held_block(k[:m, :m], True),
+                           mmd_mod._held_block(k[m:, m:], True),
+                           mmd_mod._held_block(k[:m, m:], False))
+
+
 def test_grad_value_matches_plain_estimator(rng):
     x, y = rng.standard_normal((6, 4)), rng.standard_normal((8, 4))
     kernel = KernelSpec(1.1)
-    value, gx, gy = mmd2_biased_grad(x, y, kernel)
-    assert value == mmd2_biased(x, y, kernel)
-    assert gx.shape == x.shape and gy.shape == y.shape
-    # beyond one tile: the matrices are assembled from the same tiles, and
-    # the gradient matches a directional central difference
+    value, g = mmd2_biased_grad(np.concatenate([x, y]), 6, kernel)
+    assert value.hex() == pooled_oracle(np.concatenate([x, y]), 6, kernel).hex()
+    assert value == pytest.approx(mmd2_biased(x, y, kernel), rel=1e-14)
+    assert g.shape == (14, 4)
+    # beyond one tile: the value is summed from the same tiles, and the
+    # gradient matches a dense oracle and a directional central difference
     x, y = rng.standard_normal((TILE + 90, 4)), rng.standard_normal((TILE + 30, 4))
-    value, gx, gy = mmd2_biased_grad(x, y, kernel)
-    assert value == mmd2_biased(x, y, kernel)
-    vx, vy, eps = rng.standard_normal(x.shape), rng.standard_normal(y.shape), 1e-5
-    fd = (mmd2_biased(x + eps * vx, y + eps * vy, kernel)
-          - mmd2_biased(x - eps * vx, y - eps * vy, kernel)) / (2 * eps)
-    assert fd == pytest.approx(np.sum(gx * vx) + np.sum(gy * vy), rel=1e-6)
-
-
-def block_sigma(x, y):
-    """Oracle of the gradient's bandwidth: the median heuristic's rule over
-    the pairs i < j of d2(x, x) and d2(y, y) and all pairs of d2(x, y)."""
-    m, n = len(x), len(y)
-    pairs = np.concatenate([pairwise_sq_dists(x, x)[np.triu_indices(m, k=1)],
-                            pairwise_sq_dists(y, y)[np.triu_indices(n, k=1)],
-                            pairwise_sq_dists(x, y).ravel()])
-    med = np.median(pairs)
-    return 1.0 if med == 0.0 else math.sqrt(med / 2.0)
+    m, z = len(x), np.concatenate([x, y])
+    value, g = mmd2_biased_grad(z, m, kernel)
+    assert value.hex() == pooled_oracle(z, m, kernel).hex()
+    assert value == pytest.approx(mmd2_biased(x, y, kernel), rel=1e-14)
+    w = np.where(np.arange(len(z)) < m, 1.0 / m, -1.0 / len(y))
+    k = kernel.of_sq_dists(pairwise_sq_dists(z, z))
+    dense = 2.0 * np.einsum("a,b,ab,abd->ad", w, w, k, z[None, :, :] - z[:, None, :]) / 1.1 ** 2
+    np.testing.assert_allclose(g, dense, rtol=1e-10, atol=1e-15)
+    v, eps = rng.standard_normal(z.shape), 1e-5
+    fd = (mmd2_biased(x + eps * v[:m], y + eps * v[m:], kernel)
+          - mmd2_biased(x - eps * v[:m], y - eps * v[m:], kernel)) / (2 * eps)
+    assert fd == pytest.approx(np.sum(g * v), rel=1e-6)
 
 
 def assert_grads_equal(got, expected):
     assert got[0].hex() == expected[0].hex()
     np.testing.assert_array_equal(got[1], expected[1])
-    np.testing.assert_array_equal(got[2], expected[2])
 
 
-@pytest.mark.parametrize("m, n, k", [(8, 8, 16), (128, 128, 100), (64, 64, 100), (300, 280, 12)],
-                         ids=["desk", "clip", "clip-last", "beyond-one-tile"])
-def test_grad_without_kernel_takes_sigma_from_its_blocks(m, n, k):
-    # anchor-aligned rows at the shapes training meets (desk batches of 8 at
-    # K=16, clip batches of 128 and the last of 64 at K=100), and one beyond
-    # a tile per side; there the pooled median heuristic gives the same sigma
+@pytest.mark.parametrize("m, n, d, rows",
+                         [(8, 8, 16, "aligned"), (128, 128, 100, "aligned"),
+                          (64, 64, 100, "aligned"), (4, 52, 51, "last-bit"),
+                          (200, 150, 12, "normal"), (400, 300, 20, "normal")],
+                         ids=["desk", "clip", "clip-last", "last-bit", "beyond-one-tile",
+                              "bucket-path"])
+def test_grad_without_kernel_takes_the_pooled_median_heuristic(monkeypatch, m, n, d, rows):
+    # sigma is median_heuristic of the pooled rows, bitwise: at the shapes
+    # training meets (desk batches of 8 at K=16, clip batches of 128 and the
+    # last of 64 at K=100, as anchor-aligned rows), at the seeded 4 + 52
+    # rows of dim 51 where sigma from three separate blocks was one ulp off
+    # the pooled one, beyond a tile, and past _ONE_PARTITION pooled rows,
+    # where median_heuristic takes its bucket path
+    bandwidths = []
+    bandwidth = mmd_mod._bandwidth
+    monkeypatch.setattr(mmd_mod, "_bandwidth",
+                        lambda *args: bandwidths.append(bandwidth(*args)) or bandwidths[-1])
     rng = make_rng(m, n)
-    anchors = random_anchors(rng, k, 24)
-    for _ in range(3):
-        x = anchor_align(unit_rows(rng, m, 24), anchors, 15.0)
-        y = anchor_align(unit_rows(rng, n, 24) + 0.3, anchors, 15.0)
-        sigma = block_sigma(x, y)
-        got = mmd2_biased_grad(x, y)
-        assert_grads_equal(got, mmd2_biased_grad(x, y, KernelSpec(sigma)))
-        assert got[0].hex() == mmd2_biased(x, y, KernelSpec(sigma)).hex()
-        assert sigma == median_heuristic(np.concatenate([x, y]))
-
-
-def test_grad_sigma_can_differ_from_the_pooled_median_in_the_last_bit():
-    # a shape of a seeded sweep of 600 (m, n < 200, dim 2-100) where the
-    # pooled 56x56 tile rounds 40 of its 208 cross distances one ulp away
-    # from the separate 4x52 block, one of them at a middle rank: the two
-    # sigmas differ by one ulp, and the gradient keeps the block's
-    rng = make_rng(0, 99)
-    m, n = (int(v) for v in rng.integers(1, 200, size=2))
-    d = int(rng.integers(2, 101))
-    assert (m, n, d) == (4, 52, 51)
-    x, y = rng.standard_normal((m, d)), rng.standard_normal((n, d)) + 0.1
-    sigma, pooled = block_sigma(x, y), median_heuristic(np.concatenate([x, y]))
-    assert abs(sigma - pooled) == np.spacing(pooled)
-    assert_grads_equal(mmd2_biased_grad(x, y), mmd2_biased_grad(x, y, KernelSpec(sigma)))
+    anchors = random_anchors(rng, d, 24)
+    if rows == "last-bit":
+        rng = make_rng(0, 99)
+        assert tuple(int(v) for v in rng.integers(1, 200, size=2)) == (m, n)
+        assert int(rng.integers(2, 101)) == d
+    for _ in range(3 if rows == "aligned" else 1):
+        if rows == "aligned":
+            x = anchor_align(unit_rows(rng, m, 24), anchors, 15.0)
+            y = anchor_align(unit_rows(rng, n, 24) + 0.3, anchors, 15.0)
+        else:
+            x, y = rng.standard_normal((m, d)), rng.standard_normal((n, d)) + 0.1
+        z = np.concatenate([x, y])
+        sigma = median_heuristic(z)
+        bandwidths.clear()
+        got = mmd2_biased_grad(z, m)
+        assert bandwidths == [sigma]
+        assert_grads_equal(got, mmd2_biased_grad(z, m, KernelSpec(sigma)))
+        assert got[0].hex() == pooled_oracle(z, m, KernelSpec(sigma)).hex()
+        assert got[0] == pytest.approx(mmd2_biased(x, y, KernelSpec(sigma)), rel=1e-14)
+    assert (m + n > mmd_mod._ONE_PARTITION) == (m == 400)  # one shape on the bucket path
 
 
 def test_grad_without_kernel_rejects_non_finite_and_falls_back_on_coincident_rows():
-    x = np.ones((5, 3))
-    assert_grads_equal(mmd2_biased_grad(x, x.copy()), mmd2_biased_grad(x, x, KernelSpec(1.0)))
-    x[2, 1] = np.nan
+    z = np.ones((10, 3))
+    assert_grads_equal(mmd2_biased_grad(z, 5), mmd2_biased_grad(z, 5, KernelSpec(1.0)))
+    z[2, 1] = np.nan
     with pytest.raises(NumericError):
-        mmd2_biased_grad(x, np.ones((5, 3)))
+        mmd2_biased_grad(z, 5)
 
 
 # ---------------------------------------------------------------------------
