@@ -21,10 +21,6 @@ class ConfigError(CraftError):
     exit_code = 2
 
 
-class ScheduleError(ConfigError):
-    pass
-
-
 class NumericError(CraftError):
     exit_code = 4
 

@@ -331,6 +331,8 @@ def few_shot_split(emb_set: EmbeddingSet, shots: int, rng: np.random.Generator
 _HEADER = struct.Struct("<4sIIII")
 # 8 + 4 * dim bytes per record must fit a C int to make a numpy dtype
 MAX_DIM = 536_870_909
+# read_embeddings reads this many bytes of whole records at a time (at least one)
+_READ_BLOCK_BYTES = 4 << 20
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -365,61 +367,76 @@ def write_embeddings(emb_set: EmbeddingSet, path: str | Path) -> None:
 
 
 def read_embeddings(path: str | Path) -> EmbeddingSet:
-    """Parse a CEMB file; malformed input raises FormatError with a byte offset."""
-    data = Path(path).read_bytes()
-    off = 0
+    """Parse a CEMB file; malformed input raises FormatError with a byte offset.
+    Records are read ``_READ_BLOCK_BYTES`` at a time into the set's arrays,
+    so the peak is the set plus one block."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        off = 0
 
-    def need(n: int, what: str) -> int:
-        nonlocal off
-        if off + n > len(data):
-            raise FormatError(f"truncated file: need {n} bytes for {what} at offset {off}")
-        start = off
-        off += n
-        return start
+        def need(n: int, what: str, into=None):
+            """The next n bytes, read into ``into`` (a fresh bytearray if None)."""
+            nonlocal off
+            buf = bytearray(n) if into is None else into
+            # a file can end before the size its fstat reported
+            if off + n > size or f.readinto(buf) != n:
+                raise FormatError(f"truncated file: need {n} bytes for {what} at offset {off}")
+            off += n
+            return buf
 
-    magic, version, count, dim, num_classes = _HEADER.unpack_from(
-        data, need(_HEADER.size, "header"))
-    if magic != CEMB_MAGIC:
-        raise FormatError(f"bad magic {magic!r} at offset 0")
-    if version != CEMB_VERSION:
-        raise FormatError(f"unsupported version {version} at offset 4")
-    class_names = []
-    for c in range(num_classes):
-        (length,) = struct.unpack_from("<H", data, need(2, "class-name length"))
-        start = need(length, "class-name bytes")
-        try:
-            class_names.append(data[start:start + length].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"class name {c} is not valid UTF-8 at offset {start + exc.start}"
-                              ) from None
+        magic, version, count, dim, num_classes = _HEADER.unpack(need(_HEADER.size, "header"))
+        if magic != CEMB_MAGIC:
+            raise FormatError(f"bad magic {magic!r} at offset 0")
+        if version != CEMB_VERSION:
+            raise FormatError(f"unsupported version {version} at offset 4")
+        class_names = []
+        for c in range(num_classes):
+            (length,) = struct.unpack("<H", need(2, "class-name length"))
+            start = off
+            try:
+                class_names.append(need(length, "class-name bytes").decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"class name {c} is not valid UTF-8 at offset {start + exc.start}"
+                                  ) from None
 
-    # the header comes from outside: check the file length it implies
-    # before allocating for it
-    records_bytes = count * (8 + 4 * dim)  # _record_dtype(dim).itemsize, not built yet
-    if records_bytes > len(data) - off:
-        raise FormatError(f"truncated file: header declares {count} records of dim {dim} "
-                          f"({records_bytes} bytes) at offset {off}, "
-                          f"but {len(data) - off} bytes remain")
-    if dim > MAX_DIM:
-        raise FormatError(f"dim {dim} above the largest supported {MAX_DIM} at offset 12")
-    rec = _record_dtype(dim)
-    records = np.frombuffer(data, dtype=rec, count=count, offset=off)
-    cid, mod, dom = records["class_id"], records["modality"], records["domain"]
-    bad = np.flatnonzero((cid >= num_classes) | (mod > 1) | (dom > 1))
-    if bad.size:  # the first bad record, its first bad field
-        i = int(bad[0])
-        at = off + i * rec.itemsize
-        if cid[i] >= num_classes:
-            raise FormatError(f"record {i}: class_id {cid[i]} >= num_classes {num_classes} at offset {at}")
-        if mod[i] > 1:
-            raise FormatError(f"record {i}: bad modality byte {mod[i]} at offset {at + 4}")
-        raise FormatError(f"record {i}: bad domain byte {dom[i]} at offset {at + 5}")
-    off += records_bytes
-    if off != len(data):
-        raise FormatError(f"{len(data) - off} trailing bytes at offset {off}")
+        # the header comes from outside: check the file length it implies
+        # before allocating for it
+        records_bytes = count * (8 + 4 * dim)  # _record_dtype(dim).itemsize, not built yet
+        if records_bytes > size - off:
+            raise FormatError(f"truncated file: header declares {count} records of dim {dim} "
+                              f"({records_bytes} bytes) at offset {off}, "
+                              f"but {size - off} bytes remain")
+        if dim > MAX_DIM:
+            raise FormatError(f"dim {dim} above the largest supported {MAX_DIM} at offset 12")
+        rec = _record_dtype(dim)
+        result = EmbeddingSet(np.empty((count, dim)), np.empty(count, dtype=np.int64),
+                              np.empty(count, dtype=np.uint8), np.empty(count, dtype=np.uint8),
+                              np.empty(count, dtype=np.int64), class_names)
+        first = off
+        per_block = max(1, _READ_BLOCK_BYTES // rec.itemsize)
+        raw = np.empty(min(count, per_block) * rec.itemsize, dtype=np.uint8)
+        for lo in range(0, count, per_block):
+            hi = min(lo + per_block, count)
+            records = need((hi - lo) * rec.itemsize, f"records {lo} to {hi - 1}",
+                           raw[:(hi - lo) * rec.itemsize]).view(rec)
+            cid, mod, dom = records["class_id"], records["modality"], records["domain"]
+            bad = np.flatnonzero((cid >= num_classes) | (mod > 1) | (dom > 1))
+            if bad.size:  # the first bad record, its first bad field
+                j = int(bad[0])
+                i, at = lo + j, first + (lo + j) * rec.itemsize
+                if cid[j] >= num_classes:
+                    raise FormatError(f"record {i}: class_id {cid[j]} >= num_classes "
+                                      f"{num_classes} at offset {at}")
+                if mod[j] > 1:
+                    raise FormatError(f"record {i}: bad modality byte {mod[j]} at offset {at + 4}")
+                raise FormatError(f"record {i}: bad domain byte {dom[j]} at offset {at + 5}")
+            result.vectors[lo:hi] = records["vector"]
+            result.class_ids[lo:hi] = cid
+            result.modalities[lo:hi] = mod
+            result.domains[lo:hi] = dom
+            result.group_ids[lo:hi] = records["group_id"]
+        if off != size:
+            raise FormatError(f"{size - off} trailing bytes at offset {off}")
 
-    result = EmbeddingSet(records["vector"].astype(np.float64), cid.astype(np.int64),
-                          mod.copy(), dom.copy(), records["group_id"].astype(np.int64),
-                          class_names)
     result.validate()
     return result

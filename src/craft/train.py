@@ -12,7 +12,7 @@ import numpy as np
 
 from .adapter import Adapter
 from .anchors import AnchorSet
-from .core import ConfigError, NumericError, ScheduleError, ShapeError, make_rng
+from .core import ConfigError, NumericError, ShapeError, make_rng
 from .dataio import EmbeddingSet, Modality
 from .evaluation import hit_rate, predict_batch
 from .losses import LossBatch, Mode, check_terms, loss_and_gradient
@@ -89,10 +89,6 @@ class TrainHistory:
 
 def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
     """Cosine annealing: base_lr at epoch 0, zero at epoch total_epochs."""
-    if total_epochs < 1:
-        raise ScheduleError("total_epochs must be >= 1")
-    if epoch < 0 or epoch > total_epochs:
-        raise ScheduleError(f"epoch {epoch} outside [0, {total_epochs}]")
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 

@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
 import math
 import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import craft.dataio as dataio
 from craft.anchors import kmeans
 from craft.core import ConfigError, FormatError, SplitError, l2_normalize, make_rng
 from craft.dataio import (MAX_DIM, Domain, Modality, SyntheticConfig, _block_rotation,
@@ -530,6 +533,108 @@ def test_first_of_two_bad_fields_named(tmp_path):
     assert message == "record 1: class_id 9 >= num_classes 2 at offset 58"
     message = _two_record_fault(tmp_path, (1, 5, 4), (1, 4, 5))
     assert message == "record 1: bad modality byte 5 at offset 62"
+
+
+# ---------------------------------------------------------------------------
+# CEMB records are read in blocks of whole records: small_cfg's 64 records of
+# dim 8 (40 bytes each) span blocks of 25, 25 and 14 records
+
+
+def _blocked_file(tmp_path, monkeypatch):
+    """A small_cfg source set written to a file, the reader's block cut to 25
+    records (plus a partial record's bytes); returns the set, the path and
+    the offset of the first record."""
+    monkeypatch.setattr(dataio, "_READ_BLOCK_BYTES", 25 * 40 + 13)
+    source, _ = generate_synthetic(small_cfg(group_spurious_strength=0.4))
+    source.domains[::3] = 1
+    path = tmp_path / "blocks.cemb"
+    write_embeddings(source, path)
+    first = 20 + sum(2 + len(n) for n in source.class_names)
+    assert len(source) == 64 and path.stat().st_size == first + 64 * 40
+    return source, path, first
+
+
+def test_records_read_across_blocks(tmp_path, monkeypatch):
+    source, path, _ = _blocked_file(tmp_path, monkeypatch)
+    back = read_embeddings(path)
+    np.testing.assert_array_equal(back.vectors,
+                                  source.vectors.astype(np.float32).astype(np.float64))
+    for column in ("class_ids", "modalities", "domains", "group_ids"):
+        np.testing.assert_array_equal(getattr(back, column), getattr(source, column))
+
+
+@pytest.mark.parametrize("record, at, value, message", [
+    (30, 4, 2, "bad modality byte 2"), (49, 0, 4, "class_id 4 >= num_classes 4"),
+    (50, 5, 9, "bad domain byte 9")])
+def test_bad_record_in_a_later_block_named_by_its_file_index(tmp_path, monkeypatch, record,
+                                                             at, value, message):
+    _, path, first = _blocked_file(tmp_path, monkeypatch)
+    raw = bytearray(path.read_bytes())
+    raw[first + record * 40 + at] = value
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as info:
+        read_embeddings(path)
+    assert str(info.value) == f"record {record}: {message} at offset {first + record * 40 + at}"
+
+
+def test_file_shorter_than_its_reported_size_is_truncated(tmp_path, monkeypatch):
+    # the file loses its last 24 records between the reader's fstat and its
+    # reads: the second block comes back short and the third empty
+    _, path, first = _blocked_file(tmp_path, monkeypatch)
+    real_fstat = os.fstat
+
+    def fstat_then_truncate(fd):
+        st = real_fstat(fd)
+        os.truncate(path, first + 40 * 40)
+        return st
+
+    monkeypatch.setattr(os, "fstat", fstat_then_truncate)
+    with pytest.raises(FormatError) as info:
+        read_embeddings(path)
+    assert str(info.value) == ("truncated file: need 1000 bytes for records 25 to 49 "
+                               f"at offset {first + 1000}")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_fifo_is_refused_as_truncated(tmp_path):
+    # a FIFO reports size 0 whatever its writer sends
+    source, _ = generate_synthetic(small_cfg())
+    plain, fifo = tmp_path / "plain.cemb", tmp_path / "pipe.cemb"
+    write_embeddings(source, plain)
+    os.mkfifo(fifo)
+
+    def send():  # fits the pipe's buffer: the write does not wait for the reader
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as out:
+            out.write(plain.read_bytes())
+
+    writer = threading.Thread(target=send, daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(FormatError) as info:
+            read_embeddings(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert str(info.value) == "truncated file: need 20 bytes for header at offset 0"
+
+
+def test_read_memory_is_the_set_plus_one_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_READ_BLOCK_BYTES", 256 << 10)
+    rng = make_rng(5)
+    n = 4000
+    emb = toy_embedding_set(rng.standard_normal((n, 256)), rng.integers(0, 10, n),
+                            rng.integers(0, 2, n), num_classes=10)
+    path = tmp_path / "peak.cemb"
+    write_embeddings(emb, path)
+    del emb
+    tracemalloc.start()
+    try:
+        back = read_embeddings(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = (back.vectors, back.class_ids, back.modalities, back.domains, back.group_ids)
+    # the file is 4.1 MB: a whole-file copy would not fit
+    assert peak <= sum(a.nbytes for a in columns) + (256 << 10) + (1 << 20)
 
 
 @pytest.mark.parametrize("column, value", [("modalities", 2), ("domains", 7)])

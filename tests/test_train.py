@@ -12,7 +12,7 @@ import craft.train as train_mod
 from craft.adapter import Adapter, encode, param_count, read_checkpoint, write_checkpoint
 from craft.anchors import AnchorSet
 from craft.core import (AnchorError, ConfigError, FormatError, LabelError, NormalizationError,
-                        NumericError, ScheduleError, ShapeError, l2_normalize, make_rng)
+                        NumericError, ShapeError, l2_normalize, make_rng)
 from craft.dataio import Modality, SyntheticConfig, generate_synthetic
 from craft.evaluation import accuracy
 from craft.experiments import build_training_anchors, reference_config, run_experiment
@@ -132,15 +132,6 @@ def test_cosine_lr_endpoints():
     assert cosine_lr(0, 10, 0.5) == 0.5
     assert cosine_lr(10, 10, 0.5) == pytest.approx(0.0, abs=1e-16)
     assert cosine_lr(5, 10, 0.5) == pytest.approx(0.25, abs=1e-12)
-
-
-def test_cosine_lr_out_of_range():
-    with pytest.raises(ScheduleError):
-        cosine_lr(11, 10, 0.5)
-    with pytest.raises(ScheduleError):
-        cosine_lr(-1, 10, 0.5)
-    with pytest.raises(ScheduleError):
-        cosine_lr(0, 0, 0.5)
 
 
 def test_sgd_step_examples(rng):
