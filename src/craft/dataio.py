@@ -331,8 +331,9 @@ def few_shot_split(emb_set: EmbeddingSet, shots: int, rng: np.random.Generator
 _HEADER = struct.Struct("<4sIIII")
 # 8 + 4 * dim bytes per record must fit a C int to make a numpy dtype
 MAX_DIM = 536_870_909
-# read_embeddings reads this many bytes of whole records at a time (at least one)
-_READ_BLOCK_BYTES = 4 << 20
+# the CEMB codec reads and writes this many bytes of whole records at a time
+# (at least one record), through one reused buffer
+_BLOCK_BYTES = 4 << 20
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -342,7 +343,8 @@ def _record_dtype(dim: int) -> np.dtype:
 
 
 def write_embeddings(emb_set: EmbeddingSet, path: str | Path) -> None:
-    """Serialize to CEMB. Vectors are narrowed to float32."""
+    """Serialize to CEMB. Vectors are narrowed to float32. Records are
+    written ``_BLOCK_BYTES`` at a time: one block is allocated, not the file."""
     emb_set.validate()
     bad = np.flatnonzero((emb_set.group_ids < 0) | (emb_set.group_ids > 0xFFFF))
     if bad.size:
@@ -355,21 +357,25 @@ def write_embeddings(emb_set: EmbeddingSet, path: str | Path) -> None:
             raise FormatError(f"class name too long ({len(raw)} bytes)")
         head += struct.pack("<H", len(raw)) + raw
     rec = _record_dtype(emb_set.dim)
-    out = np.empty(len(head) + len(emb_set) * rec.itemsize, dtype=np.uint8)
-    out[:len(head)] = np.frombuffer(head, dtype=np.uint8)
-    records = out[len(head):].view(rec)
-    records["class_id"] = emb_set.class_ids
-    records["modality"] = emb_set.modalities
-    records["domain"] = emb_set.domains
-    records["group_id"] = emb_set.group_ids
-    records["vector"] = emb_set.vectors
-    Path(path).write_bytes(out)
+    per_block = max(1, _BLOCK_BYTES // rec.itemsize)
+    block = np.empty(min(len(emb_set), per_block), dtype=rec)
+    with open(path, "wb") as f:
+        f.write(head)
+        for lo in range(0, len(emb_set), per_block):
+            hi = min(lo + per_block, len(emb_set))
+            records = block[:hi - lo]
+            records["class_id"] = emb_set.class_ids[lo:hi]
+            records["modality"] = emb_set.modalities[lo:hi]
+            records["domain"] = emb_set.domains[lo:hi]
+            records["group_id"] = emb_set.group_ids[lo:hi]
+            records["vector"] = emb_set.vectors[lo:hi]
+            f.write(records)
 
 
 def read_embeddings(path: str | Path) -> EmbeddingSet:
     """Parse a CEMB file; malformed input raises FormatError with a byte offset.
-    Records are read ``_READ_BLOCK_BYTES`` at a time into the set's arrays,
-    so the peak is the set plus one block."""
+    Records are read ``_BLOCK_BYTES`` at a time into the set's arrays, so
+    the peak is the set plus one block."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         off = 0
@@ -413,7 +419,7 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
                               np.empty(count, dtype=np.uint8), np.empty(count, dtype=np.uint8),
                               np.empty(count, dtype=np.int64), class_names)
         first = off
-        per_block = max(1, _READ_BLOCK_BYTES // rec.itemsize)
+        per_block = max(1, _BLOCK_BYTES // rec.itemsize)
         raw = np.empty(min(count, per_block) * rec.itemsize, dtype=np.uint8)
         for lo in range(0, count, per_block):
             hi = min(lo + per_block, count)

@@ -407,6 +407,18 @@ def test_codec_matches_per_record_struct_layout(tmp_path):
         assert getattr(back, column).dtype == getattr(source, column).dtype
 
 
+def test_codec_layout_does_not_depend_on_the_block(tmp_path, monkeypatch):
+    # small_cfg's 64 records of 40 bytes: one default block, or three of 25,
+    # 25 and 14 records
+    source, _ = generate_synthetic(small_cfg(group_spurious_strength=0.4))
+    source.domains[::3] = 1
+    whole, blocked = tmp_path / "whole.cemb", tmp_path / "blocked.cemb"
+    write_embeddings(source, whole)
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 25 * 40 + 13)
+    write_embeddings(source, blocked)
+    assert blocked.read_bytes() == whole.read_bytes()
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.cemb"
     path.write_bytes(b"XXXX" + bytes(32))
@@ -544,7 +556,7 @@ def _blocked_file(tmp_path, monkeypatch):
     """A small_cfg source set written to a file, the reader's block cut to 25
     records (plus a partial record's bytes); returns the set, the path and
     the offset of the first record."""
-    monkeypatch.setattr(dataio, "_READ_BLOCK_BYTES", 25 * 40 + 13)
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 25 * 40 + 13)
     source, _ = generate_synthetic(small_cfg(group_spurious_strength=0.4))
     source.domains[::3] = 1
     path = tmp_path / "blocks.cemb"
@@ -618,7 +630,7 @@ def test_fifo_is_refused_as_truncated(tmp_path):
 
 
 def test_read_memory_is_the_set_plus_one_block(tmp_path, monkeypatch):
-    monkeypatch.setattr(dataio, "_READ_BLOCK_BYTES", 256 << 10)
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 256 << 10)
     rng = make_rng(5)
     n = 4000
     emb = toy_embedding_set(rng.standard_normal((n, 256)), rng.integers(0, 10, n),
