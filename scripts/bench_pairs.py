@@ -1,6 +1,7 @@
 """Run perfbench/run.py alternately on two checkouts and write each run's
 context and result lines, with each side's attempted and failed op counts,
-per-metric quartiles and the pairs the change won, to one JSON file.
+per-metric quartiles, the pairs the change won, the gap between the two
+medians and the parent's interquartile range, to one JSON file.
 
 Usage: python scripts/bench_pairs.py PARENT CHANGE --out BENCH_16.json \\
            --pairs clip-ood-mmd=10 desk-tables=3 [--seed 7]
@@ -43,7 +44,11 @@ def quartiles(values: list[float]) -> dict:
 def summary(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload, over its complete pairs: the attempted and failed op
     counts of each side (under ``ops``), and per metric each side's
-    quartiles and the number of pairs in which the change read better."""
+    quartiles, the number of pairs in which the change read better,
+    ``median_gap`` (change median minus parent median) and ``parent_iqr``
+    (the parent's q3 minus q1). A gain is claimed when the change wins at
+    least nine tenths of the pairs and ``abs(median_gap)`` exceeds
+    ``parent_iqr``."""
     out = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         by_pair = {}
@@ -60,8 +65,11 @@ def summary(runs: list[dict], better: dict[str, str]) -> dict:
             values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs]
                       for side in SIDES}
             wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
-            out[workload][name] = {"pairs": len(pairs), "change_wins": wins,
-                                   **{side: quartiles(values[side]) for side in SIDES}}
+            sides = {side: quartiles(values[side]) for side in SIDES}
+            out[workload][name] = {
+                "pairs": len(pairs), "change_wins": wins,
+                "median_gap": sides["change"]["median"] - sides["parent"]["median"],
+                "parent_iqr": sides["parent"]["q3"] - sides["parent"]["q1"], **sides}
     return out
 
 

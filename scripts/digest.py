@@ -70,8 +70,8 @@ def clip_epoch(seed: int):
 def kmeans_anchors(seed: int, workdir: Path) -> str:
     """sha256 of the anchor file of ``build_training_anchors`` with 4
     centroids per class, on a seeded H=512 set of 8 classes, each with 4
-    text records and 250 to 1,100 image records, so that k-means runs on
-    one, two and three 512-row blocks."""
+    text records and 250 to 1,100 image records, class sizes on both sides
+    of 256, 512 and 1,024 rows."""
     rng = make_rng(seed)
     sizes = (250, 400, 511, 512, 513, 700, 1024, 1100)
     k, h = len(sizes), 512

@@ -8,12 +8,14 @@ then the float64 parameter vector (W_img row-major, b_img, W_txt, b_txt).
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .core import FormatError, NormalizationError, NumericError, ShapeError
+from .dataio import open_for_reading
 
 CADP_MAGIC = b"CADP"
 CADP_VERSION = 1
@@ -104,7 +106,8 @@ def write_checkpoint(adapter: Adapter, path: str | Path) -> None:
 def read_checkpoint(path: str | Path) -> Adapter:
     """Parse a CADP file; a malformed one, or one holding a NaN or infinite
     parameter, raises FormatError."""
-    data = Path(path).read_bytes()
+    with open_for_reading(path) as f:
+        data = f.read(os.fstat(f.fileno()).st_size)
     if len(data) < _CKPT_HEADER.size:
         raise FormatError(f"truncated checkpoint: {len(data)} bytes")
     magic, version, dim = _CKPT_HEADER.unpack_from(data, 0)

@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AnchorError, ClusterError, GramRows, l2_normalize, pairwise_sq_dists
+from .core import _EPS, AnchorError, ClusterError, l2_normalize, pairwise_sq_dists
 from .dataio import EmbeddingSet, Modality, make_embedding_set, read_embeddings, write_embeddings
 
 ANCHOR_NAME_PREFIX = "anchor:"
@@ -55,19 +55,38 @@ class KMeansResult:
     objective_history: list[float] = field(default_factory=list)
 
 
-def _kmeanspp_seed(points: GramRows, m: int, rng: np.random.Generator) -> np.ndarray:
+def _sq_dists_to(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances (n, m) from ``points`` (n, d), whose squared norms
+    are ``sq_norms``, to ``centroids`` (m, d), in the one-product Gram form
+    ``|p|^2 + |c|^2 - 2 p.c``: one GEMM against the few centroids.
+
+    Entries at or below ``pairwise_sq_dists``' rounding bound
+    ``(2d + 8) eps (|p|^2 + |c|^2)``, which covers this form too, are set to
+    0, so coincident rows give exactly 0 and every entry is >= 0.
+    """
+    d2 = points @ centroids.T
+    d2 *= -2.0
+    norms = sq_norms[:, None] + np.einsum("ij,ij->i", centroids, centroids)
+    d2 += norms
+    norms *= (2 * points.shape[1] + 8) * _EPS
+    d2[d2 <= norms] = 0.0
+    return d2
+
+
+def _kmeanspp_seed(points: np.ndarray, sq_norms: np.ndarray, m: int,
+                   rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centroids = np.empty((m, points.shape[1]))
-    centroids[0] = points.rows[rng.integers(n)]
-    d2 = pairwise_sq_dists(points, centroids[:1]).ravel()
+    centroids[0] = points[rng.integers(n)]
+    d2 = _sq_dists_to(points, sq_norms, centroids[:1]).ravel()
     for j in range(1, m):
         total = d2.sum()
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
             idx = int(rng.choice(n, p=d2 / total))
-        centroids[j] = points.rows[idx]
-        d2 = np.minimum(d2, pairwise_sq_dists(points, centroids[j:j + 1]).ravel())
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, _sq_dists_to(points, sq_norms, centroids[j:j + 1]).ravel())
     return centroids
 
 
@@ -108,10 +127,11 @@ def kmeans(points: np.ndarray, m: int, rng: np.random.Generator,
     clusters are re-seeded to the point farthest from the cluster's former
     centroid. The per-iteration objective (sum of squared distances to
     assigned centroids) is non-increasing and recorded in
-    ``objective_history``. The ordered points are prepared once as
-    ``GramRows`` for every distance computation of the call. The final
-    assignment reads the last iteration's distances when the centroids
-    stopped moving exactly, and a fresh distance pass otherwise.
+    ``objective_history``. Every distance pass is one GEMM of the points
+    against the centroids (see ``_sq_dists_to``), with the points' squared
+    norms taken once per call. The final assignment reads the last
+    iteration's distances when the centroids stopped moving exactly, and a
+    fresh distance pass otherwise.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] == 0:
@@ -126,15 +146,15 @@ def kmeans(points: np.ndarray, m: int, rng: np.random.Generator,
 
     order = _lex_order(points)
     points = points[order]
-    gram = GramRows(points)
-    centroids = _kmeanspp_seed(gram, m, rng)
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    centroids = _kmeanspp_seed(points, sq_norms, m, rng)
 
     history: list[float] = []
     iterations = 0
     movement = np.inf
     for _ in range(max_iter):
         iterations += 1
-        d2 = pairwise_sq_dists(gram, centroids)
+        d2 = _sq_dists_to(points, sq_norms, centroids)
         assignments = np.argmin(d2, axis=1)
         objective = float(d2[np.arange(n), assignments].sum())
         if history and objective > history[-1] + 1e-9:
@@ -142,13 +162,13 @@ def kmeans(points: np.ndarray, m: int, rng: np.random.Generator,
         history.append(objective)
 
         new_centroids = centroids.copy()
+        counts = np.bincount(assignments, minlength=m)
         claimed: list[int] = []
         for j in range(m):
-            members = assignments == j
-            if members.any():
-                new_centroids[j] = points[members].mean(axis=0)
+            if counts[j]:  # the sum over the count: bitwise ``mean(axis=0)``
+                new_centroids[j] = np.add.reduce(points[assignments == j], axis=0) / counts[j]
             else:
-                dist = pairwise_sq_dists(gram, centroids[j:j + 1]).ravel()
+                dist = _sq_dists_to(points, sq_norms, centroids[j:j + 1]).ravel()
                 dist[claimed] = -np.inf
                 far = int(np.argmax(dist))
                 claimed.append(far)
@@ -159,7 +179,7 @@ def kmeans(points: np.ndarray, m: int, rng: np.random.Generator,
             break
 
     if movement != 0.0:  # else the last d2 is already that of the final centroids
-        d2 = pairwise_sq_dists(gram, centroids)
+        d2 = _sq_dists_to(points, sq_norms, centroids)
         assignments = np.argmin(d2, axis=1)
         objective = float(d2[np.arange(n), assignments].sum())
     history.append(objective)

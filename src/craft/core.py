@@ -126,8 +126,8 @@ class GramRows:
     """A point set prepared once for the Gram form: its contiguous float64
     rows, their squared norms, and the contiguous transpose of each
     TILE-row block. ``sq_dist_tiles`` and ``pairwise_sq_dists`` take one in
-    place of an array, so a set that meets many others (the points of
-    k-means, an MMD sample) is copied and normed once, not on every call."""
+    place of an array, so a set that meets many others (an MMD sample) is
+    copied and normed once, not on every call."""
 
     def __init__(self, x: np.ndarray) -> None:
         self.rows = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)

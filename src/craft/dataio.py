@@ -334,6 +334,15 @@ MAX_DIM = 536_870_909
 # the CEMB codec reads and writes this many bytes of whole records at a time
 # (at least one record), through one reused buffer
 _BLOCK_BYTES = 4 << 20
+_NONBLOCK = getattr(os, "O_NONBLOCK", 0)  # absent where there are no FIFOs
+
+
+def open_for_reading(path: str | Path):
+    """``open(path, "rb")`` that does not wait for a FIFO's writer, as a
+    plain open of a FIFO no process writes to would, forever. The readers
+    trust the size ``os.fstat`` reports, 0 for a FIFO, so one reads as a
+    truncated file."""
+    return open(path, "rb", opener=lambda p, flags: os.open(p, flags | _NONBLOCK))
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -376,7 +385,7 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
     """Parse a CEMB file; malformed input raises FormatError with a byte offset.
     Records are read ``_BLOCK_BYTES`` at a time into the set's arrays, so
     the peak is the set plus one block."""
-    with open(path, "rb") as f:
+    with open_for_reading(path) as f:
         size = os.fstat(f.fileno()).st_size
         off = 0
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import craft.anchors as anchors_mod
-from craft.anchors import (AnchorError, AnchorSet, ClusterError, _lex_order,
+from craft.anchors import (AnchorError, AnchorSet, ClusterError, _lex_order, _sq_dists_to,
                            build_static_image_anchors, build_static_text_anchors,
                            kmeans, read_anchors, write_anchors)
 from craft.core import GramRows, l2_normalize, make_rng, pairwise_sq_dists
@@ -46,17 +46,18 @@ def test_kmeans_final_pass_reuses_converged_distances(monkeypatch):
                              np.array([-5.0, 0.0]) + 0.1 * rng.standard_normal((40, 2))])
     calls = []
 
-    def counting(x, y):
-        calls.append(y.shape)
-        return pairwise_sq_dists(x, y)
+    def counting(x, sq_norms, centroids):
+        calls.append(centroids.shape)
+        return _sq_dists_to(x, sq_norms, centroids)
 
-    monkeypatch.setattr(anchors_mod, "pairwise_sq_dists", counting)
+    monkeypatch.setattr(anchors_mod, "_sq_dists_to", counting)
     converged = kmeans(points, 2, make_rng(1))
     assert converged.iterations_run < 100
     assert len(calls) == 2 + converged.iterations_run
     # the fields a fresh final pass over the final centroids gives
     order = _lex_order(points)
-    d2 = pairwise_sq_dists(GramRows(points[order]), converged.centroids)
+    ordered = points[order]
+    d2 = _sq_dists_to(ordered, np.einsum("ij,ij->i", ordered, ordered), converged.centroids)
     fresh = np.empty(len(points), dtype=np.int64)
     fresh[order] = np.argmin(d2, axis=1)
     np.testing.assert_array_equal(converged.assignments, fresh)
@@ -67,6 +68,83 @@ def test_kmeans_final_pass_reuses_converged_distances(monkeypatch):
     calls.clear()
     kmeans(points, 2, make_rng(1), max_iter=1)  # stopped while moving
     assert len(calls) == 2 + 1 + 1
+
+
+def sq_norms(x):
+    return np.einsum("ij,ij->i", x, x)
+
+
+def test_sq_dists_to_zero_on_coincident_rows_and_never_negative():
+    rng = make_rng(17)
+    for scale in (1e-3, 1.0, 1e3):
+        points = scale * rng.standard_normal((300, 512))
+        centroids = points[[0, 7, 7, 299]]  # a repeated centroid too
+        d2 = _sq_dists_to(points, sq_norms(points), centroids)
+        assert d2.shape == (300, 4)
+        assert d2[0, 0] == d2[7, 1] == d2[7, 2] == d2[299, 3] == 0.0
+        assert (d2 >= 0.0).all()
+    # a cloud tighter than the rounding of its norms: every entry is clipped
+    near = 1.0 + 1e-9 * rng.standard_normal((50, 64))
+    assert (_sq_dists_to(near, sq_norms(near), near[:3]) == 0.0).all()
+
+
+def test_sq_dists_to_argmin_agrees_with_pairwise_sq_dists():
+    rng = make_rng(23)
+    for trial in range(20):
+        n, d, m = int(rng.integers(5, 600)), int(rng.integers(1, 600)), int(rng.integers(1, 6))
+        points = rng.standard_normal((n, d))
+        centroids = rng.standard_normal((m, d))
+        ours = _sq_dists_to(points, sq_norms(points), centroids)
+        reference = pairwise_sq_dists(points, centroids)
+        np.testing.assert_array_equal(np.argmin(ours, axis=1), np.argmin(reference, axis=1))
+        np.testing.assert_allclose(ours, reference, rtol=1e-12, atol=0.0)
+
+
+def reference_kmeans(points, m, rng, max_iter=100, tol=1e-8):
+    """The centroids of the earlier Lloyd loop: every distance pass through
+    ``pairwise_sq_dists`` on the points' ``GramRows``, every mean through
+    ``ndarray.mean``."""
+    points = points[_lex_order(points)]
+    gram = GramRows(points)
+    n = len(points)
+    centroids = np.empty((m, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = pairwise_sq_dists(gram, centroids[:1]).ravel()
+    for j in range(1, m):
+        total = d2.sum()
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, pairwise_sq_dists(gram, centroids[j:j + 1]).ravel())
+    for _ in range(max_iter):
+        assignments = np.argmin(pairwise_sq_dists(gram, centroids), axis=1)
+        new_centroids = centroids.copy()
+        claimed = []
+        for j in range(m):
+            members = assignments == j
+            if members.any():
+                new_centroids[j] = points[members].mean(axis=0)
+            else:
+                dist = pairwise_sq_dists(gram, centroids[j:j + 1]).ravel()
+                dist[claimed] = -np.inf
+                far = int(np.argmax(dist))
+                claimed.append(far)
+                new_centroids[j] = points[far]
+        movement = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        if movement < tol:
+            break
+    return centroids
+
+
+@pytest.mark.parametrize("n", [250, 513, 1100])
+def test_kmeans_centroids_match_the_pairwise_reference(n):
+    # clustered unit rows at the anchor build's shape, as in the benchmark
+    rng = make_rng(n)
+    means = l2_normalize(rng.standard_normal((4, 512)))
+    points = l2_normalize(means[rng.integers(0, 4, n)] + 0.06 * rng.standard_normal((n, 512)))
+    for seed in range(3):
+        np.testing.assert_array_equal(kmeans(points, 4, make_rng(seed)).centroids,
+                                      reference_kmeans(points, 4, make_rng(seed)))
 
 
 def test_kmeans_objective_monotone(rng):

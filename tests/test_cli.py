@@ -32,19 +32,20 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 
 
-def run_cli(*args, env=None, unset=(), preexec_fn=None):
+def run_cli(*args, env=None, unset=(), preexec_fn=None, timeout=None):
     """Run ``python -m craft`` in a child that inherits this environment.
 
     ``env`` entries are merged onto ``os.environ`` and the names in ``unset``
     are removed, so the child still finds ``craft`` the way this process did
     (``PYTHONPATH`` or an installed package). ``preexec_fn`` runs in the
-    child before it starts, e.g. to set its resource limits.
+    child before it starts, e.g. to set its resource limits. A child still
+    running after ``timeout`` seconds is killed and the test fails.
     """
     child_env = {k: v for k, v in os.environ.items() if k not in unset}
     child_env.update(env or {})
     return subprocess.run([sys.executable, "-m", "craft", *args],
                           capture_output=True, text=True, env=child_env,
-                          preexec_fn=preexec_fn)
+                          preexec_fn=preexec_fn, timeout=timeout)
 
 
 def small_config(tmp_path, **overrides):
@@ -272,6 +273,27 @@ def test_nonfinite_checkpoint_is_format_error(tmp_path):
     assert result.returncode == 3
     error = json.loads(result.stderr)
     assert error["error"] == "FormatError" and error["message"].endswith("at offset 52")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_writerless_fifo_is_format_error(pipeline, tmp_path):
+    # a plain open of a FIFO that no process writes to waits forever
+    tmp, config, data, ckpt, _, _ = pipeline
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    cases = [
+        (("mmd", "--a", str(fifo), "--b", str(data / "target.cemb"),
+          "--anchors", str(tmp / "anchors.cemb"), "--n-perms", "100"),
+         "truncated file: need 20 bytes for header at offset 0"),
+        (("eval", "--config", str(config), "--checkpoint", str(fifo), "--data", str(data),
+          "--out", str(tmp_path / "r.json")),
+         "truncated checkpoint: 0 bytes"),
+    ]
+    for args, message in cases:
+        result = run_cli(*args, timeout=60)
+        assert result.returncode == 3
+        assert json.loads(result.stderr) == {"command": args[0], "error": "FormatError",
+                                             "message": message}
 
 
 def test_ood_without_target_is_config_error(tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import re
 import subprocess
 import sys
@@ -93,3 +94,37 @@ def test_bench_pairs_refuses_checkouts_at_paths_of_unequal_length(tmp_path):
     assert result.stdout == "" and result.stderr.count("\n") == 1
     assert str(parent) in result.stderr and str(change) in result.stderr
     assert not out.exists()
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_gives_wins_median_gap_and_parent_iqr():
+    bench_pairs = load_script("bench_pairs")
+    parent = [0.48, 0.50, 0.46, 0.47, 0.52]
+    change = [0.40, 0.37, 0.47, 0.38, 0.36]  # pair 2 is a loss
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        for side, op_s, rss in (("parent", p, 100.0), ("change", c, 100.0 + pair)):
+            runs.append({"workload": "w", "pair": pair, "side": side,
+                         "result": {"attempted": 10, "failed": int(side == "change"),
+                                    "metrics": {"op_s": {"value": op_s},
+                                                "ops_per_s": {"value": 1 / op_s},
+                                                "peak_rss_mb": {"value": rss}}}})
+    runs.append({**runs[0], "pair": 5})  # an incomplete pair is left out
+    out = bench_pairs.summary(runs, {"op_s": "lower", "ops_per_s": "higher"})["w"]
+    assert out["ops"] == {"parent": {"attempted": 50, "failed": 0},
+                          "change": {"attempted": 50, "failed": 5}}
+    op_s = out["op_s"]
+    assert (op_s["pairs"], op_s["change_wins"]) == (5, 4)
+    assert op_s["parent"] == {"q1": 0.47, "median": 0.48, "q3": 0.50}
+    assert op_s["change"]["median"] == 0.38
+    assert op_s["median_gap"] == 0.38 - 0.48
+    assert op_s["parent_iqr"] == 0.50 - 0.47
+    assert out["ops_per_s"]["change_wins"] == 4  # higher is better
+    rss = out["peak_rss_mb"]  # lower by default; a tie is no win
+    assert (rss["change_wins"], rss["median_gap"], rss["parent_iqr"]) == (0, 2.0, 0.0)

@@ -145,13 +145,6 @@ def test_group_metrics_gap_nonnegative(rng):
         assert report["worst_group"] == min(report["per_group_accuracy"].values())
 
 
-def test_group_metrics_errors():
-    with pytest.raises(EvalError):
-        group_metrics({}, {})
-    with pytest.raises(EvalError):
-        group_metrics({0: 1}, {0: 0})
-
-
 def test_group_accuracy_report_on_spurious_data():
     source, _ = generate_synthetic(SyntheticConfig(
         num_classes=4, dim=8, samples_per_class_per_modality=32,
