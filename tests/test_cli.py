@@ -278,7 +278,7 @@ def test_nonfinite_checkpoint_is_format_error(tmp_path):
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
 def test_writerless_fifo_is_format_error(pipeline, tmp_path):
     # a plain open of a FIFO that no process writes to waits forever
-    tmp, config, data, ckpt, _, _ = pipeline
+    tmp, config, data, _, _, _ = pipeline
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     cases = [
