@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _EPS, AnchorError, ClusterError, l2_normalize, pairwise_sq_dists
+from .core import AnchorError, ClusterError, l2_normalize, pairwise_sq_dists, zero_below_rounding
 from .dataio import EmbeddingSet, Modality, make_embedding_set, read_embeddings, write_embeddings
 
 ANCHOR_NAME_PREFIX = "anchor:"
@@ -60,17 +60,15 @@ def _sq_dists_to(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
     are ``sq_norms``, to ``centroids`` (m, d), in the one-product Gram form
     ``|p|^2 + |c|^2 - 2 p.c``: one GEMM against the few centroids.
 
-    Entries at or below ``pairwise_sq_dists``' rounding bound
-    ``(2d + 8) eps (|p|^2 + |c|^2)``, which covers this form too, are set to
-    0, so coincident rows give exactly 0 and every entry is >= 0.
+    Entries at or below ``pairwise_sq_dists``' rounding bound, which covers
+    this form too, are set to 0 (see ``core.zero_below_rounding``), so
+    coincident rows give exactly 0 and every entry is >= 0.
     """
     d2 = points @ centroids.T
     d2 *= -2.0
     norms = sq_norms[:, None] + np.einsum("ij,ij->i", centroids, centroids)
     d2 += norms
-    norms *= (2 * points.shape[1] + 8) * _EPS
-    d2[d2 <= norms] = 0.0
-    return d2
+    return zero_below_rounding(d2, norms, points.shape[1])
 
 
 def _kmeanspp_seed(points: np.ndarray, sq_norms: np.ndarray, m: int,

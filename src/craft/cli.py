@@ -36,8 +36,8 @@ from .core import CraftError, ConfigError, AnchorError  # noqa: E402
 from .dataio import generate_synthetic, read_embeddings, write_embeddings  # noqa: E402
 from .evaluation import confusion, confusion_csv, format_pct  # noqa: E402
 from .losses import Mode  # noqa: E402
-from .mmd import (KernelSpec, _mmd2_both, anchor_align, check_n_perms,  # noqa: E402
-                  median_heuristic, permutation_test)
+from .mmd import (KernelSpec, anchor_align, check_n_perms, median_heuristic,  # noqa: E402
+                  mmd2_both, permutation_test)
 from .core import make_rng  # noqa: E402
 
 MODE_CHOICES = [m.value for m in Mode]
@@ -162,7 +162,7 @@ def cmd_mmd(args) -> int:
     rows_a = anchor_align(set_a.image_vectors(), text_anchors)
     rows_b = anchor_align(set_b.image_vectors(), text_anchors)
     kernel = KernelSpec(median_heuristic(np.concatenate([rows_a, rows_b])))
-    biased, unbiased = _mmd2_both(rows_a, rows_b, kernel)
+    biased, unbiased = mmd2_both(rows_a, rows_b, kernel)
     result = {
         "bandwidth": kernel.bandwidth,
         "mmd2_biased": biased,

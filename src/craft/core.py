@@ -122,97 +122,79 @@ TILE = 256
 _EPS = np.finfo(np.float64).eps  # 2^-52
 
 
-class GramRows:
-    """A point set prepared once for the Gram form: its contiguous float64
-    rows, their squared norms, and the contiguous transpose of each
-    TILE-row block. ``sq_dist_tiles`` and ``pairwise_sq_dists`` take one in
-    place of an array, so a set that meets many others (an MMD sample) is
-    copied and normed once, not on every call."""
-
-    def __init__(self, x: np.ndarray) -> None:
-        self.rows = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
-        self.sq_norms = np.einsum("ij,ij->i", self.rows, self.rows)
-        self.blocks_t = [np.ascontiguousarray(self.rows[i:i + TILE].T)
-                         for i in range(0, self.rows.shape[0], TILE)]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.rows.shape
+def zero_below_rounding(d2: np.ndarray, norms: np.ndarray, dim: int) -> np.ndarray:
+    """Set to 0, in place, the entries of the Gram-form squared distances
+    ``d2`` at or below the form's rounding bound ``(2 dim + 8) eps norms``,
+    where ``norms`` holds |p|^2 + |c|^2 of each pair (scaled in place): there
+    the computed value cannot be told from zero. Coincident rows then give
+    exactly 0, and every entry is >= 0."""
+    norms *= (2 * dim + 8) * _EPS
+    d2[d2 <= norms] = 0.0
+    return d2
 
 
-def _gram_pair(x: np.ndarray | GramRows, y: np.ndarray | GramRows) -> tuple[GramRows, GramRows]:
-    """Both arguments as ``GramRows``; one array passed twice is prepared once."""
-    gx = x if isinstance(x, GramRows) else GramRows(x)
-    if y is x:
-        return gx, gx
-    return gx, y if isinstance(y, GramRows) else GramRows(y)
-
-
-def _gram_tile(x: GramRows, i: int, y: GramRows, j: int) -> np.ndarray:
-    """Squared distances between the TILE-row blocks of ``x`` and ``y`` that
-    start at rows ``i`` and ``j``; see ``pairwise_sq_dists``.
+def _gram_tile(x: np.ndarray, i: int, y: np.ndarray, j: int) -> np.ndarray:
+    """Squared distances between the TILE-row blocks of the contiguous
+    float64 sets ``x`` and ``y`` that start at rows ``i`` and ``j``; see
+    ``pairwise_sq_dists``. Each GEMM takes a row block and the contiguous
+    transpose of the other, both made here.
 
     A diagonal tile of a set against itself (``x is y``, ``i == j``) takes
     one GEMM: its second product is the same call on the same operands.
     Its tile is then exactly symmetric.
     """
-    xi, yj = x.rows[i:i + TILE], y.rows[j:j + TILE]
-    cross = xi @ y.blocks_t[j // TILE]
+    xi = x[i:i + TILE]
+    xi_norms = np.einsum("ij,ij->i", xi, xi)
     if x is y and i == j:
+        cross = xi @ np.ascontiguousarray(xi.T)
         cross += cross.T  # numpy reads the overlapping operand from a copy
+        yj_norms = xi_norms
     else:
-        cross += (yj @ x.blocks_t[i // TILE]).T
-    norms = x.sq_norms[i:i + TILE, None] + y.sq_norms[None, j:j + TILE]
-    d2 = np.subtract(norms, cross, out=cross)
-    norms *= (2 * xi.shape[1] + 8) * _EPS
-    d2[d2 <= norms] = 0.0
-    return d2
+        yj = y[j:j + TILE]
+        yj_norms = np.einsum("ij,ij->i", yj, yj)
+        cross = xi @ np.ascontiguousarray(yj.T)
+        cross += (yj @ np.ascontiguousarray(xi.T)).T
+    norms = xi_norms[:, None] + yj_norms[None, :]
+    return zero_below_rounding(np.subtract(norms, cross, out=cross), norms, xi.shape[1])
 
 
-def sq_dist_tiles(x: np.ndarray | GramRows, y: np.ndarray | GramRows, upper: bool = False):
+def sq_dist_tiles(x: np.ndarray, y: np.ndarray):
     """Yield ``(i, j, d2)``, where ``d2`` is the tile
     ``pairwise_sq_dists(x, y)[i:i + TILE, j:j + TILE]``, bitwise, computed on
-    its own. With ``upper`` (for ``y`` the same set as ``x``) only the tiles
-    with ``j >= i`` come: the tile at (j, i) is bitwise the transpose of the
+    its own. A set against itself (one array passed twice) yields only the
+    tiles with ``j >= i``: the tile at (j, i) is bitwise the transpose of the
     one at (i, j) (see ``pairwise_sq_dists``)."""
-    x, y = _gram_pair(x, y)
-    if x.shape[1] != y.shape[1]:
-        raise ShapeError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    upper = y is x
+    x = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
+    y = x if upper else np.ascontiguousarray(np.atleast_2d(y), dtype=np.float64)
     for i in range(0, x.shape[0], TILE):
         for j in range(i if upper else 0, y.shape[0], TILE):
             yield i, j, _gram_tile(x, i, y, j)
 
 
-def pairwise_sq_dists(x: np.ndarray | GramRows, y: np.ndarray | GramRows) -> np.ndarray:
+def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """All squared Euclidean distances between rows of ``x`` (m,d) and ``y`` (n,d).
 
-    Either argument may be an array or its ``GramRows``; the result is the
-    same, bitwise. Gram form ``|x_i|^2 + |y_j|^2 - (x_i.y_j + y_j.x_i)``,
-    one (TILE, TILE) tile at a time (see ``sq_dist_tiles``). Both cross
-    products are taken, each as a GEMM on contiguous operands (``x @ x.T``
-    would go to SYRK, which rounds differently), and added; floating-point
-    addition commutes, so swapping the inputs transposes each tile, and the
-    result, bitwise.
+    Gram form ``|x_i|^2 + |y_j|^2 - (x_i.y_j + y_j.x_i)``, one (TILE, TILE)
+    tile at a time (see ``sq_dist_tiles``). Both cross products are taken,
+    each as a GEMM on contiguous operands (``x @ x.T`` would go to SYRK,
+    which rounds differently), and added; floating-point addition commutes,
+    so swapping the inputs transposes each tile, and the result, bitwise.
+    Entries at or below the form's rounding bound are 0 (see
+    ``zero_below_rounding``), so coincident rows give exactly 0 (and
+    MMD^2(X, X) exactly 0 downstream) and every entry is >= 0.
 
-    Entries at or below the form's own rounding bound
-    ``(2d + 8) eps (|x_i|^2 + |y_j|^2)`` (eps = 2^-52) are set to 0: there
-    the computed value cannot be told from zero. This makes coincident rows
-    give exactly 0 (and MMD^2(X, X) exactly 0 downstream) and every entry
-    >= 0.
+    A set against itself (one array passed twice) is walked over its upper
+    tiles only, each off-diagonal tile filling its mirror block transposed.
 
-    A set against itself (one array or ``GramRows`` passed twice) is walked
-    over its upper tiles only, each off-diagonal tile filling its mirror
-    block transposed.
-
-    Holds the (m, n) result, the temporaries of one tile and the
-    ``GramRows`` of an array argument.
+    Holds the (m, n) result and the temporaries of one tile.
     """
-    x, y = _gram_pair(x, y)
-    upper = x is y
-    tiles = sq_dist_tiles(x, y, upper)
-    if 0 < x.shape[0] <= TILE and 0 < y.shape[0] <= TILE:  # one tile
+    upper = y is x
+    m, n = len(np.atleast_2d(x)), len(np.atleast_2d(y))
+    tiles = sq_dist_tiles(x, y)
+    if 0 < m <= TILE and 0 < n <= TILE:  # one tile
         return next(tiles)[2]
-    d2 = np.empty((x.shape[0], y.shape[0]))
+    d2 = np.empty((m, n))
     for i, j, tile in tiles:
         d2[i:i + TILE, j:j + TILE] = tile
         if upper and i != j:

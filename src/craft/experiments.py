@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import reprlib
 import types
 import typing
@@ -18,8 +19,8 @@ import numpy as np
 from .adapter import Adapter
 from .anchors import AnchorSet, build_static_image_anchors, build_static_text_anchors
 from .core import ConfigError, make_rng
-from .dataio import (EmbeddingSet, SyntheticConfig, few_shot_split,
-                     generate_synthetic, split_base_novel)
+from .dataio import (EmbeddingSet, SyntheticConfig, few_shot_split, generate_synthetic,
+                     open_for_reading, split_base_novel)
 from .evaluation import base_to_novel, group_accuracy_report, ood_suite
 from .losses import Mode
 from .mmd import KernelSpec, anchor_align, median_heuristic, mmd2_biased
@@ -129,8 +130,14 @@ def run_config_from_dict(doc: dict) -> RunConfig:
 
 
 def load_run_config(path: str | Path) -> RunConfig:
+    """The validated config of the JSON file at ``path``. A FIFO or pipe is
+    read to its end once opened; one that no process writes to reads as
+    empty, so as invalid JSON, instead of waiting for a writer."""
+    with open_for_reading(path) as f:
+        os.set_blocking(f.fileno(), True)
+        raw = f.read()
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         # bad JSON or UTF-8, an integer of over 4,300 digits, or too deep a nesting
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorSet
-from .core import (TILE, ConfigError, GramRows, NumericError, ShapeError, pairwise_sq_dists,
-                   sq_dist_tiles)
+from .core import TILE, ConfigError, ShapeError, pairwise_sq_dists, sq_dist_tiles
 
 
 @dataclass(frozen=True)
@@ -35,16 +34,10 @@ class KernelSpec:
 # the values.
 _BUCKET_SHIFT = 46
 
-# Up to this many samples the median heuristic partitions all its upper
-# pairs at once, 1 MiB at most: there that is faster than the two bucket
-# passes (2.3 against 7.0 ms at 300 samples of dim 100, 5.5 against 12.2 at
-# 512, on one BLAS thread of a shared 2-core x86 VM).
-_ONE_PARTITION = 512
 
-
-def _upper_pairs(samples: GramRows):
+def _upper_pairs(samples: np.ndarray):
     """The squared distances of the pairs i < j of ``samples``, tile by tile."""
-    for i, j, d2 in sq_dist_tiles(samples, samples, upper=True):
+    for i, j, d2 in sq_dist_tiles(samples, samples):
         yield d2[~np.tri(len(d2), dtype=bool)] if i == j else d2.ravel()
 
 
@@ -77,35 +70,26 @@ def _bandwidth(pairs: np.ndarray, ranks: np.ndarray) -> float:
 
 
 def median_heuristic(samples: np.ndarray) -> float:
-    """sigma = sqrt(median of squared pairwise distances / 2); 1.0 when all
-    points coincide. Raises NumericError on a NaN or infinite sample.
+    """sigma = sqrt(median of squared pairwise distances / 2) of finite
+    ``samples``; 1.0 when all points coincide.
 
     The median is exact: that of the upper triangle of
-    ``pairwise_sq_dists(samples, samples)``. Up to ``_ONE_PARTITION``
-    samples it is one partition of those pairs. Beyond, a first pass over
-    the upper tiles counts the pairs per bucket of leading bits and a second
-    keeps only the one or two buckets that hold the middle ranks, so memory
-    stays at a few tiles unless most pairs share their leading bits. Both
-    passes read one ``GramRows``.
+    ``pairwise_sq_dists(samples, samples)``. A first pass over the upper
+    tiles counts the pairs per bucket of leading bits, and a second keeps
+    only the one or two buckets that hold the middle ranks, so memory stays
+    at a few tiles unless most pairs share their leading bits.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    samples = np.ascontiguousarray(np.atleast_2d(samples), dtype=np.float64)
     n = samples.shape[0]
     if n < 2:
         raise ConfigError("median heuristic needs at least 2 samples")
-    if not np.all(np.isfinite(samples)):
-        # partition would sort NaN distances last and hide them
-        raise NumericError("median heuristic of non-finite samples")
-    samples = GramRows(samples)
     ranks = _middle_ranks(n * (n - 1) // 2)
-    if n <= _ONE_PARTITION:
-        pairs = np.concatenate(list(_upper_pairs(samples)))
-    else:
-        # d2 >= 0, so its bits sort as its values
-        counts = sum(np.bincount(_buckets(d2), minlength=1 << 17) for d2 in _upper_pairs(samples))
-        ends = np.cumsum(counts)
-        first, last = np.searchsorted(ends, ranks, side="right")
-        ranks -= ends[first] - counts[first]
-        pairs = np.concatenate([_in_buckets(d2, first, last) for d2 in _upper_pairs(samples)])
+    # d2 >= 0, so its bits sort as its values
+    counts = sum(np.bincount(_buckets(d2), minlength=1 << 17) for d2 in _upper_pairs(samples))
+    ends = np.cumsum(counts)
+    first, last = np.searchsorted(ends, ranks, side="right")
+    ranks -= ends[first] - counts[first]
+    pairs = np.concatenate([_in_buckets(d2, first, last) for d2 in _upper_pairs(samples)])
     return _bandwidth(pairs, ranks)
 
 
@@ -122,9 +106,9 @@ def median_heuristic(samples: np.ndarray) -> float:
 # samples.
 
 
-def _kernel_tiles(x: GramRows, y: GramRows, kernel: KernelSpec, upper: bool = False):
+def _kernel_tiles(x: np.ndarray, y: np.ndarray, kernel: KernelSpec):
     """The tiles ``(i, j, K(x, y)[i:i + TILE, j:j + TILE])`` of ``sq_dist_tiles``."""
-    for i, j, d2 in sq_dist_tiles(x, y, upper):
+    for i, j, d2 in sq_dist_tiles(x, y):
         yield i, j, kernel.of_sq_dists(d2)
 
 
@@ -153,10 +137,9 @@ def _grid_sum(tiles, m: int, n: int, upper: bool) -> float:
     return _sym_sum(sums)
 
 
-def _kernel_block(x: GramRows, y: GramRows, kernel: KernelSpec) -> float:
+def _kernel_block(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
     """The sum of K(x, y), one tile at a time; the matrix is never held."""
-    upper = x is y
-    return _grid_sum(_kernel_tiles(x, y, kernel, upper), x.shape[0], y.shape[0], upper)
+    return _grid_sum(_kernel_tiles(x, y, kernel), x.shape[0], y.shape[0], x is y)
 
 
 def _held_block(k: np.ndarray, upper: bool) -> float:
@@ -169,8 +152,8 @@ def _held_block(k: np.ndarray, upper: bool) -> float:
 
 
 def _check_sets(x: np.ndarray, y: np.ndarray, min_size: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    x = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
+    y = np.ascontiguousarray(np.atleast_2d(y), dtype=np.float64)
     if x.shape[0] < min_size or y.shape[0] < min_size:
         raise ShapeError(f"need at least {min_size} samples per side, got {x.shape[0]} and {y.shape[0]}")
     if x.shape[1] != y.shape[1]:
@@ -182,9 +165,8 @@ def _block_sums(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, min_size: int
                 ) -> tuple[int, int, float, float, float]:
     """m, n and the sums of K(x, x), K(y, y) and K(x, y)."""
     x, y = _check_sets(x, y, min_size)
-    gx, gy = GramRows(x), GramRows(y)
     return (x.shape[0], y.shape[0],
-            *(_kernel_block(a, b, kernel) for a, b in ((gx, gx), (gy, gy), (gx, gy))))
+            *(_kernel_block(a, b, kernel) for a, b in ((x, x), (y, y), (x, y))))
 
 
 def _biased(m: int, n: int, sxx: float, syy: float, sxy: float) -> float:
@@ -208,7 +190,7 @@ def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
     return _unbiased(*_block_sums(x, y, kernel, 2))
 
 
-def _mmd2_both(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> tuple[float, float]:
+def mmd2_both(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> tuple[float, float]:
     """``(mmd2_biased(x, y, kernel), mmd2_unbiased(x, y, kernel))``, bitwise,
     from one walk of the three kernel blocks."""
     sums = _block_sums(x, y, kernel, 2)
@@ -229,16 +211,11 @@ def mmd2_biased_grad(z: np.ndarray, m: int, kernel: KernelSpec | None = None
 
     MMD^2 is w K w, with w = +1/m on the first m rows and -1/n on the rest,
     so the gradient is one GEMM: (2 / sigma^2) w (K_w z - rowsum(K_w) z),
-    K_w = K diag(w), with the bandwidth held constant. Raises NumericError
-    on a NaN or infinite sample when it takes the median.
+    K_w = K diag(w), with the bandwidth held constant. ``z`` is finite, with
+    at least one row on each side.
     """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     n = z.shape[0] - m
-    if m < 1 or n < 1:
-        raise ShapeError(f"need at least 1 sample per side, got {m} and {n}")
-    if kernel is None and not np.isfinite(z).all():
-        # partition would sort NaN distances last and hide them
-        raise NumericError("median heuristic of non-finite samples")
     k = pairwise_sq_dists(z, z)
     if kernel is None:
         pairs = k[~np.tri(m + n, dtype=bool)]
@@ -301,7 +278,7 @@ def permutation_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     check_n_perms(n_perms)
     x, y = _check_sets(x, y, 1)
     m, n = x.shape[0], y.shape[0]
-    pooled = GramRows(np.concatenate([x, y]))
+    pooled = np.concatenate([x, y])
     splits = itertools.chain([np.arange(m + n)],
                              (rng.permutation(m + n) for _ in range(n_perms)))
     stats = np.empty(1 + n_perms)
@@ -311,7 +288,7 @@ def permutation_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
             row[split[:m]] = 1.0 / m
             row[split[m:]] = -1.0 / n
         wk = np.zeros_like(w)
-        for i, j, k in _kernel_tiles(pooled, pooled, kernel, upper=True):
+        for i, j, k in _kernel_tiles(pooled, pooled, kernel):
             wk[:, j:j + TILE] += w[:, i:i + TILE] @ k
             if i != j:
                 wk[:, i:i + TILE] += w[:, j:j + TILE] @ k.T

@@ -5,7 +5,7 @@ import craft.anchors as anchors_mod
 from craft.anchors import (AnchorError, AnchorSet, ClusterError, _lex_order, _sq_dists_to,
                            build_static_image_anchors, build_static_text_anchors,
                            kmeans, read_anchors, write_anchors)
-from craft.core import GramRows, l2_normalize, make_rng, pairwise_sq_dists
+from craft.core import l2_normalize, make_rng, pairwise_sq_dists
 from craft.dataio import Modality, SyntheticConfig, _latent_geometry, generate_synthetic
 
 from conftest import toy_embedding_set, unit_rows
@@ -102,21 +102,19 @@ def test_sq_dists_to_argmin_agrees_with_pairwise_sq_dists():
 
 def reference_kmeans(points, m, rng, max_iter=100, tol=1e-8):
     """The centroids of the earlier Lloyd loop: every distance pass through
-    ``pairwise_sq_dists`` on the points' ``GramRows``, every mean through
-    ``ndarray.mean``."""
+    ``pairwise_sq_dists``, every mean through ``ndarray.mean``."""
     points = points[_lex_order(points)]
-    gram = GramRows(points)
     n = len(points)
     centroids = np.empty((m, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    d2 = pairwise_sq_dists(gram, centroids[:1]).ravel()
+    d2 = pairwise_sq_dists(points, centroids[:1]).ravel()
     for j in range(1, m):
         total = d2.sum()
         idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, pairwise_sq_dists(gram, centroids[j:j + 1]).ravel())
+        d2 = np.minimum(d2, pairwise_sq_dists(points, centroids[j:j + 1]).ravel())
     for _ in range(max_iter):
-        assignments = np.argmin(pairwise_sq_dists(gram, centroids), axis=1)
+        assignments = np.argmin(pairwise_sq_dists(points, centroids), axis=1)
         new_centroids = centroids.copy()
         claimed = []
         for j in range(m):
@@ -124,7 +122,7 @@ def reference_kmeans(points, m, rng, max_iter=100, tol=1e-8):
             if members.any():
                 new_centroids[j] = points[members].mean(axis=0)
             else:
-                dist = pairwise_sq_dists(gram, centroids[j:j + 1]).ravel()
+                dist = pairwise_sq_dists(points, centroids[j:j + 1]).ravel()
                 dist[claimed] = -np.inf
                 far = int(np.argmax(dist))
                 claimed.append(far)

@@ -32,20 +32,21 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 
 
-def run_cli(*args, env=None, unset=(), preexec_fn=None, timeout=None):
+def run_cli(*args, env=None, unset=(), preexec_fn=None, timeout=None, input=None):
     """Run ``python -m craft`` in a child that inherits this environment.
 
     ``env`` entries are merged onto ``os.environ`` and the names in ``unset``
     are removed, so the child still finds ``craft`` the way this process did
     (``PYTHONPATH`` or an installed package). ``preexec_fn`` runs in the
     child before it starts, e.g. to set its resource limits. A child still
-    running after ``timeout`` seconds is killed and the test fails.
+    running after ``timeout`` seconds is killed and the test fails. ``input``
+    is written to the child's stdin, a pipe.
     """
     child_env = {k: v for k, v in os.environ.items() if k not in unset}
     child_env.update(env or {})
     return subprocess.run([sys.executable, "-m", "craft", *args],
                           capture_output=True, text=True, env=child_env,
-                          preexec_fn=preexec_fn, timeout=timeout)
+                          preexec_fn=preexec_fn, timeout=timeout, input=input)
 
 
 def small_config(tmp_path, **overrides):
@@ -294,6 +295,27 @@ def test_writerless_fifo_is_format_error(pipeline, tmp_path):
         assert result.returncode == 3
         assert json.loads(result.stderr) == {"command": args[0], "error": "FormatError",
                                              "message": message}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_writerless_fifo_config_is_config_error(tmp_path):
+    # a plain open of a FIFO that no process writes to waits forever
+    fifo = tmp_path / "config.json"
+    os.mkfifo(fifo)
+    result = run_cli("gen", "--config", str(fifo), "--out", str(tmp_path / "data"), timeout=60)
+    assert result.returncode == 2
+    assert json.loads(result.stderr) == {
+        "command": "gen", "error": "ConfigError",
+        "message": f"{fifo}: invalid JSON (Expecting value: line 1 column 1 (char 0))"}
+
+
+def test_config_read_from_a_pipe(tmp_path):
+    # a pipe with a writer, as /dev/stdin or a shell's <(...), is read to its end
+    config = small_config(tmp_path)
+    result = run_cli("gen", "--config", "/dev/stdin", "--out", str(tmp_path / "data"),
+                     timeout=60, input=config.read_text())
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["records"] == 4 * 12 * 2
 
 
 def test_ood_without_target_is_config_error(tmp_path):

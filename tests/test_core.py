@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from craft.core import (TILE, GramRows, NormalizationError, ShapeError, l2_normalize,
-                        make_rng, pairwise_sq_dists, softmax_rows, sq_dist_tiles)
+from craft.core import (TILE, NormalizationError, l2_normalize, make_rng, pairwise_sq_dists,
+                        softmax_rows, sq_dist_tiles)
 
 from conftest import blas_shaped_pairs
 
@@ -128,13 +128,8 @@ def test_pairwise_sq_dists_exact_at_blas_shapes():
         np.testing.assert_array_equal(pairwise_sq_dists(x, x), self_d2)
         np.testing.assert_array_equal(self_d2, self_d2.T)
         assert np.all(np.diag(self_d2) == 0.0)
-        # prepared operands give the same bits as arrays
-        gx, gy = GramRows(x), GramRows(y)
-        assert np.shape(gx) == x.shape and np.shape(gy) == y.shape
-        np.testing.assert_array_equal(pairwise_sq_dists(gx, gy), d2)
-        np.testing.assert_array_equal(pairwise_sq_dists(gx, y), d2)
-        np.testing.assert_array_equal(pairwise_sq_dists(gx, gx), self_d2)
-        for i, j, tile in sq_dist_tiles(gx, gx, upper=True):
+        # a set against itself yields its upper tiles, those of the full grid
+        for i, j, tile in sq_dist_tiles(x, x):
             np.testing.assert_array_equal(tile, self_d2[i:i + TILE, j:j + TILE])
 
 
@@ -146,9 +141,8 @@ def test_sq_dist_tiles_are_the_tiles_of_pairwise_sq_dists():
     assert [(i, j) for i, j, _ in tiles] == [(i, j) for i in (0, TILE) for j in (0, TILE, 2 * TILE)]
     for i, j, tile in tiles:
         np.testing.assert_array_equal(tile, d2[i:i + TILE, j:j + TILE])
-    # upper: the tiles with j >= i of a set with itself
-    upper = [(i, j) for i, j, _ in sq_dist_tiles(y, y, upper=True)]
+    # a set with itself: the tiles with j >= i; a copy of it: the full grid
+    upper = [(i, j) for i, j, _ in sq_dist_tiles(y, y)]
     assert upper == [(0, 0), (0, TILE), (0, 2 * TILE), (TILE, TILE), (TILE, 2 * TILE),
                      (2 * TILE, 2 * TILE)]
-    with pytest.raises(ShapeError):
-        pairwise_sq_dists(x, y[:, :5])
+    assert len(list(sq_dist_tiles(y, y.copy()))) == 9

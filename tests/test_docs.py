@@ -45,6 +45,19 @@ def test_readme_names_resolve():
     assert not missing, f"README cites names that do not exist: {missing}"
 
 
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a name one module takes from another is public; an underscore name
+    # stays inside the module that defines it
+    private = []
+    for path in sorted((ROOT / "src" / "craft").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "craft"
+                                                     or (node.module or "").startswith("craft.")):
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private, f"private names imported across modules: {private}"
+
+
 # Wrapped by perfbench/spans.py and dropped from it with the next change to
 # the benchmark; the library no longer has them.
 STALE_BENCHMARK_NAMES = {"adapter.Adapter.to_flat", "adapter.Adapter.from_flat",

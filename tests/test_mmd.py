@@ -6,10 +6,10 @@ import pytest
 
 import craft.core as core_mod
 import craft.mmd as mmd_mod
-from craft.core import TILE, ConfigError, NumericError, ShapeError, make_rng, pairwise_sq_dists
+from craft.core import TILE, ConfigError, ShapeError, make_rng, pairwise_sq_dists
 from craft.dataio import SyntheticConfig, generate_synthetic
-from craft.mmd import (KernelSpec, _mmd2_both, anchor_align, median_heuristic, mmd2_biased,
-                       mmd2_biased_grad, mmd2_unbiased, permutation_test)
+from craft.mmd import (KernelSpec, anchor_align, median_heuristic, mmd2_biased, mmd2_biased_grad,
+                       mmd2_both, mmd2_unbiased, permutation_test)
 
 from conftest import blas_shaped_pairs, orthonormal_anchors, random_anchors, unit_rows
 
@@ -66,7 +66,7 @@ def test_median_heuristic_matches_bruteforce(rng):
 
 def test_median_heuristic_is_upper_triangle_median():
     # odd (n = 2, 3, 6, 7, 699) and even (n = 4, 5, 8, 300, 512, 700) pair
-    # counts; 300 and 512 are two tiles, up to _ONE_PARTITION
+    # counts; 300 and 512 are two tiles, 699 and 700 three
     rng = make_rng(21)
     for n in (2, 3, 4, 5, 6, 7, 8, 300, 512, 699, 700):
         samples = float(rng.uniform(0.1, 30.0)) * rng.standard_normal((n, int(rng.integers(1, 301))))
@@ -84,11 +84,11 @@ def test_median_heuristic_beyond_one_tile_with_ties():
     # many equal distances put most pairs into the middle buckets
     rng = make_rng(26)
     points = rng.standard_normal((3, 5))
-    for n in (mmd_mod._ONE_PARTITION + 1, mmd_mod._ONE_PARTITION + 188):
+    for n in (513, 700):
         samples = points[rng.integers(0, 3, size=n)]
         d2 = pairwise_sq_dists(samples, samples)
         assert median_heuristic(samples) == math.sqrt(np.median(d2[np.triu_indices(n, k=1)]) / 2.0)
-    assert median_heuristic(np.tile(points[0], (mmd_mod._ONE_PARTITION + 88, 1))) == 1.0
+    assert median_heuristic(np.tile(points[0], (600, 1))) == 1.0
     # the two middle pairs in different buckets: 1 point at 0, 252 at 1 and
     # 276 near 3 give 69,828 of 139,656 pairs below 1.5 and the rest above 4
     samples = np.concatenate([[0.0], np.ones(252), 3.0 + rng.uniform(0.0, 0.01, 276)])[:, None]
@@ -119,14 +119,6 @@ def test_bandwidth_selects_as_a_partition_at_both_ranks(rng):
 def test_median_heuristic_needs_two(rng):
     with pytest.raises(ConfigError):
         median_heuristic(rng.standard_normal((1, 3)))
-
-
-def test_median_heuristic_rejects_non_finite(rng):
-    for bad in (np.nan, np.inf):
-        samples = rng.standard_normal((9, 3))
-        samples[4, 1] = bad
-        with pytest.raises(NumericError):
-            median_heuristic(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -187,25 +179,30 @@ def test_kernel_layer_memory_bounded_at_clip_eval_shape():
 
 
 def test_kernel_layer_memory_is_a_few_tiles():
-    # the bandwidth, the estimators and the permutation test hold a few
-    # (TILE, TILE) tiles at a time, not the (m, n) or pooled (N, N) matrices;
-    # beside them, the samples' GramRows (rows and transposed blocks) and the
-    # permutation test's weight rows come to at most four copies of the rows
+    # the bandwidth, the estimators and the permutation test hold four
+    # (TILE, TILE) tiles at a time, not the (m, n) or pooled (N, N) matrices,
+    # and no copy of their samples; beside the tiles, the bandwidth holds
+    # three bucket-count arrays (the running count, one tile's count and
+    # their sum), and the permutation test its pooled samples and one block
+    # of weight rows with their product
     rows = make_rng(27).standard_normal((2400, 100))
     kernel = KernelSpec(10.0)
-    bound = 4 * rows.nbytes + 8 * TILE * TILE * 8
-    assert bound <= 16 * 2 ** 20
-    for estimate in (lambda: median_heuristic(rows),
-                     lambda: mmd2_biased(rows[:400], rows[400:], kernel),
-                     lambda: mmd2_unbiased(rows[:400], rows[400:], kernel),
-                     lambda: permutation_test(rows[:400], rows[400:], kernel, 100, make_rng(0))):
+    tiles = 4 * TILE * TILE * 8
+    counts = 3 * (1 << 17) * 8
+    weights = 2 * (1 + 100) * len(rows) * 8
+    for estimate, beside in (
+            (lambda: median_heuristic(rows), counts),
+            (lambda: mmd2_biased(rows[:400], rows[400:], kernel), 0),
+            (lambda: mmd2_unbiased(rows[:400], rows[400:], kernel), 0),
+            (lambda: permutation_test(rows[:400], rows[400:], kernel, 100, make_rng(0)),
+             rows.nbytes + weights)):
         tracemalloc.start()
         try:
             estimate()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < bound
+        assert peak < tiles + beside
 
 
 def test_mmd2_biased_nonnegative(rng):
@@ -252,15 +249,15 @@ def test_mmd2_both_reads_both_estimators_from_one_walk(monkeypatch, m, n):
         return block(*args, **kwargs)
 
     monkeypatch.setattr(mmd_mod, "_kernel_block", counting)
-    assert [v.hex() for v in _mmd2_both(x, y, kernel)] == [v.hex() for v in expected]
+    assert [v.hex() for v in mmd2_both(x, y, kernel)] == [v.hex() for v in expected]
     assert len(blocks) == 3
 
 
 @pytest.mark.parametrize("n", [TILE - 1, TILE, TILE + 1, 2 * TILE + 70, 3 * TILE + 5])
 def test_self_block_upper_walk_is_the_full_grid_bitwise(monkeypatch, n):
-    # K(x, x) over its upper tiles equals the full grid of a second GramRows
-    # of the same rows, bitwise: the sum, and the matrix the gradient holds
-    # with the sum it takes of it
+    # K(x, x) over its upper tiles equals the full grid of K(x, x.copy()),
+    # bitwise: the sum, and the matrix the gradient holds with the sum it
+    # takes of it
     tiles = []
     gram_tile = core_mod._gram_tile
     monkeypatch.setattr(core_mod, "_gram_tile", lambda *args: tiles.append(args) or gram_tile(*args))
@@ -268,14 +265,14 @@ def test_self_block_upper_walk_is_the_full_grid_bitwise(monkeypatch, n):
     for d, bandwidth in ((7, 2.5), (16, 10.0), (3, 2.5)):
         x = make_rng(n).standard_normal((n, d))
         kernel = KernelSpec(bandwidth)
-        gx, full = core_mod.GramRows(x), core_mod.GramRows(x.copy())
+        full = x.copy()
         tiles.clear()
-        total = mmd_mod._kernel_block(gx, gx, kernel)
+        total = mmd_mod._kernel_block(x, x, kernel)
         assert len(tiles) == blocks * (blocks + 1) // 2
-        expected_total = mmd_mod._kernel_block(gx, full, kernel)
+        expected_total = mmd_mod._kernel_block(x, full, kernel)
         assert total.hex() == expected_total.hex()
-        held = kernel.of_sq_dists(pairwise_sq_dists(gx, gx))
-        expected = kernel.of_sq_dists(pairwise_sq_dists(gx, full))
+        held = kernel.of_sq_dists(pairwise_sq_dists(x, x))
+        expected = kernel.of_sq_dists(pairwise_sq_dists(x, full))
         np.testing.assert_array_equal(held, expected)
         assert mmd_mod._held_block(held, True).hex() == total.hex()
         assert mmd_mod._held_block(expected, False).hex() == total.hex()
@@ -360,8 +357,7 @@ def test_grad_without_kernel_takes_the_pooled_median_heuristic(monkeypatch, m, n
     # training meets (desk batches of 8 at K=16, clip batches of 128 and the
     # last of 64 at K=100, as anchor-aligned rows), at the seeded 4 + 52
     # rows of dim 51 where sigma from three separate blocks was one ulp off
-    # the pooled one, beyond a tile, and past _ONE_PARTITION pooled rows,
-    # where median_heuristic takes its bucket path
+    # the pooled one, beyond a tile, and at 700 pooled rows, three tiles
     bandwidths = []
     bandwidth = mmd_mod._bandwidth
     monkeypatch.setattr(mmd_mod, "_bandwidth",
@@ -386,15 +382,11 @@ def test_grad_without_kernel_takes_the_pooled_median_heuristic(monkeypatch, m, n
         assert_grads_equal(got, mmd2_biased_grad(z, m, KernelSpec(sigma)))
         assert got[0].hex() == pooled_oracle(z, m, KernelSpec(sigma)).hex()
         assert got[0] == pytest.approx(mmd2_biased(x, y, KernelSpec(sigma)), rel=1e-14)
-    assert (m + n > mmd_mod._ONE_PARTITION) == (m == 400)  # one shape on the bucket path
 
 
-def test_grad_without_kernel_rejects_non_finite_and_falls_back_on_coincident_rows():
+def test_grad_without_kernel_falls_back_on_coincident_rows():
     z = np.ones((10, 3))
     assert_grads_equal(mmd2_biased_grad(z, 5), mmd2_biased_grad(z, 5, KernelSpec(1.0)))
-    z[2, 1] = np.nan
-    with pytest.raises(NumericError):
-        mmd2_biased_grad(z, 5)
 
 
 # ---------------------------------------------------------------------------
