@@ -263,8 +263,6 @@ def read_anchors(path: str | Path) -> tuple[AnchorSet | None, AnchorSet | None]:
             raise AnchorError(f"{path}: expected exactly one {modality.name.lower()} anchor per class")
         vectors = np.empty((emb.num_classes, emb.dim))
         vectors[ids] = l2_normalize(emb.vectors[mask])
-        anchor_set = AnchorSet(vectors, modality, class_names=names)
-        anchor_set.validate()
-        return anchor_set
+        return AnchorSet(vectors, modality, class_names=names)
 
     return extract(Modality.TEXT), extract(Modality.IMAGE)

@@ -36,8 +36,8 @@ from .core import CraftError, ConfigError, AnchorError  # noqa: E402
 from .dataio import generate_synthetic, read_embeddings, write_embeddings  # noqa: E402
 from .evaluation import confusion, confusion_csv, format_pct  # noqa: E402
 from .losses import Mode  # noqa: E402
-from .mmd import (KernelSpec, anchor_align, check_n_perms, median_heuristic,  # noqa: E402
-                  mmd2_both, permutation_test)
+from .mmd import (anchor_align, check_n_perms, median_heuristic, mmd2_both,  # noqa: E402
+                  permutation_test)
 from .core import make_rng  # noqa: E402
 
 MODE_CHOICES = [m.value for m in Mode]
@@ -161,14 +161,14 @@ def cmd_mmd(args) -> int:
         raise AnchorError(f"{args.anchors} holds no text anchors")
     rows_a = anchor_align(set_a.image_vectors(), text_anchors)
     rows_b = anchor_align(set_b.image_vectors(), text_anchors)
-    kernel = KernelSpec(median_heuristic(np.concatenate([rows_a, rows_b])))
-    biased, unbiased = mmd2_both(rows_a, rows_b, kernel)
+    sigma = median_heuristic(np.concatenate([rows_a, rows_b]))
+    biased, unbiased = mmd2_both(rows_a, rows_b, sigma)
     result = {
-        "bandwidth": kernel.bandwidth,
+        "bandwidth": sigma,
         "mmd2_biased": biased,
         "mmd2_unbiased": unbiased,
         "n_perms": args.n_perms,
-        "p_value": permutation_test(rows_a, rows_b, kernel, args.n_perms, rng),
+        "p_value": permutation_test(rows_a, rows_b, sigma, args.n_perms, rng),
     }
     print(json.dumps(result, sort_keys=True))
     return 0

@@ -285,13 +285,12 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[EmbeddingSet, EmbeddingSet
 
 def split_base_novel(emb_set: EmbeddingSet, base_fraction: float) -> tuple[EmbeddingSet, EmbeddingSet]:
     """Partition classes deterministically: sorted class order, first
-    ceil(base_fraction * K) classes to the base split. Class IDs are
-    reindexed densely within each split."""
+    ceil(base_fraction * K) classes to the base split, for ``base_fraction``
+    in (0, 1) as ``RunConfig.validate`` checks. Class IDs are reindexed
+    densely within each split."""
     k = emb_set.num_classes
     if k < 2:
         raise SplitError("need at least 2 classes to split")
-    if not 0.0 < base_fraction < 1.0:
-        raise SplitError("base_fraction must be in (0, 1)")
     n_base = math.ceil(base_fraction * k)
     if n_base >= k:
         n_base = k - 1
@@ -308,11 +307,9 @@ def split_base_novel(emb_set: EmbeddingSet, base_fraction: float) -> tuple[Embed
 def few_shot_split(emb_set: EmbeddingSet, shots: int, rng: np.random.Generator
                    ) -> tuple[EmbeddingSet, EmbeddingSet]:
     """Sample min(shots, available) records per class and modality without
-    replacement; returns (sampled, held-out remainder). A class with no
-    records of a modality gets none of it: ``build_training_anchors`` names
-    such a class."""
-    if shots < 1:
-        raise ConfigError("shots must be >= 1")
+    replacement, for ``shots`` >= 1 as ``TrainConfig.validate`` checks;
+    returns (sampled, held-out remainder). A class with no records of a
+    modality gets none of it: ``build_training_anchors`` names such a class."""
     chosen = np.zeros(len(emb_set), dtype=bool)
     rows = {modality: emb_set.class_rows(modality) for modality in (Modality.IMAGE, Modality.TEXT)}
     for c in range(emb_set.num_classes):

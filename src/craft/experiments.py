@@ -23,7 +23,7 @@ from .dataio import (EmbeddingSet, SyntheticConfig, few_shot_split, generate_syn
                      open_for_reading, split_base_novel)
 from .evaluation import base_to_novel, group_accuracy_report, ood_suite
 from .losses import Mode
-from .mmd import KernelSpec, anchor_align, median_heuristic, mmd2_biased
+from .mmd import anchor_align, median_heuristic, mmd2_biased
 from .train import TrainConfig, TrainHistory, train
 
 EXPERIMENT_KINDS = ("base-to-novel", "group-robustness", "ood")
@@ -219,11 +219,7 @@ def prepare(cfg: RunConfig, source: EmbeddingSet, target: EmbeddingSet | None
 
 def train_prepared(cfg: RunConfig, prepared: PreparedExperiment
                    ) -> tuple[Adapter, TrainHistory]:
-    target = prepared.train_target
-    if cfg.train.mode is Mode.ALIGNED_MMD and target is None:
-        raise ConfigError(f"experiment kind {cfg.kind!r} provides no target set "
-                          f"required by mode {cfg.train.mode.value!r}")
-    return train(prepared.train_set, target, prepared.text_anchors,
+    return train(prepared.train_set, prepared.train_target, prepared.text_anchors,
                  prepared.image_anchors, cfg.train)
 
 
@@ -237,13 +233,13 @@ def _domain_mmd_diagnostics(adapter: Adapter, source_test: EmbeddingSet,
     tgt = target_test.image_vectors()
     frozen_src = anchor_align(src, text_anchors, temperature)
     frozen_tgt = anchor_align(tgt, text_anchors, temperature)
-    kernel = KernelSpec(median_heuristic(np.concatenate([frozen_src, frozen_tgt])))
+    sigma = median_heuristic(np.concatenate([frozen_src, frozen_tgt]))
     adapted_src = anchor_align(adapter.encode_image(src), text_anchors, temperature)
     adapted_tgt = anchor_align(adapter.encode_image(tgt), text_anchors, temperature)
     return {
-        "bandwidth": kernel.bandwidth,
-        "frozen_mmd2": mmd2_biased(frozen_src, frozen_tgt, kernel),
-        "adapted_mmd2": mmd2_biased(adapted_src, adapted_tgt, kernel),
+        "bandwidth": sigma,
+        "frozen_mmd2": mmd2_biased(frozen_src, frozen_tgt, sigma),
+        "adapted_mmd2": mmd2_biased(adapted_src, adapted_tgt, sigma),
     }
 
 

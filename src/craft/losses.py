@@ -22,7 +22,7 @@ import numpy as np
 from .adapter import Adapter, encode_with_cache
 from .anchors import AnchorSet
 from .core import AnchorError, LabelError, NumericError, ShapeError, softmax_rows
-from .mmd import KernelSpec, anchor_align, mmd2_biased_grad
+from .mmd import anchor_align, mmd2_biased_grad
 
 if TYPE_CHECKING:  # train imports this module
     from .train import TrainConfig
@@ -143,19 +143,18 @@ def _norm_backward(g: np.ndarray, u: np.ndarray, r: np.ndarray, base: np.ndarray
 
 def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: AnchorSet,
                       static_image_anchors: AnchorSet | None, cfg: TrainConfig,
-                      kernel: KernelSpec | None, grad: Adapter
-                      ) -> tuple[LossReport, np.ndarray]:
+                      grad: Adapter) -> tuple[LossReport, np.ndarray]:
     """Mode-specific loss of one batch and its exact gradient, written into
     ``grad`` and laid out like ``adapter.params``.
 
     Baseline: the image half of the anchor cross-entropy. Aligned: both
     halves plus the contrastive term. Aligned-MMD adds the MMD term between
     the batch's source and target image rows, stacked in ``batch.image``,
-    after both are anchor-aligned (``mmd.mmd2_biased_grad``), with
-    ``kernel``, or without one ``median_heuristic`` of the pooled aligned
-    rows. The stacked rows go through one encode, one alignment and one
-    backward pass. Terms with zero weight are skipped; without the MMD term
-    only the source rows are read.
+    after both are anchor-aligned (``mmd.mmd2_biased_grad``), at
+    ``cfg.bandwidth``, or when that is None at ``median_heuristic`` of the
+    pooled aligned rows. The stacked rows go through one encode, one
+    alignment and one backward pass. Terms with zero weight are skipped;
+    without the MMD term only the source rows are read.
 
     The MMD gradient holds the bandwidth constant, the median heuristic's
     too: an optimiser that could move it would be rewarded for inflating it,
@@ -205,7 +204,7 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
         g_src += cfg.w_stochastic * g_img
         g_v += cfg.w_stochastic * g_txt
     if with_mmd:
-        mmd_term, g_phi = mmd2_biased_grad(phi_u, b, kernel)
+        mmd_term, g_phi = mmd2_biased_grad(phi_u, b, cfg.bandwidth)
         _require_finite(mmd_term, "domain MMD term")
         g_u += cfg.w_mmd * tau * g_phi @ static_text_anchors.vectors
     if aligned:

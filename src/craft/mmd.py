@@ -1,11 +1,11 @@
 """RBF kernel, biased/unbiased MMD^2 estimators, median-heuristic bandwidth,
-anchor-aligned feature projection, and the permutation two-sample test."""
+anchor-aligned feature projection, and the permutation two-sample test. The
+estimators, the gradient and the test take the bandwidth sigma as a float."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,20 +13,12 @@ from .anchors import AnchorSet
 from .core import TILE, ConfigError, ShapeError, pairwise_sq_dists, sq_dist_tiles
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """RBF kernel exp(-||x-y||^2 / (2 sigma^2)); the only supported family."""
-
-    bandwidth: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ConfigError(f"kernel bandwidth must be finite and > 0, got {self.bandwidth}")
-
-    def of_sq_dists(self, d2: np.ndarray) -> np.ndarray:
-        """Kernel values of the squared distances ``d2``, computed in place."""
-        np.divide(d2, -2.0 * self.bandwidth ** 2, out=d2)
-        return np.exp(d2, out=d2)
+def _rbf(d2: np.ndarray, bandwidth: float) -> np.ndarray:
+    """The RBF kernel exp(-d2 / (2 bandwidth^2)) of squared distances ``d2``, in place."""
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ConfigError(f"kernel bandwidth must be finite and > 0, got {bandwidth}")
+    np.divide(d2, -2.0 * bandwidth ** 2, out=d2)
+    return np.exp(d2, out=d2)
 
 
 # A non-negative float64's bits shifted right by this keep its exponent and
@@ -106,10 +98,10 @@ def median_heuristic(samples: np.ndarray) -> float:
 # samples.
 
 
-def _kernel_tiles(x: np.ndarray, y: np.ndarray, kernel: KernelSpec):
+def _kernel_tiles(x: np.ndarray, y: np.ndarray, bandwidth: float):
     """The tiles ``(i, j, K(x, y)[i:i + TILE, j:j + TILE])`` of ``sq_dist_tiles``."""
     for i, j, d2 in sq_dist_tiles(x, y):
-        yield i, j, kernel.of_sq_dists(d2)
+        yield i, j, _rbf(d2, bandwidth)
 
 
 def _sym_sum(a: np.ndarray, symmetric: bool = False) -> float:
@@ -137,9 +129,9 @@ def _grid_sum(tiles, m: int, n: int, upper: bool) -> float:
     return _sym_sum(sums)
 
 
-def _kernel_block(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
+def _kernel_block(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
     """The sum of K(x, y), one tile at a time; the matrix is never held."""
-    return _grid_sum(_kernel_tiles(x, y, kernel), x.shape[0], y.shape[0], x is y)
+    return _grid_sum(_kernel_tiles(x, y, bandwidth), x.shape[0], y.shape[0], x is y)
 
 
 def _held_block(k: np.ndarray, upper: bool) -> float:
@@ -161,12 +153,12 @@ def _check_sets(x: np.ndarray, y: np.ndarray, min_size: int) -> tuple[np.ndarray
     return x, y
 
 
-def _block_sums(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, min_size: int
+def _block_sums(x: np.ndarray, y: np.ndarray, bandwidth: float, min_size: int
                 ) -> tuple[int, int, float, float, float]:
     """m, n and the sums of K(x, x), K(y, y) and K(x, y)."""
     x, y = _check_sets(x, y, min_size)
     return (x.shape[0], y.shape[0],
-            *(_kernel_block(a, b, kernel) for a, b in ((x, x), (y, y), (x, y))))
+            *(_kernel_block(a, b, bandwidth) for a, b in ((x, x), (y, y), (x, y))))
 
 
 def _biased(m: int, n: int, sxx: float, syy: float, sxy: float) -> float:
@@ -179,31 +171,31 @@ def _unbiased(m: int, n: int, sxx: float, syy: float, sxy: float) -> float:
     return (sxx - m) / (m * (m - 1)) + (syy - n) / (n * (n - 1)) - 2.0 * (sxy / (m * n))
 
 
-def mmd2_biased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
+def mmd2_biased(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
     """V-statistic estimate of MMD^2; non-negative, zero when x == y."""
-    return _biased(*_block_sums(x, y, kernel, 1))
+    return _biased(*_block_sums(x, y, bandwidth, 1))
 
 
-def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> float:
+def mmd2_unbiased(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
     """U-statistic estimate (self-terms excluded); zero-mean when P = Q, may
     be negative."""
-    return _unbiased(*_block_sums(x, y, kernel, 2))
+    return _unbiased(*_block_sums(x, y, bandwidth, 2))
 
 
-def mmd2_both(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> tuple[float, float]:
-    """``(mmd2_biased(x, y, kernel), mmd2_unbiased(x, y, kernel))``, bitwise,
-    from one walk of the three kernel blocks."""
-    sums = _block_sums(x, y, kernel, 2)
+def mmd2_both(x: np.ndarray, y: np.ndarray, bandwidth: float) -> tuple[float, float]:
+    """``(mmd2_biased(x, y, bandwidth), mmd2_unbiased(x, y, bandwidth))``,
+    bitwise, from one walk of the three kernel blocks."""
+    sums = _block_sums(x, y, bandwidth, 2)
     return _biased(*sums), _unbiased(*sums)
 
 
-def mmd2_biased_grad(z: np.ndarray, m: int, kernel: KernelSpec | None = None
+def mmd2_biased_grad(z: np.ndarray, m: int, bandwidth: float | None = None
                      ) -> tuple[float, np.ndarray]:
     """Biased MMD^2 between the first ``m`` rows of ``z`` and the other n,
     and its gradient with respect to ``z``.
 
     Holds the pooled matrix ``pairwise_sq_dists(z, z)``, turned into the
-    kernel matrix in place. Without a ``kernel``, sigma is the median
+    kernel matrix in place. Without a ``bandwidth``, sigma is the median
     heuristic's rule over its pairs i < j: ``median_heuristic(z)``, bitwise.
     The value is ``_biased`` over its three sub-blocks, each summed over its
     TILE grid; the pooled tile may round a distance otherwise than the
@@ -217,10 +209,10 @@ def mmd2_biased_grad(z: np.ndarray, m: int, kernel: KernelSpec | None = None
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     n = z.shape[0] - m
     k = pairwise_sq_dists(z, z)
-    if kernel is None:
+    if bandwidth is None:
         pairs = k[~np.tri(m + n, dtype=bool)]
-        kernel = KernelSpec(_bandwidth(pairs, _middle_ranks(pairs.size)))
-    kernel.of_sq_dists(k)
+        bandwidth = _bandwidth(pairs, _middle_ranks(pairs.size))
+    _rbf(k, bandwidth)
     value = _biased(m, n, _held_block(k[:m, :m], True), _held_block(k[m:, m:], True),
                     _held_block(k[:m, m:], False))
     w = np.full(m + n, 1.0 / m)
@@ -228,7 +220,7 @@ def mmd2_biased_grad(z: np.ndarray, m: int, kernel: KernelSpec | None = None
     k *= w  # K_w; d k(a, b) / d a = k(a, b) (b - a) / sigma^2
     g = k @ z
     g -= k.sum(axis=1)[:, None] * z
-    g *= (2.0 / kernel.bandwidth ** 2) * w[:, None]
+    g *= (2.0 / bandwidth ** 2) * w[:, None]
     return value, g
 
 
@@ -262,7 +254,7 @@ def check_n_perms(n_perms: int) -> None:
                           f"numpy's largest array ({np.iinfo(np.intp).max} bytes)")
 
 
-def permutation_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
+def permutation_test(x: np.ndarray, y: np.ndarray, bandwidth: float,
                      n_perms: int, rng: np.random.Generator) -> float:
     """p-value of the biased-MMD^2 two-sample test under label permutation,
     with +1 smoothing in numerator and denominator.
@@ -288,7 +280,7 @@ def permutation_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
             row[split[:m]] = 1.0 / m
             row[split[m:]] = -1.0 / n
         wk = np.zeros_like(w)
-        for i, j, k in _kernel_tiles(pooled, pooled, kernel):
+        for i, j, k in _kernel_tiles(pooled, pooled, bandwidth):
             wk[:, j:j + TILE] += w[:, i:i + TILE] @ k
             if i != j:
                 wk[:, i:i + TILE] += w[:, j:j + TILE] @ k.T

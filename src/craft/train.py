@@ -16,7 +16,6 @@ from .core import ConfigError, NumericError, ShapeError, make_rng
 from .dataio import EmbeddingSet, Modality
 from .evaluation import hit_rate, predict_batch
 from .losses import LossBatch, Mode, check_terms, loss_and_gradient
-from .mmd import KernelSpec
 
 # Appendix-style defaults: lr is tied to batch size unless set explicitly.
 DEFAULT_LEARNING_RATES = {4: 0.0025, 128: 0.01}
@@ -53,12 +52,17 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.resolved_learning_rate() <= 0:
             raise ConfigError("learning_rate must be > 0")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be > 0")
+        # anchor-aligned rows, tau times unit rows against K < 2^32 unit anchors
+        # (a CEMB header's u32), square to at most 4 K tau^2 <= 4 * 2^32 * 1e200, finite
+        if not 0 < self.temperature <= 1e100:
+            raise ConfigError(f"train.temperature must be in (0, 1e+100], got {self.temperature}")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ConfigError("bandwidth must be > 0")
+        # the kernel divides by 2 sigma^2, which may neither underflow to 0 nor
+        # overflow (Python's float power raises OverflowError beyond 1.3e154)
+        if self.bandwidth is not None and not 1e-100 <= self.bandwidth <= 1e100:
+            raise ConfigError(f"train.bandwidth must be null or in [1e-100, 1e+100], "
+                              f"got {self.bandwidth}")
 
 
 @dataclass
@@ -155,8 +159,6 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
         raise ConfigError(f"classes {missing} have image records but no text records")
 
     check_terms(source.dim, img_labels, static_text_anchors, static_image_anchors, cfg)
-    # fixed for the run; None: the median heuristic of each batch
-    kernel = KernelSpec(cfg.bandwidth) if cfg.bandwidth is not None else None
 
     adapter = Adapter.zeros(source.dim)
     rng = make_rng(cfg.seed, 0)
@@ -191,7 +193,7 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
                                   text=source.vectors[paired[start:start + size]],
                                   labels=labels[start:start + size])
                 report, g = loss_and_gradient(adapter, batch, static_text_anchors,
-                                              static_image_anchors, cfg, kernel, grad)
+                                              static_image_anchors, cfg, grad)
                 sgd_step(adapter, g, lr)
                 total += report.total
                 static_term += report.static_term

@@ -24,7 +24,7 @@ from craft.dataio import SyntheticConfig, generate_synthetic, read_embeddings, w
 from craft.evaluation import format_pct, group_metrics, ood_report
 from craft.experiments import override, reference_config, run_experiment
 from craft.losses import LossBatch, Mode
-from craft.mmd import KernelSpec, median_heuristic, mmd2_biased, mmd2_unbiased, permutation_test
+from craft.mmd import median_heuristic, mmd2_biased, mmd2_unbiased, permutation_test
 
 from conftest import random_anchors, unit_rows
 from test_losses import anchor_ce, baseline_and_static_only, engine, finite_difference, random_case
@@ -86,20 +86,20 @@ def test_criterion_02_gradient_correctness():
 def test_criterion_03_mmd_estimator_suite():
     with criterion(3, "MMD estimator identities and two-sample power", 180):
         rng = make_rng(303)
-        kernel = KernelSpec(1.0)
+        sigma = 1.0
         for _ in range(100):
             x = rng.standard_normal((int(rng.integers(1, 20)), int(rng.integers(1, 6))))
             y = rng.standard_normal((int(rng.integers(1, 20)), x.shape[1]))
-            assert abs(mmd2_biased(x, x, kernel)) <= 1e-12
-            assert mmd2_biased(x, y, kernel) == mmd2_biased(y, x, kernel)
+            assert abs(mmd2_biased(x, x, sigma)) <= 1e-12
+            assert mmd2_biased(x, y, sigma) == mmd2_biased(y, x, sigma)
 
         x = np.zeros((1, 4))
         y = np.zeros((1, 4))
         y[0, 0] = 1.0
-        assert mmd2_biased(x, y, kernel) == pytest.approx(2.0 - 2.0 * math.exp(-0.5), abs=1e-9)
+        assert mmd2_biased(x, y, sigma) == pytest.approx(2.0 - 2.0 * math.exp(-0.5), abs=1e-9)
 
         values = [mmd2_unbiased(make_rng(seed, 31).standard_normal((25, 3)),
-                                make_rng(seed, 32).standard_normal((25, 3)), kernel)
+                                make_rng(seed, 32).standard_normal((25, 3)), sigma)
                   for seed in range(200)]
         mean = float(np.mean(values))
         se = float(np.std(values, ddof=1)) / math.sqrt(len(values))
@@ -109,7 +109,7 @@ def test_criterion_03_mmd_estimator_suite():
         for seed in range(100):
             r = make_rng(seed, 45)
             x, y = r.standard_normal((50, 3)), r.standard_normal((50, 3))
-            k = KernelSpec(median_heuristic(np.concatenate([x, y])))
+            k = median_heuristic(np.concatenate([x, y]))
             null_accepts += permutation_test(x, y, k, 200, make_rng(seed, 46)) > 0.05
         assert null_accepts >= 95, f"null acceptance {null_accepts}/100"
 
@@ -118,7 +118,7 @@ def test_criterion_03_mmd_estimator_suite():
             r = make_rng(seed, 35)
             x = r.standard_normal((50, 3))
             y = r.standard_normal((50, 3)) + np.array([10.0, 0.0, 0.0])
-            k = KernelSpec(median_heuristic(np.concatenate([x, y])))
+            k = median_heuristic(np.concatenate([x, y]))
             separated_rejects += permutation_test(x, y, k, 200, make_rng(seed, 36)) <= 0.01
         assert separated_rejects >= 99, f"separated rejection {separated_rejects}/100"
 

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -20,8 +21,11 @@ from hypothesis import strategies as st
 
 from craft import cli, experiments
 from craft.adapter import Adapter, write_checkpoint
+from craft.anchors import ANCHOR_NAME_PREFIX, AnchorSet, write_anchors
 from craft.core import AnchorError, make_rng
-from craft.dataio import Modality, few_shot_split, generate_synthetic, write_embeddings
+from craft.dataio import (Modality, few_shot_split, generate_synthetic, make_embedding_set,
+                          read_embeddings, write_embeddings)
+from craft.evaluation import format_pct
 
 from conftest import apply_edits, byte_edits
 
@@ -335,6 +339,235 @@ def test_ood_without_target_is_config_error(tmp_path):
                          "message": "experiment kind 'ood' needs a target set"}
 
 
+def _config_with(config: Path, tmp_path: Path, edit) -> Path:
+    """The JSON document ``edit(doc)`` of the config ``doc`` at ``config``,
+    written to a new file."""
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(edit(json.loads(config.read_text()))))
+    return path
+
+
+def _set(section, key, value):
+    return lambda doc: {**doc, section: {**doc[section], key: value}}
+
+
+def _huge_temperature(doc):
+    # at tau = 1e200 the anchor-aligned rows square to inf, and their
+    # distances to inf - inf, in the eval's median heuristic and the step's
+    return {**doc, "kind": "ood",
+            "train": {**doc["train"], "temperature": 1e200, "learning_rate": 1e-300}}
+
+
+@pytest.mark.parametrize("edit, commands, message", [
+    (lambda doc: [doc], ("gen",), "run config must be a JSON object"),
+    (lambda doc: {**doc, "synthetic": {k: v for k, v in doc["synthetic"].items()
+                                       if k != "num_classes"}}, ("gen",),
+     "config section 'synthetic': SyntheticConfig.__init__() missing 1 required positional "
+     "argument: 'num_classes'"),
+    (lambda doc: {**doc, "workdir": "x"}, ("gen",), "unknown config key workdir"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "train"}, ("gen",),
+     "missing config key train"),
+    (_set("synthetic", "num_classes", 1), ("gen",), "num_classes must be >= 2"),
+    (_set("synthetic", "cluster_spread", 0.0), ("gen",), "cluster_spread must be > 0"),
+    (_set("synthetic", "cross_modal_noise", -0.5), ("gen",),
+     "noise and shift magnitudes must be >= 0"),
+    (_set("synthetic", "group_spurious_strength", 1.5), ("gen",),
+     "group_spurious_strength must be in [0, 1]"),
+    (_set("synthetic", "samples_per_class_per_modality", 0), ("gen",),
+     "samples_per_class_per_modality must be >= 1"),
+    (_set("train", "epochs", 0), ("gen",), "epochs must be >= 1"),
+    (_set("train", "batch_size", 0), ("gen",), "batch_size must be >= 1"),
+    (_set("train", "learning_rate", -1.0), ("gen",), "learning_rate must be > 0"),
+    (_set("train", "shots", 0), ("gen", "train"), "shots must be >= 1"),
+    (_set("train", "bandwidth", -1.0), ("gen", "train"),
+     "train.bandwidth must be null or in [1e-100, 1e+100], got -1.0"),
+    (_set("train", "bandwidth", 1e-200), ("train",),
+     "train.bandwidth must be null or in [1e-100, 1e+100], got 1e-200"),
+    (_set("train", "bandwidth", 1e200), ("train",),
+     "train.bandwidth must be null or in [1e-100, 1e+100], got 1e+200"),
+    (_huge_temperature, ("train", "eval"),
+     "train.temperature must be in (0, 1e+100], got 1e+200"),
+], ids=["array", "no-num-classes", "unknown-key", "missing-section", "one-class",
+        "zero-spread", "negative-noise", "spurious-above-one", "zero-samples", "zero-epochs",
+        "zero-batch", "negative-learning-rate", "zero-shots", "negative-bandwidth",
+        "underflowing-bandwidth", "overflowing-bandwidth", "huge-temperature"])
+def test_config_values_refused_where_the_config_enters(pipeline, tmp_path, edit, commands,
+                                                       message):
+    # each a ConfigError, exit 2, before any file is read or written
+    _, config, data, ckpt, *_ = pipeline
+    path = _config_with(config, tmp_path, edit)
+    args = {"gen": ["--out", str(tmp_path / "d")],
+            "train": ["--data", str(data), "--out", str(tmp_path / "a.cadp"),
+                      "--mode", "aligned-mmd"],
+            "eval": ["--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "r.json")]}
+    for command in commands:
+        code, out, err = run_main([command, "--config", str(path), *args[command]])
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"command": command, "error": "ConfigError",
+                                   "message": message}
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("train", [{"temperature": 1e100, "learning_rate": 1e-300},
+                                   {"bandwidth": 1e-100}, {"bandwidth": 1e100}],
+                         ids=["temperature", "least-bandwidth", "largest-bandwidth"])
+def test_config_bounds_run_clean(tmp_path, train):
+    # each bound itself trains in aligned-mmd mode and evaluates, to one
+    # JSON line each and nothing on stderr
+    config = small_config(tmp_path, kind="ood")
+    data, ckpt = tmp_path / "data", tmp_path / "adapter.cadp"
+    assert run_main(["gen", "--config", str(config), "--out", str(data)])[0] == 0
+    config = _config_with(config, tmp_path, lambda doc: {
+        **doc, "train": {**doc["train"], **train, "epochs": 1}})
+    for args in (("train", "--config", str(config), "--data", str(data), "--out", str(ckpt),
+                  "--mode", "aligned-mmd"),
+                 ("eval", "--config", str(config), "--checkpoint", str(ckpt),
+                  "--data", str(data), "--out", str(tmp_path / "report.json"))):
+        code, out, err = run_main(list(args))
+        assert code == 0 and err == "", err
+        json.loads(out)
+    assert math.isfinite(json.loads((tmp_path / "report.json").read_text())
+                         ["domain_mmd2"]["bandwidth"])
+
+
+def test_aligned_mmd_on_a_target_without_images_is_config_error(tmp_path):
+    config = small_config(tmp_path, kind="ood")
+    data = tmp_path / "data"
+    assert run_main(["gen", "--config", str(config), "--out", str(data)])[0] == 0
+    target = read_embeddings(data / "target.cemb")
+    write_embeddings(target.subset(target.modality_mask(Modality.TEXT)), data / "target.cemb")
+    code, out, err = run_main(["train", "--config", str(config), "--data", str(data),
+                               "--out", str(tmp_path / "a.cadp"), "--mode", "aligned-mmd"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"command": "train", "error": "ConfigError",
+                               "message": "target set has no image records"}
+    assert not (tmp_path / "a.cadp").exists()
+
+
+def _anchor_file(path: Path, class_ids, modalities) -> Path:
+    """A CEMB anchor file over two classes, one unit record per entry."""
+    n = len(class_ids)
+    write_embeddings(make_embedding_set(
+        np.tile([0.6, 0.8], (n, 1)), class_ids, modalities, np.zeros(n), np.zeros(n),
+        [ANCHOR_NAME_PREFIX + "a", ANCHOR_NAME_PREFIX + "b"]), path)
+    return path
+
+
+@pytest.mark.parametrize("class_ids, modalities, message", [
+    ([0, 1], [Modality.IMAGE] * 2, "{path} holds no text anchors"),
+    ([0, 0], [Modality.TEXT] * 2, "{path}: expected exactly one text anchor per class"),
+], ids=["image-only", "two-text-anchors-for-one-class"])
+def test_mmd_refuses_an_anchor_file_without_one_text_anchor_per_class(
+        pipeline, tmp_path, class_ids, modalities, message):
+    _, _, data, *_ = pipeline
+    path = _anchor_file(tmp_path / "anchors.cemb", class_ids, modalities)
+    code, out, err = run_main(["mmd", "--a", str(data / "source.cemb"),
+                               "--b", str(data / "target.cemb"), "--anchors", str(path),
+                               "--n-perms", "100"])
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"command": "mmd", "error": "AnchorError",
+                               "message": message.format(path=path)}
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(pipeline, tmp_path_factory):
+    """Valid files that each command refuses: a source with an image-less
+    class, a one-class source, a target of another class vocabulary, a
+    text-only set, text anchors of another dimension, a class name that the
+    anchor prefix makes too long, and a class whose text records cancel."""
+    _, _, data, *_ = pipeline
+    root = tmp_path_factory.mktemp("bad")
+    source, target = read_embeddings(data / "source.cemb"), read_embeddings(data / "target.cemb")
+    images = source.modality_mask(Modality.IMAGE)
+    for name, src, tgt in (
+            ("imageless", source.subset(~(images & (source.class_ids == 1))), None),
+            ("one-class", source.subset(source.class_ids == 0,
+                                        class_names=source.class_names[:1]), None),
+            ("vocabulary", source, target.subset(np.ones(len(target), dtype=bool),
+                                                 class_names=[n + "x" for n in
+                                                              target.class_names]))):
+        (root / name).mkdir()
+        write_embeddings(src, root / name / "source.cemb")
+        if tgt is not None:
+            write_embeddings(tgt, root / name / "target.cemb")
+    write_embeddings(source.subset(~images), root / "text-only.cemb")
+    write_embeddings(source.subset(np.ones(len(source), dtype=bool),
+                                   class_names=["x" * 65530, *source.class_names[1:]]),
+                     root / "long-name.cemb")
+    cancelling = source.subset(np.ones(len(source), dtype=bool))
+    texts = np.flatnonzero(~images & (source.class_ids == 0))  # 12: six pairs v, -v
+    cancelling.vectors[texts[1::2]] = -cancelling.vectors[texts[0::2]]
+    write_embeddings(cancelling, root / "cancelling.cemb")
+    write_anchors(root / "dim6.cemb", AnchorSet(np.eye(source.num_classes, 6), Modality.TEXT,
+                                                source.class_names))
+    return root
+
+
+@pytest.mark.parametrize("argv, code, error, message", [
+    (["anchors", "--data", "{data}/source.cemb", "--out", "{tmp}/a.cemb",
+      "--centroids-per-class", "13"], 3, "ClusterError", "need at least 13 points, got 12"),
+    (["anchors", "--data", "{bad}/imageless/source.cemb", "--out", "{tmp}/a.cemb"],
+     3, "ClusterError", "class class_001 has no image records"),
+    (["train", "--config", "{config}", "--data", "{bad}/one-class", "--out", "{tmp}/x.cadp"],
+     3, "SplitError", "need at least 2 classes to split"),
+    (["eval", "--config", "{config}", "--checkpoint", "{ckpt}", "--data", "{bad}/vocabulary",
+      "--out", "{tmp}/r.json", "--kind", "ood"],
+     3, "EvalError", "target set 0 does not share the source class vocabulary"),
+    (["mmd", "--a", "{data}/source.cemb", "--b", "{data}/target.cemb",
+      "--anchors", "{bad}/dim6.cemb", "--n-perms", "100"],
+     3, "ShapeError", "feature dim 8 != anchor dim 6"),
+    (["mmd", "--a", "{data}/source.cemb", "--b", "{bad}/text-only.cemb",
+      "--anchors", "{pipeline}/anchors.cemb", "--n-perms", "100"],
+     3, "ShapeError", "need at least 2 samples per side, got 48 and 0"),
+    (["anchors", "--data", "{bad}/long-name.cemb", "--out", "{tmp}/a.cemb"],
+     3, "FormatError", "class name too long (65537 bytes)"),
+    (["anchors", "--data", "{bad}/cancelling.cemb", "--out", "{tmp}/a.cemb"],
+     4, "NormalizationError", "cannot normalize a zero vector"),
+], ids=["too-few-points", "imageless-class", "one-class", "target-vocabulary",
+        "anchor-dim", "no-images", "long-class-name", "cancelling-texts"])
+def test_data_the_commands_refuse_is_one_json_error(pipeline, bad_inputs, tmp_path,
+                                                    argv, code, error, message):
+    pipeline_dir, config, data, ckpt, *_ = pipeline
+    argv = [a.format(data=data, bad=bad_inputs, tmp=tmp_path, config=config, ckpt=ckpt,
+                     pipeline=pipeline_dir) for a in argv]
+    assert run_main(argv) == (code, "", json.dumps(
+        {"command": argv[0], "error": error, "message": message}, sort_keys=True) + "\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_without_held_out_images_is_eval_error(pipeline, tmp_path):
+    # shots at the per-class sample count leave the held-out set no images
+    _, config, data, ckpt, *_ = pipeline
+    path = _config_with(config, tmp_path, lambda doc: {
+        **doc, "kind": "group-robustness", "train": {**doc["train"], "shots": 12}})
+    code, out, err = run_main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
+                               "--data", str(data), "--out", str(tmp_path / "r.json")])
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"command": "eval", "error": "EvalError",
+                               "message": "set has no image records to evaluate"}
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_group_report_text_matches_report_json(pipeline, tmp_path):
+    # report.txt's group branch: one line per group, then WG, Avg and Gap,
+    # each format_pct of report.json's value
+    _, config, data, ckpt, *_ = pipeline
+    report = tmp_path / "report.json"
+    code, _, err = run_main(["eval", "--config", str(config), "--checkpoint", str(ckpt),
+                             "--data", str(data), "--out", str(report),
+                             "--kind", "group-robustness"])
+    assert code == 0, err
+    doc = json.loads(report.read_text())
+    group = doc["group"]
+    assert len(group["per_group_accuracy"]) >= 2
+    expected = [(f"group {key}", acc) for key, acc in group["per_group_accuracy"].items()]
+    expected += [("WG", group["worst_group"]), ("Avg", group["average"]), ("Gap", group["gap"])]
+    assert report.with_suffix(".txt").read_text().splitlines() == [
+        f"kind: group-robustness  mode: aligned  seed: {doc['seed']}",
+        *(f"{name:>10}  {format_pct(value):>6}" for name, value in expected)]
+
+
 def test_text_less_class_fails_by_name(tmp_path):
     """A class without text records: ``few_shot_split`` samples none of its
     text and goes on; the training anchors then refuse the class by name,
@@ -638,6 +871,13 @@ def test_argument_error_is_one_json_config_error(argv, message):
     code, out, err = run_main(argv)
     assert code == 2 and out == ""
     assert json.loads(err) == {"command": None, "error": "ConfigError", "message": message}
+
+
+def test_empty_config_path_is_config_error(tmp_path):
+    # argparse takes "" as the value of the required --config
+    assert run_main(["gen", "--config", "", "--out", str(tmp_path / "d")]) == (
+        2, "", '{"command": "gen", "error": "ConfigError", "message": "--config is required"}\n')
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ from craft.core import AnchorError, ConfigError, LabelError, l2_normalize, make_
 from craft.dataio import Modality
 from craft.losses import (LossBatch, LossReport, Mode, _anchor_ce, _contrastive, check_terms,
                           loss_and_gradient)
-from craft.mmd import KernelSpec, anchor_align, median_heuristic
+from craft.mmd import anchor_align, median_heuristic
 from craft.train import TrainConfig
 
 from conftest import orthonormal_anchors, random_anchors, unit_rows
@@ -21,10 +21,8 @@ LN_1P_EXP_NEG1 = math.log(1.0 + math.exp(-1.0))  # 0.31326...
 
 
 def engine(adapter, batch, ta, ia, cfg):
-    """``loss_and_gradient`` as ``train`` calls it: the kernel of
-    ``cfg.bandwidth`` (None: the median heuristic) and a gradient buffer."""
-    kernel = None if cfg.bandwidth is None else KernelSpec(cfg.bandwidth)
-    return loss_and_gradient(adapter, batch, ta, ia, cfg, kernel, Adapter.zeros(adapter.dim))
+    """``loss_and_gradient`` as ``train`` calls it, with a gradient buffer."""
+    return loss_and_gradient(adapter, batch, ta, ia, cfg, Adapter.zeros(adapter.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +337,16 @@ def test_gradient_buffer_contents_are_never_read(mode):
     # to it (the baseline's text block with zeros): a buffer of NaN gives
     # what a zeroed one gives
     adapter, batch, ta, ia, cfg = random_case(make_rng(11), mode)
-    kernel = None if cfg.bandwidth is None else KernelSpec(cfg.bandwidth)
-    expected_report, expected = loss_and_gradient(adapter, batch, ta, ia, cfg, kernel,
+    expected_report, expected = loss_and_gradient(adapter, batch, ta, ia, cfg,
                                                   Adapter.zeros(adapter.dim))
     dirty = Adapter(np.full(adapter.params.size, np.nan))
-    report, grad = loss_and_gradient(adapter, batch, ta, ia, cfg, kernel, dirty)
+    report, grad = loss_and_gradient(adapter, batch, ta, ia, cfg, dirty)
     assert report == expected_report
     assert grad is dirty.params and np.array_equal(grad, expected)
 
 
 def test_mmd_kernel_defaults_to_median_heuristic(rng):
-    # no kernel: the MMD term takes median_heuristic of the batch's pooled
+    # no bandwidth: the MMD term takes median_heuristic of the batch's pooled
     # anchor-aligned rows, the source rows then the target rows, bitwise
     adapter, batch, ta, ia, cfg = random_case(rng, Mode.ALIGNED_MMD)
     assert_default_kernel_is_pooled_median(adapter, batch, ta, ia, cfg)

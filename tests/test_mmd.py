@@ -8,7 +8,7 @@ import craft.core as core_mod
 import craft.mmd as mmd_mod
 from craft.core import TILE, ConfigError, ShapeError, make_rng, pairwise_sq_dists
 from craft.dataio import SyntheticConfig, generate_synthetic
-from craft.mmd import (KernelSpec, anchor_align, median_heuristic, mmd2_biased, mmd2_biased_grad,
+from craft.mmd import (anchor_align, median_heuristic, mmd2_biased, mmd2_biased_grad,
                        mmd2_both, mmd2_unbiased, permutation_test)
 
 from conftest import blas_shaped_pairs, orthonormal_anchors, random_anchors, unit_rows
@@ -20,7 +20,7 @@ from conftest import blas_shaped_pairs, orthonormal_anchors, random_anchors, uni
 
 def kernel_value(x, y, bandwidth):
     """The kernel value of one pair."""
-    return KernelSpec(bandwidth).of_sq_dists(pairwise_sq_dists(x[None], y[None]))[0, 0]
+    return mmd_mod._rbf(pairwise_sq_dists(x[None], y[None]), bandwidth)[0, 0]
 
 
 def test_rbf_examples():
@@ -28,8 +28,8 @@ def test_rbf_examples():
     assert kernel_value(x, x, 1.0) == 1.0
     assert kernel_value(x, np.array([1.0, 0.0]), 1.0) == pytest.approx(math.exp(-0.5), abs=1e-12)
     assert kernel_value(x, np.array([1.0, 0.0]), 1.0) == pytest.approx(0.60653, abs=5e-6)
-    k = KernelSpec(2.0).of_sq_dists(pairwise_sq_dists(np.array([[0.0], [1.0]]),
-                                                      np.array([[0.0], [2.0], [3.0]])))
+    k = mmd_mod._rbf(pairwise_sq_dists(np.array([[0.0], [1.0]]), np.array([[0.0], [2.0], [3.0]])),
+                     2.0)
     np.testing.assert_allclose(k, np.exp(-np.array([[0, 4, 9], [1, 1, 4]]) / 8.0), rtol=1e-15)
 
 
@@ -41,10 +41,17 @@ def test_rbf_monotone_in_bandwidth():
 
 
 def test_rbf_bad_bandwidth():
-    with pytest.raises(ConfigError):
-        KernelSpec(0.0)
-    with pytest.raises(ConfigError):
-        KernelSpec(-1.0)
+    # every public call that takes a bandwidth refuses one the way _rbf does
+    x = np.zeros((3, 2))
+    for bandwidth in (0.0, -1.0, math.inf, math.nan):
+        for call in (lambda: mmd_mod._rbf(np.zeros((1, 1)), bandwidth),
+                     lambda: mmd2_biased(x, x + 1.0, bandwidth),
+                     lambda: mmd2_unbiased(x, x + 1.0, bandwidth),
+                     lambda: mmd2_both(x, x + 1.0, bandwidth),
+                     lambda: mmd2_biased_grad(np.concatenate([x, x + 1.0]), 3, bandwidth),
+                     lambda: permutation_test(x, x + 1.0, bandwidth, 100, make_rng(0))):
+            with pytest.raises(ConfigError, match="kernel bandwidth must be finite and > 0"):
+                call()
 
 
 def test_median_heuristic_two_points():
@@ -128,14 +135,14 @@ def test_median_heuristic_needs_two(rng):
 def test_mmd2_biased_self_is_exactly_zero(rng):
     for _ in range(20):
         x = rng.standard_normal((int(rng.integers(1, 20)), int(rng.integers(1, 6))))
-        assert mmd2_biased(x, x, KernelSpec(1.0)) == 0.0
+        assert mmd2_biased(x, x, 1.0) == 0.0
 
 
 def test_mmd2_biased_single_point_closed_form():
     x = np.zeros((1, 4))
     y = np.zeros((1, 4))
     y[0, 0] = 1.0
-    value = mmd2_biased(x, y, KernelSpec(1.0))
+    value = mmd2_biased(x, y, 1.0)
     assert value == pytest.approx(2.0 - 2.0 * math.exp(-0.5), abs=1e-12)
     assert value == pytest.approx(0.78694, abs=5e-6)
 
@@ -144,18 +151,18 @@ def test_mmd2_biased_symmetry_exact(rng):
     for _ in range(10):
         x = rng.standard_normal((int(rng.integers(1, 12)), 3))
         y = rng.standard_normal((int(rng.integers(1, 12)), 3))
-        kernel = KernelSpec(float(rng.uniform(0.3, 3.0)))
-        assert mmd2_biased(x, y, kernel) == mmd2_biased(y, x, kernel)
+        sigma = float(rng.uniform(0.3, 3.0))
+        assert mmd2_biased(x, y, sigma) == mmd2_biased(y, x, sigma)
 
 
 def test_mmd2_exact_at_blas_shapes():
     for x, y in blas_shaped_pairs(24, 10):
-        kernel = KernelSpec(median_heuristic(np.concatenate([x, y])))
-        assert mmd2_biased(x, x, kernel) == 0.0
-        assert mmd2_biased(x, x.copy(), kernel) == 0.0
-        assert mmd2_biased(x, y, kernel) == mmd2_biased(y, x, kernel)
+        sigma = median_heuristic(np.concatenate([x, y]))
+        assert mmd2_biased(x, x, sigma) == 0.0
+        assert mmd2_biased(x, x.copy(), sigma) == 0.0
+        assert mmd2_biased(x, y, sigma) == mmd2_biased(y, x, sigma)
         if min(len(x), len(y)) >= 2:
-            assert mmd2_unbiased(x, y, kernel) == mmd2_unbiased(y, x, kernel)
+            assert mmd2_unbiased(x, y, sigma) == mmd2_unbiased(y, x, sigma)
 
 
 def test_kernel_layer_memory_bounded_at_clip_eval_shape():
@@ -167,11 +174,11 @@ def test_kernel_layer_memory_bounded_at_clip_eval_shape():
     bound = 3 * 2400 * 2400 * 8
     tracemalloc.start()
     try:
-        kernel = KernelSpec(median_heuristic(rows))
+        sigma = median_heuristic(rows)
         _, peak = tracemalloc.get_traced_memory()
         assert peak < bound
         tracemalloc.reset_peak()
-        mmd2_biased(rows[:400], rows[400:], kernel)
+        mmd2_biased(rows[:400], rows[400:], sigma)
         _, peak = tracemalloc.get_traced_memory()
         assert peak < bound
     finally:
@@ -186,15 +193,15 @@ def test_kernel_layer_memory_is_a_few_tiles():
     # their sum), and the permutation test its pooled samples and one block
     # of weight rows with their product
     rows = make_rng(27).standard_normal((2400, 100))
-    kernel = KernelSpec(10.0)
+    sigma = 10.0
     tiles = 4 * TILE * TILE * 8
     counts = 3 * (1 << 17) * 8
     weights = 2 * (1 + 100) * len(rows) * 8
     for estimate, beside in (
             (lambda: median_heuristic(rows), counts),
-            (lambda: mmd2_biased(rows[:400], rows[400:], kernel), 0),
-            (lambda: mmd2_unbiased(rows[:400], rows[400:], kernel), 0),
-            (lambda: permutation_test(rows[:400], rows[400:], kernel, 100, make_rng(0)),
+            (lambda: mmd2_biased(rows[:400], rows[400:], sigma), 0),
+            (lambda: mmd2_unbiased(rows[:400], rows[400:], sigma), 0),
+            (lambda: permutation_test(rows[:400], rows[400:], sigma, 100, make_rng(0)),
              rows.nbytes + weights)):
         tracemalloc.start()
         try:
@@ -209,7 +216,7 @@ def test_mmd2_biased_nonnegative(rng):
     for _ in range(50):
         x = rng.standard_normal((int(rng.integers(1, 15)), 4))
         y = rng.standard_normal((int(rng.integers(1, 15)), 4))
-        assert mmd2_biased(x, y, KernelSpec(1.0)) >= -1e-12
+        assert mmd2_biased(x, y, 1.0) >= -1e-12
 
 
 def test_mmd2_rigid_motion_invariant(rng):
@@ -217,30 +224,39 @@ def test_mmd2_rigid_motion_invariant(rng):
     y = rng.standard_normal((9, 5))
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     shift = rng.standard_normal(5)
-    kernel = KernelSpec(1.3)
-    moved = mmd2_biased(x @ q.T + shift, y @ q.T + shift, kernel)
-    assert moved == pytest.approx(mmd2_biased(x, y, kernel), abs=1e-9)
+    sigma = 1.3
+    moved = mmd2_biased(x @ q.T + shift, y @ q.T + shift, sigma)
+    assert moved == pytest.approx(mmd2_biased(x, y, sigma), abs=1e-9)
 
 
 def test_mmd2_vanishes_as_bandwidth_grows(rng):
     x = rng.standard_normal((10, 3))
     y = rng.standard_normal((10, 3)) + 2.0
-    values = [mmd2_biased(x, y, KernelSpec(s)) for s in (1.0, 10.0, 100.0, 1000.0)]
+    values = [mmd2_biased(x, y, s) for s in (1.0, 10.0, 100.0, 1000.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-4
 
 
 def test_mmd2_empty_rejected(rng):
     with pytest.raises(ShapeError):
-        mmd2_biased(np.zeros((0, 3)), rng.standard_normal((4, 3)), KernelSpec(1.0))
+        mmd2_biased(np.zeros((0, 3)), rng.standard_normal((4, 3)), 1.0)
+
+
+def test_mmd2_dimension_mismatch_rejected(rng):
+    x, y = rng.standard_normal((4, 3)), rng.standard_normal((5, 2))
+    for call in (mmd2_biased, mmd2_unbiased, mmd2_both):
+        with pytest.raises(ShapeError, match="^dimension mismatch: 3 vs 2$"):
+            call(x, y, 1.0)
+    with pytest.raises(ShapeError, match="^dimension mismatch: 3 vs 2$"):
+        permutation_test(x, y, 1.0, 100, make_rng(0))
 
 
 @pytest.mark.parametrize("m, n", [(2, 3), (40, 25), (2 * TILE + 7, 30)])
 def test_mmd2_both_reads_both_estimators_from_one_walk(monkeypatch, m, n):
     rng = make_rng(m)
     x, y = rng.standard_normal((m, 4)), 0.5 + rng.standard_normal((n, 4))
-    kernel = KernelSpec(1.3)
-    expected = (mmd2_biased(x, y, kernel), mmd2_unbiased(x, y, kernel))
+    sigma = 1.3
+    expected = (mmd2_biased(x, y, sigma), mmd2_unbiased(x, y, sigma))
     blocks = []
     block = mmd_mod._kernel_block
 
@@ -249,7 +265,7 @@ def test_mmd2_both_reads_both_estimators_from_one_walk(monkeypatch, m, n):
         return block(*args, **kwargs)
 
     monkeypatch.setattr(mmd_mod, "_kernel_block", counting)
-    assert [v.hex() for v in mmd2_both(x, y, kernel)] == [v.hex() for v in expected]
+    assert [v.hex() for v in mmd2_both(x, y, sigma)] == [v.hex() for v in expected]
     assert len(blocks) == 3
 
 
@@ -264,36 +280,35 @@ def test_self_block_upper_walk_is_the_full_grid_bitwise(monkeypatch, n):
     blocks = -(-n // TILE)
     for d, bandwidth in ((7, 2.5), (16, 10.0), (3, 2.5)):
         x = make_rng(n).standard_normal((n, d))
-        kernel = KernelSpec(bandwidth)
         full = x.copy()
         tiles.clear()
-        total = mmd_mod._kernel_block(x, x, kernel)
+        total = mmd_mod._kernel_block(x, x, bandwidth)
         assert len(tiles) == blocks * (blocks + 1) // 2
-        expected_total = mmd_mod._kernel_block(x, full, kernel)
+        expected_total = mmd_mod._kernel_block(x, full, bandwidth)
         assert total.hex() == expected_total.hex()
-        held = kernel.of_sq_dists(pairwise_sq_dists(x, x))
-        expected = kernel.of_sq_dists(pairwise_sq_dists(x, full))
+        held = mmd_mod._rbf(pairwise_sq_dists(x, x), bandwidth)
+        expected = mmd_mod._rbf(pairwise_sq_dists(x, full), bandwidth)
         np.testing.assert_array_equal(held, expected)
         assert mmd_mod._held_block(held, True).hex() == total.hex()
         assert mmd_mod._held_block(expected, False).hex() == total.hex()
-        assert mmd2_biased(x, x, kernel) == 0.0
+        assert mmd2_biased(x, x, bandwidth) == 0.0
 
 
 def test_mmd2_unbiased_identical_two_points():
     x = np.ones((2, 3))
-    assert mmd2_unbiased(x, x.copy(), KernelSpec(1.0)) == 0.0
+    assert mmd2_unbiased(x, x.copy(), 1.0) == 0.0
 
 
 def test_mmd2_unbiased_far_clusters():
     rng = make_rng(8)
     x = 0.01 * rng.standard_normal((30, 2))
     y = np.array([10.0, 0.0]) + 0.01 * rng.standard_normal((30, 2))
-    assert mmd2_unbiased(x, y, KernelSpec(1.0)) == pytest.approx(2.0, abs=1e-2)
+    assert mmd2_unbiased(x, y, 1.0) == pytest.approx(2.0, abs=1e-2)
 
 
 def test_mmd2_unbiased_needs_two(rng):
     with pytest.raises(ShapeError):
-        mmd2_unbiased(rng.standard_normal((1, 3)), rng.standard_normal((5, 3)), KernelSpec(1.0))
+        mmd2_unbiased(rng.standard_normal((1, 3)), rng.standard_normal((5, 3)), 1.0)
 
 
 def test_mmd2_unbiased_zero_mean_under_null():
@@ -301,17 +316,17 @@ def test_mmd2_unbiased_zero_mean_under_null():
     for seed in range(200):
         rng = make_rng(seed, 17)
         x, y = rng.standard_normal((25, 3)), rng.standard_normal((25, 3))
-        values.append(mmd2_unbiased(x, y, KernelSpec(1.0)))
+        values.append(mmd2_unbiased(x, y, 1.0))
     mean = np.mean(values)
     se = np.std(values, ddof=1) / math.sqrt(len(values))
     assert abs(mean) <= 3 * se
 
 
-def pooled_oracle(z, m, kernel):
+def pooled_oracle(z, m, sigma):
     """The value of the pooled tile: ``_biased`` over the three sub-blocks of
     the kernel of ``pairwise_sq_dists(z, z)``, each summed over its TILE
     grid."""
-    k = kernel.of_sq_dists(pairwise_sq_dists(z, z))
+    k = mmd_mod._rbf(pairwise_sq_dists(z, z), sigma)
     return mmd_mod._biased(m, len(z) - m, mmd_mod._held_block(k[:m, :m], True),
                            mmd_mod._held_block(k[m:, m:], True),
                            mmd_mod._held_block(k[:m, m:], False))
@@ -319,25 +334,25 @@ def pooled_oracle(z, m, kernel):
 
 def test_grad_value_matches_plain_estimator(rng):
     x, y = rng.standard_normal((6, 4)), rng.standard_normal((8, 4))
-    kernel = KernelSpec(1.1)
-    value, g = mmd2_biased_grad(np.concatenate([x, y]), 6, kernel)
-    assert value.hex() == pooled_oracle(np.concatenate([x, y]), 6, kernel).hex()
-    assert value == pytest.approx(mmd2_biased(x, y, kernel), rel=1e-14)
+    sigma = 1.1
+    value, g = mmd2_biased_grad(np.concatenate([x, y]), 6, sigma)
+    assert value.hex() == pooled_oracle(np.concatenate([x, y]), 6, sigma).hex()
+    assert value == pytest.approx(mmd2_biased(x, y, sigma), rel=1e-14)
     assert g.shape == (14, 4)
     # beyond one tile: the value is summed from the same tiles, and the
     # gradient matches a dense oracle and a directional central difference
     x, y = rng.standard_normal((TILE + 90, 4)), rng.standard_normal((TILE + 30, 4))
     m, z = len(x), np.concatenate([x, y])
-    value, g = mmd2_biased_grad(z, m, kernel)
-    assert value.hex() == pooled_oracle(z, m, kernel).hex()
-    assert value == pytest.approx(mmd2_biased(x, y, kernel), rel=1e-14)
+    value, g = mmd2_biased_grad(z, m, sigma)
+    assert value.hex() == pooled_oracle(z, m, sigma).hex()
+    assert value == pytest.approx(mmd2_biased(x, y, sigma), rel=1e-14)
     w = np.where(np.arange(len(z)) < m, 1.0 / m, -1.0 / len(y))
-    k = kernel.of_sq_dists(pairwise_sq_dists(z, z))
+    k = mmd_mod._rbf(pairwise_sq_dists(z, z), sigma)
     dense = 2.0 * np.einsum("a,b,ab,abd->ad", w, w, k, z[None, :, :] - z[:, None, :]) / 1.1 ** 2
     np.testing.assert_allclose(g, dense, rtol=1e-10, atol=1e-15)
     v, eps = rng.standard_normal(z.shape), 1e-5
-    fd = (mmd2_biased(x + eps * v[:m], y + eps * v[m:], kernel)
-          - mmd2_biased(x - eps * v[:m], y - eps * v[m:], kernel)) / (2 * eps)
+    fd = (mmd2_biased(x + eps * v[:m], y + eps * v[m:], sigma)
+          - mmd2_biased(x - eps * v[:m], y - eps * v[m:], sigma)) / (2 * eps)
     assert fd == pytest.approx(np.sum(g * v), rel=1e-6)
 
 
@@ -379,14 +394,14 @@ def test_grad_without_kernel_takes_the_pooled_median_heuristic(monkeypatch, m, n
         bandwidths.clear()
         got = mmd2_biased_grad(z, m)
         assert bandwidths == [sigma]
-        assert_grads_equal(got, mmd2_biased_grad(z, m, KernelSpec(sigma)))
-        assert got[0].hex() == pooled_oracle(z, m, KernelSpec(sigma)).hex()
-        assert got[0] == pytest.approx(mmd2_biased(x, y, KernelSpec(sigma)), rel=1e-14)
+        assert_grads_equal(got, mmd2_biased_grad(z, m, sigma))
+        assert got[0].hex() == pooled_oracle(z, m, sigma).hex()
+        assert got[0] == pytest.approx(mmd2_biased(x, y, sigma), rel=1e-14)
 
 
 def test_grad_without_kernel_falls_back_on_coincident_rows():
     z = np.ones((10, 3))
-    assert_grads_equal(mmd2_biased_grad(z, 5), mmd2_biased_grad(z, 5, KernelSpec(1.0)))
+    assert_grads_equal(mmd2_biased_grad(z, 5), mmd2_biased_grad(z, 5, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +451,7 @@ def test_mmd_loss_identical_batches(rng):
     feats = unit_rows(rng, 10, 6)
     anchors = random_anchors(rng, 4, 6)
     assert mmd2_biased(anchor_align(feats, anchors), anchor_align(feats.copy(), anchors),
-                       KernelSpec(1.0)) == 0.0
+                       1.0) == 0.0
 
 
 def _generated_aligned_rows(seed, shift):
@@ -451,13 +466,13 @@ def _generated_aligned_rows(seed, shift):
 
 
 def test_mmd_loss_orders_shift_magnitudes():
-    kernel = KernelSpec(1.0)
+    sigma = 1.0
     wins = 0
     for seed in range(100):
         values = []
         for shift in (0.0, 1.0):
             src, tgt = _generated_aligned_rows(seed, shift)
-            values.append(mmd2_biased(src, tgt, kernel))
+            values.append(mmd2_biased(src, tgt, sigma))
         wins += values[1] > values[0]
     assert wins >= 99
 
@@ -468,8 +483,8 @@ def test_mmd_loss_zero_shift_indistinguishable():
     accepts = 0
     for seed in range(100):
         src, tgt = _generated_aligned_rows(seed, 0.0)
-        kernel = KernelSpec(median_heuristic(np.concatenate([src, tgt])))
-        accepts += permutation_test(src, tgt, kernel, 100, make_rng(seed, 51)) > 0.05
+        sigma = median_heuristic(np.concatenate([src, tgt]))
+        accepts += permutation_test(src, tgt, sigma, 100, make_rng(seed, 51)) > 0.05
     assert accepts >= 90
 
 
@@ -477,7 +492,7 @@ def test_permutation_test_smoothing_arithmetic(rng):
     # all permuted statistics below the observed one -> p = 1/101
     x = 0.01 * rng.standard_normal((30, 2))
     y = np.array([50.0, 0.0]) + 0.01 * rng.standard_normal((30, 2))
-    p = permutation_test(x, y, KernelSpec(1.0), 100, make_rng(0))
+    p = permutation_test(x, y, 1.0, 100, make_rng(0))
     assert p == pytest.approx(1.0 / 101.0, abs=1e-15)
 
 
@@ -486,7 +501,7 @@ def test_permutation_test_null_accepts(rng):
     for seed in range(40):
         r = make_rng(seed, 5)
         x, y = r.standard_normal((20, 3)), r.standard_normal((20, 3))
-        p = permutation_test(x, y, KernelSpec(median_heuristic(np.concatenate([x, y]))),
+        p = permutation_test(x, y, median_heuristic(np.concatenate([x, y])),
                              100, make_rng(seed, 6))
         accepts += p > 0.05
     assert accepts >= 36
@@ -497,17 +512,17 @@ def test_permutation_test_separated_rejects():
         r = make_rng(seed, 7)
         x = r.standard_normal((50, 3))
         y = r.standard_normal((50, 3)) + np.array([10.0, 0.0, 0.0])
-        p = permutation_test(x, y, KernelSpec(median_heuristic(np.concatenate([x, y]))),
+        p = permutation_test(x, y, median_heuristic(np.concatenate([x, y])),
                              150, make_rng(seed, 8))
         assert p <= 0.01
 
 
-def _one_at_a_time_permutation_test(x, y, kernel, n_perms, rng):
+def _one_at_a_time_permutation_test(x, y, sigma, n_perms, rng):
     """Reference: the quadratic form w K w of one split at a time, with
     w = +1/m on the x side and -1/n on the y side."""
     m, n = len(x), len(y)
     pooled = np.concatenate([x, y])
-    k = kernel.of_sq_dists(pairwise_sq_dists(pooled, pooled))
+    k = mmd_mod._rbf(pairwise_sq_dists(pooled, pooled), sigma)
 
     def statistic(split):
         w = np.empty(m + n)
@@ -528,13 +543,13 @@ def test_permutation_test_matches_one_at_a_time_reference():
                                           (300, 400, 0.15), (600, 700, 0.1))):
         r = make_rng(seed, 9)
         x, y = r.standard_normal((m, 3)), r.standard_normal((n, 3)) + shift
-        kernel = KernelSpec(median_heuristic(np.concatenate([x, y])))
-        p = permutation_test(x, y, kernel, 600, make_rng(seed, 10))
-        assert p == _one_at_a_time_permutation_test(x, y, kernel, 600, make_rng(seed, 10))
+        sigma = median_heuristic(np.concatenate([x, y]))
+        p = permutation_test(x, y, sigma, 600, make_rng(seed, 10))
+        assert p == _one_at_a_time_permutation_test(x, y, sigma, 600, make_rng(seed, 10))
         assert 1.0 / 601.0 < p < 1.0
 
 
 def test_permutation_test_needs_enough_perms(rng):
     with pytest.raises(ConfigError):
         permutation_test(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)),
-                         KernelSpec(1.0), 50, make_rng(0))
+                         1.0, 50, make_rng(0))

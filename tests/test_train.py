@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import craft.losses as losses_mod
 import craft.train as train_mod
 from craft.adapter import Adapter, encode, param_count, read_checkpoint, write_checkpoint
 from craft.anchors import AnchorSet
@@ -17,7 +18,6 @@ from craft.dataio import Modality, SyntheticConfig, generate_synthetic
 from craft.evaluation import accuracy
 from craft.experiments import build_training_anchors, reference_config, run_experiment
 from craft.losses import LossBatch, Mode, loss_and_gradient
-from craft.mmd import KernelSpec
 from craft.train import (EpochRecord, TrainConfig, TrainHistory, cosine_lr, sgd_step,
                          train)
 
@@ -181,6 +181,19 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1.0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(temperature=0.0).validate()
+    # the bound keeps anchor-aligned distances finite at any class count
+    TrainConfig(temperature=1e100).validate()
+    for temperature in (math.nextafter(1e100, math.inf), 1e200, math.inf, math.nan):
+        with pytest.raises(ConfigError, match=r"^train\.temperature must be in \(0, 1e\+100\]"):
+            TrainConfig(temperature=temperature).validate()
+    # and sigma^2, which the kernel divides by, stays a finite positive normal
+    for bandwidth in (1e-100, 1e100):
+        TrainConfig(bandwidth=bandwidth).validate()
+    for bandwidth in (0.0, -1.0, math.nextafter(1e-100, 0.0), 1e-200,
+                      math.nextafter(1e100, math.inf), 1e200, math.inf, math.nan):
+        with pytest.raises(ConfigError,
+                           match=r"^train\.bandwidth must be null or in \[1e-100, 1e\+100\]"):
+            TrainConfig(bandwidth=bandwidth).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +304,6 @@ def contract_train(source, target, ta, ia, cfg):
     pools = {c: np.where(txt_labels == c)[0] for c in np.unique(img_labels)}
     target_imgs = target.image_vectors() if cfg.mode is Mode.ALIGNED_MMD else None
     rng, rng_target = make_rng(cfg.seed, 0), make_rng(cfg.seed, 1)
-    kernel = None if cfg.bandwidth is None else KernelSpec(cfg.bandwidth)
     adapter = Adapter.zeros(source.dim)
     history = TrainHistory()
     n, size = len(img_labels), cfg.batch_size
@@ -307,7 +319,7 @@ def contract_train(source, target, ta, ia, cfg):
             if target_imgs is not None:  # the target rows, stacked under the source rows
                 batch.image = np.concatenate([batch.image, target_imgs[rng_target.choice(
                     len(target_imgs), size=min(len(sel), len(target_imgs)), replace=False)]])
-            report, grad = loss_and_gradient(adapter, batch, ta, ia, cfg, kernel,
+            report, grad = loss_and_gradient(adapter, batch, ta, ia, cfg,
                                              Adapter.zeros(source.dim))
             adapter = sgd_step(adapter, grad, lr)
             sums += (report.total, report.static_term, report.stochastic_term, report.mmd_term)
@@ -322,7 +334,7 @@ def contract_train(source, target, ta, ia, cfg):
                                          (Mode.ALIGNED_MMD, False), (Mode.ALIGNED_MMD, True)])
 def test_train_equals_its_contract_bitwise(mode, fixed):
     # batch 3 leaves a short last batch; uneven text pools make the draws differ per class;
-    # with ``fixed`` the MMD kernel has one bandwidth for the run
+    # with ``fixed`` the MMD term has one bandwidth for the run
     source, target, ta, ia = small_data(seed=21)
     keep = np.ones(len(source), dtype=bool)
     keep[np.flatnonzero(source.modality_mask(Modality.TEXT))[::3]] = False
@@ -410,14 +422,17 @@ def test_train_rejects_empty_anchor_set(no_steps):
         train(source, None, empty, ia, TrainConfig(epochs=1, temperature=5.0))
 
 
-def test_numeric_error_names_epoch_and_step():
+def test_numeric_error_names_epoch_and_step(monkeypatch):
     # a step of 1e308 times the gradient overflows the parameters, so the
     # second step's features cannot be normalized
     source, target, ta, ia = small_data()
     cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e308, temperature=5.0, seed=1)
     with pytest.raises(NormalizationError, match=r"norm \(epoch 0, step 1\)$"):
         train(source, None, ta, ia, cfg)
-    # anchor logits this large overflow the MMD term at the first step
-    cfg = dataclasses.replace(cfg, learning_rate=0.01, temperature=1e305, mode=Mode.ALIGNED_MMD)
+    # the temperature and bandwidth bounds keep the MMD term finite for
+    # every valid config, so a NaN value stands in for a fault in it
+    monkeypatch.setattr(losses_mod, "mmd2_biased_grad",
+                        lambda z, m, bandwidth: (math.nan, np.zeros(z.shape)))
+    cfg = dataclasses.replace(cfg, learning_rate=0.01, mode=Mode.ALIGNED_MMD)
     with pytest.raises(NumericError, match=r"^domain MMD term is non-finite \(epoch 0, step 0\)$"):
         train(source, target, ta, ia, cfg)
