@@ -362,8 +362,9 @@ def _huge_temperature(doc):
     (lambda doc: [doc], ("gen",), "run config must be a JSON object"),
     (lambda doc: {**doc, "synthetic": {k: v for k, v in doc["synthetic"].items()
                                        if k != "num_classes"}}, ("gen",),
-     "config section 'synthetic': SyntheticConfig.__init__() missing 1 required positional "
-     "argument: 'num_classes'"),
+     # Python 3.10 names no class in the TypeError
+     re.compile(r"config section 'synthetic': (SyntheticConfig\.)?__init__\(\) missing 1 "
+                r"required positional argument: 'num_classes'")),
     (lambda doc: {**doc, "workdir": "x"}, ("gen",), "unknown config key workdir"),
     (lambda doc: {k: v for k, v in doc.items() if k != "train"}, ("gen",),
      "missing config key train"),
@@ -404,8 +405,10 @@ def test_config_values_refused_where_the_config_enters(pipeline, tmp_path, edit,
     for command in commands:
         code, out, err = run_main([command, "--config", str(path), *args[command]])
         assert code == 2 and out == ""
-        assert json.loads(err) == {"command": command, "error": "ConfigError",
-                                   "message": message}
+        error = json.loads(err)  # exactly one JSON object
+        got = error.pop("message")
+        assert message.fullmatch(got) if isinstance(message, re.Pattern) else got == message
+        assert error == {"command": command, "error": "ConfigError"}
     assert list(tmp_path.iterdir()) == [path]
 
 
