@@ -8,8 +8,9 @@ batch 128), hashed over its checkpoint bytes and history JSONL, and one
 multi-centroid k-means anchor build (see ``kmeans_anchors``), hashed over
 its anchor file, two two-sample tests (see ``two_sample``), hashed over
 the JSON lines of ``craft mmd``, the synthetic generator (see
-``generator``), hashed over the five columns of its two sets, and the
-CEMB files of ``craft gen`` (see ``gen_files``).
+``generator``), hashed over the five columns of its two sets, the
+CEMB files of ``craft gen`` (see ``gen_files``), and the files of ``craft
+eval`` for the three experiment kinds (see ``eval_files``).
 
 The BLAS thread count can change the last bits of a GEMM, so the script
 runs the numeric backend on one thread, whatever the caller set, and its
@@ -154,6 +155,29 @@ def gen_files(seed: int, workdir: Path) -> str:
     return digest.hexdigest()
 
 
+def eval_files(seed: int, workdir: Path) -> str:
+    """sha256 over the files that ``craft eval`` writes, run in process after
+    ``craft train`` on the desk data of ``craft gen``, for each experiment
+    kind in turn: report.json without its timestamp, report.txt and the
+    confusion CSVs in name order."""
+    config, data = str(workdir / "eval.json"), str(workdir / "eval-data")
+    (workdir / "eval.json").write_text(resources.files("craft").joinpath("reference.json")
+                                       .read_text())
+    run_craft("gen", "--config", config, "--out", data, "--seed", str(seed))
+    digest = hashlib.sha256()
+    for kind in experiments.EXPERIMENT_KINDS:
+        out = workdir / "eval" / kind / "report.json"
+        common = ("--config", config, "--data", data, "--kind", kind, "--seed", str(seed))
+        run_craft("train", *common, "--out", str(workdir / "eval.cadp"))
+        run_craft("eval", *common, "--checkpoint", str(workdir / "eval.cadp"), "--out", str(out))
+        report = json.loads(out.read_text())
+        del report["timestamp"]
+        digest.update((json.dumps(report, sort_keys=True, indent=2) + "\n").encode())
+        for path in [out.with_suffix(".txt"), *sorted(out.parent.glob("*.csv"))]:
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7, help="seed of every run")
@@ -174,6 +198,7 @@ def main():
               f"(craft mmd, 1000 permutations, shift 1.0 and 0.0)")
         print(f"{generator(args.seed)}  generator (K=100, H=128, groups 0.8, shift 0.0 and 1.0)")
         print(f"{gen_files(args.seed, workdir)}  craft gen files (desk ood and clip, shift 1.0)")
+        print(f"{eval_files(args.seed, workdir)}  craft eval files (desk, three kinds)")
 
 
 if __name__ == "__main__":

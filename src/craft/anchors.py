@@ -209,7 +209,8 @@ def build_static_image_anchors(emb_set: EmbeddingSet, rng: np.random.Generator,
 
 
 def build_static_text_anchors(emb_set: EmbeddingSet, encoder: Encoder | None = None) -> AnchorSet:
-    """Per class: normalized mean of the encoded text (template) records."""
+    """Per class: normalized mean of the encoded text (template) records; a
+    class with no text records or a zero mean is an AnchorError naming it."""
     anchors = np.empty((emb_set.num_classes, emb_set.dim))
     for c, (name, rows) in enumerate(zip(emb_set.class_names, emb_set.class_rows(Modality.TEXT))):
         feats = emb_set.vectors[rows]
@@ -217,7 +218,10 @@ def build_static_text_anchors(emb_set: EmbeddingSet, encoder: Encoder | None = N
             raise AnchorError(f"class {name} has no text records")
         if encoder is not None:
             feats = encoder(feats)
-        anchors[c] = l2_normalize(feats.mean(axis=0))
+        mean = feats.mean(axis=0)
+        if not mean.any():  # exactly the vectors l2_normalize refuses
+            raise AnchorError(f"the text records of class {name} average to a zero vector")
+        anchors[c] = l2_normalize(mean)
     return AnchorSet(anchors, Modality.TEXT, class_names=list(emb_set.class_names))
 
 

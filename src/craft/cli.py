@@ -110,18 +110,17 @@ def cmd_eval(args) -> int:
     source = read_embeddings(src_path)
     target = read_embeddings(tgt_path) if tgt_path.exists() else None
     prepared = experiments.prepare(cfg, source, target)
-    report = experiments.evaluate_prepared(cfg, prepared, adapter)
+    scored = experiments.score_prepared(cfg, prepared, adapter)
+    report = experiments.report_scored(cfg, scored)
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
 
     out = Path(args.out) if args.out else Path("report.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     out.with_suffix(".txt").write_text(_report_text(report) + "\n")
-    anchors = experiments.eval_text_anchors(cfg, prepared, adapter)
-    for name, emb_set in prepared.eval_sets.items():
-        counts = confusion(adapter, emb_set, anchors[name])
+    for name, scored_set in scored.items():
         out.with_name(f"{out.stem}_confusion_{name}.csv").write_text(
-            confusion_csv(counts, anchors[name].class_names))
+            confusion_csv(confusion(scored_set), scored_set.anchors.class_names))
     print(json.dumps({"report": str(out)}, sort_keys=True))
     return 0
 

@@ -1,9 +1,10 @@
-"""Prediction rule and the three evaluation harnesses (base-to-novel, group
-robustness, out-of-distribution), plus confusion matrices.
+"""Prediction rule, scoring, and the three evaluation harnesses (base-to-novel,
+group robustness, out-of-distribution), plus confusion matrices.
 
 A prediction is the argmax of a feature's anchor similarities. The training
 temperature scales those logits by a positive factor, which moves no argmax,
-so no function here takes it. Rendered metrics are percentage points at one
+so no function here takes it. ``score`` alone encodes an eval set's images;
+the harnesses read its record. Rendered metrics are percentage points at one
 decimal; internal values stay full precision.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,57 +40,57 @@ def predict_batch(features: np.ndarray, static_text_anchors: AnchorSet) -> np.nd
     return np.argmax(anchor_align(features, static_text_anchors), axis=1)
 
 
-def _image_predictions(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: AnchorSet
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """(true labels, predictions) over the set's images."""
+@dataclass(frozen=True)
+class ScoredSet:
+    """An eval set scored once against ``anchors``: per image record, in
+    record order, its class id, adapted feature row and prediction."""
+    emb_set: EmbeddingSet
+    anchors: AnchorSet
+    labels: np.ndarray
+    features: np.ndarray
+    preds: np.ndarray
+
+
+def score(adapter: Adapter, emb_set: EmbeddingSet, anchors: AnchorSet) -> ScoredSet:
+    """Encode the set's images once and predict them; a set with no image
+    record is an EvalError."""
     mask = emb_set.modality_mask(Modality.IMAGE)
     if not mask.any():
         raise EvalError("set has no image records to evaluate")
-    feats = adapter.encode_image(emb_set.vectors[mask])
-    preds = predict_batch(feats, static_text_anchors)
-    return emb_set.class_ids[mask], preds
+    features = adapter.encode_image(emb_set.vectors[mask])
+    return ScoredSet(emb_set, anchors, emb_set.class_ids[mask], features,
+                     predict_batch(features, anchors))
 
 
-def hit_rate(labels: np.ndarray, preds: np.ndarray) -> float:
+def accuracy(labels: np.ndarray, preds: np.ndarray) -> float:
     """Share of ``preds`` equal to ``labels``, as the count over the size:
     bitwise ``np.mean(labels == preds)``, a sum of exact ones and one
     correctly rounded division."""
     return np.count_nonzero(labels == preds) / labels.size
 
 
-def accuracy(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: AnchorSet) -> float:
-    """``hit_rate`` of the predictions for the set's images; a set with no
-    image record is an EvalError."""
-    return hit_rate(*_image_predictions(adapter, emb_set, static_text_anchors))
-
-
-def confusion(adapter: Adapter, emb_set: EmbeddingSet, static_text_anchors: AnchorSet
-              ) -> np.ndarray:
-    """(K, K) int64 counts of the set's images, rows true class, columns
-    predicted class."""
-    labels, preds = _image_predictions(adapter, emb_set, static_text_anchors)
-    k = len(static_text_anchors)
-    if labels.max() >= k:
+def confusion(scored: ScoredSet) -> np.ndarray:
+    """(K, K) int64 counts of the scored images, K the anchor classes, rows
+    true class, columns predicted class."""
+    k = len(scored.anchors)
+    if scored.labels.max() >= k:
         raise EvalError(f"set labels exceed the {k} anchor classes")
     counts = np.zeros((k, k), dtype=np.int64)
-    np.add.at(counts, (labels, preds), 1)
+    np.add.at(counts, (scored.labels, scored.preds), 1)
     return counts
 
 
 # ---------------------------------------------------------------------------
 # Harnesses
 
-def base_to_novel(adapter: Adapter, base_set: EmbeddingSet, novel_set: EmbeddingSet,
-                  base_anchors: AnchorSet, novel_anchors: AnchorSet) -> dict[str, float]:
+def base_to_novel(base: ScoredSet, novel: ScoredSet) -> dict[str, float]:
     """Accuracy on held-out base classes and on disjoint novel classes, each
-    against its own split's text anchors (see ``experiments.eval_text_anchors``)."""
-    overlap = set(base_set.class_names) & set(novel_set.class_names)
+    scored against its own split's anchors (``experiments.eval_text_anchors``)."""
+    overlap = set(base.emb_set.class_names) & set(novel.emb_set.class_names)
     if overlap:
         raise SplitError(f"base and novel share classes: {sorted(overlap)[:3]}")
-    return {
-        "base_accuracy": accuracy(adapter, base_set, base_anchors),
-        "novel_accuracy": accuracy(adapter, novel_set, novel_anchors),
-    }
+    return {"base_accuracy": accuracy(base.labels, base.preds),
+            "novel_accuracy": accuracy(novel.labels, novel.preds)}
 
 
 def group_metrics(per_group_correct: Mapping[int, int],
@@ -106,11 +109,11 @@ def group_metrics(per_group_correct: Mapping[int, int],
             "average": avg, "gap": avg - worst}
 
 
-def group_accuracy_report(adapter: Adapter, emb_set: EmbeddingSet,
-                          static_text_anchors: AnchorSet) -> dict:
+def group_accuracy_report(scored: ScoredSet) -> dict:
     """Group robustness over (class, spurious-alignment) cells: group key
     is class_id * 2 + group_id, so every image record's group id must be 0
     or 1; any other value is an EvalError naming the first such record."""
+    emb_set = scored.emb_set
     images = np.flatnonzero(emb_set.modality_mask(Modality.IMAGE))
     groups = emb_set.group_ids[images]
     bad = np.flatnonzero((groups < 0) | (groups > 1))
@@ -119,14 +122,9 @@ def group_accuracy_report(adapter: Adapter, emb_set: EmbeddingSet,
         raise EvalError(f"image record {record} of the evaluated set "
                         f"({emb_set.class_names[emb_set.class_ids[record]]}) has group id "
                         f"{groups[bad[0]]}; group ids must be 0 or 1")
-    labels, preds = _image_predictions(adapter, emb_set, static_text_anchors)
-    keys = labels * 2 + groups
-    correct: dict[int, int] = {}
-    total: dict[int, int] = {}
-    for key, hit in zip(keys.tolist(), (labels == preds).tolist()):
-        total[key] = total.get(key, 0) + 1
-        correct[key] = correct.get(key, 0) + int(hit)
-    return group_metrics(correct, total)
+    keys = scored.labels * 2 + groups
+    return group_metrics(Counter(keys[scored.labels == scored.preds].tolist()),
+                         Counter(keys.tolist()))
 
 
 def ood_report(source_accuracy: float, target_accuracies: Sequence[float]) -> dict:
@@ -137,19 +135,16 @@ def ood_report(source_accuracy: float, target_accuracies: Sequence[float]) -> di
             "target_average": float(np.mean(targets))}
 
 
-def ood_suite(adapter: Adapter, source_test: EmbeddingSet,
-              target_tests: Sequence[EmbeddingSet], static_text_anchors: AnchorSet
-              ) -> dict:
+def ood_suite(source: ScoredSet, targets: Sequence[ScoredSet]) -> dict:
     """Source accuracy plus per-target accuracies over sets sharing the
     source class vocabulary."""
-    if not target_tests:
+    if not targets:
         raise EvalError("need at least one target set")
-    for i, t in enumerate(target_tests):
-        if t.class_names != source_test.class_names:
+    for i, t in enumerate(targets):
+        if t.emb_set.class_names != source.emb_set.class_names:
             raise EvalError(f"target set {i} does not share the source class vocabulary")
-    return ood_report(
-        accuracy(adapter, source_test, static_text_anchors),
-        [accuracy(adapter, t, static_text_anchors) for t in target_tests])
+    return ood_report(accuracy(source.labels, source.preds),
+                      [accuracy(t.labels, t.preds) for t in targets])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .anchors import AnchorSet, build_static_image_anchors, build_static_text_an
 from .core import ConfigError, make_rng
 from .dataio import (EmbeddingSet, SyntheticConfig, few_shot_split, generate_synthetic,
                      open_for_reading, split_base_novel)
-from .evaluation import base_to_novel, group_accuracy_report, ood_suite
+from .evaluation import ScoredSet, base_to_novel, group_accuracy_report, ood_suite, score
 from .losses import Mode
 from .mmd import anchor_align, median_heuristic, mmd2_biased
 from .train import TrainConfig, TrainHistory, train
@@ -223,24 +223,17 @@ def train_prepared(cfg: RunConfig, prepared: PreparedExperiment
                  prepared.image_anchors, cfg.train)
 
 
-def _domain_mmd_diagnostics(adapter: Adapter, source_test: EmbeddingSet,
-                            target_test: EmbeddingSet, text_anchors: AnchorSet,
-                            temperature: float) -> dict:
-    """Biased MMD^2 between anchor-aligned source/target image features, under
-    the frozen encoder and under the adapter, at one shared bandwidth taken
-    from the frozen pooled features (a model-independent measuring stick)."""
-    src = source_test.image_vectors()
-    tgt = target_test.image_vectors()
-    frozen_src = anchor_align(src, text_anchors, temperature)
-    frozen_tgt = anchor_align(tgt, text_anchors, temperature)
+def _domain_mmd_diagnostics(source: ScoredSet, target: ScoredSet, temperature: float) -> dict:
+    """Biased MMD^2 between source/target image rows aligned to the source's
+    anchors, frozen and as scored, at one shared bandwidth taken from the
+    frozen pooled rows (a model-independent measuring stick)."""
+    frozen_src = anchor_align(source.emb_set.image_vectors(), source.anchors, temperature)
+    frozen_tgt = anchor_align(target.emb_set.image_vectors(), source.anchors, temperature)
     sigma = median_heuristic(np.concatenate([frozen_src, frozen_tgt]))
-    adapted_src = anchor_align(adapter.encode_image(src), text_anchors, temperature)
-    adapted_tgt = anchor_align(adapter.encode_image(tgt), text_anchors, temperature)
-    return {
-        "bandwidth": sigma,
-        "frozen_mmd2": mmd2_biased(frozen_src, frozen_tgt, sigma),
-        "adapted_mmd2": mmd2_biased(adapted_src, adapted_tgt, sigma),
-    }
+    adapted_src = anchor_align(source.features, source.anchors, temperature)
+    adapted_tgt = anchor_align(target.features, source.anchors, temperature)
+    return {"bandwidth": sigma, "frozen_mmd2": mmd2_biased(frozen_src, frozen_tgt, sigma),
+            "adapted_mmd2": mmd2_biased(adapted_src, adapted_tgt, sigma)}
 
 
 def eval_text_anchors(cfg: RunConfig, prepared: PreparedExperiment, adapter: Adapter
@@ -254,22 +247,31 @@ def eval_text_anchors(cfg: RunConfig, prepared: PreparedExperiment, adapter: Ada
     return {name: prepared.text_anchors for name in prepared.eval_sets}
 
 
-def evaluate_prepared(cfg: RunConfig, prepared: PreparedExperiment, adapter: Adapter
-                      ) -> dict:
-    """Kind-specific report as a JSON-ready dict."""
-    sets = prepared.eval_sets
+def score_prepared(cfg: RunConfig, prepared: PreparedExperiment, adapter: Adapter
+                   ) -> dict[str, ScoredSet]:
+    """Each eval set, by name, scored once against its ``eval_text_anchors``."""
     anchors = eval_text_anchors(cfg, prepared, adapter)
+    return {name: score(adapter, emb_set, anchors[name])
+            for name, emb_set in prepared.eval_sets.items()}
+
+
+def report_scored(cfg: RunConfig, scored: dict[str, ScoredSet]) -> dict:
+    """Kind-specific report of ``score_prepared``'s sets as a JSON-ready dict."""
     report: dict = {"kind": cfg.kind, "mode": cfg.train.mode.value, "seed": cfg.seed}
     if cfg.kind == "base-to-novel":
-        report.update(base_to_novel(adapter, sets["base"], sets["novel"],
-                                    anchors["base"], anchors["novel"]))
+        report.update(base_to_novel(scored["base"], scored["novel"]))
     elif cfg.kind == "group-robustness":
-        report["group"] = group_accuracy_report(adapter, sets["heldout"], anchors["heldout"])
+        report["group"] = group_accuracy_report(scored["heldout"])
     else:
-        report["ood"] = ood_suite(adapter, sets["source"], [sets["target"]], anchors["source"])
-        report["domain_mmd2"] = _domain_mmd_diagnostics(
-            adapter, sets["source"], sets["target"], prepared.text_anchors, cfg.train.temperature)
+        report["ood"] = ood_suite(scored["source"], [scored["target"]])
+        report["domain_mmd2"] = _domain_mmd_diagnostics(scored["source"], scored["target"],
+                                                        cfg.train.temperature)
     return report
+
+
+def evaluate_prepared(cfg: RunConfig, prepared: PreparedExperiment, adapter: Adapter) -> dict:
+    """Kind-specific report as a JSON-ready dict."""
+    return report_scored(cfg, score_prepared(cfg, prepared, adapter))
 
 
 def run_experiment(cfg: RunConfig) -> dict:
@@ -281,5 +283,4 @@ def run_experiment(cfg: RunConfig) -> dict:
     adapter, history = train_prepared(cfg, prepared)
     report = evaluate_prepared(cfg, prepared, adapter)
     report["final_train_accuracy"] = history.records[-1].train_accuracy
-    return {"report": report, "adapter": adapter, "history": history,
-            "prepared": prepared}
+    return {"report": report, "adapter": adapter, "history": history}

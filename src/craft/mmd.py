@@ -74,7 +74,7 @@ def median_heuristic(samples: np.ndarray) -> float:
     samples = np.ascontiguousarray(np.atleast_2d(samples), dtype=np.float64)
     n = samples.shape[0]
     if n < 2:
-        raise ConfigError("median heuristic needs at least 2 samples")
+        raise ShapeError("median heuristic needs at least 2 samples")
     ranks = _middle_ranks(n * (n - 1) // 2)
     # d2 >= 0, so its bits sort as its values
     counts = sum(np.bincount(_buckets(d2), minlength=1 << 17) for d2 in _upper_pairs(samples))

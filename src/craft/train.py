@@ -14,7 +14,7 @@ from .adapter import Adapter
 from .anchors import AnchorSet
 from .core import ConfigError, NumericError, ShapeError, make_rng
 from .dataio import EmbeddingSet, Modality
-from .evaluation import hit_rate, predict_batch
+from .evaluation import accuracy, predict_batch
 from .losses import LossBatch, Mode, check_terms, loss_and_gradient
 
 # Appendix-style defaults: lr is tied to batch size unless set explicitly.
@@ -119,9 +119,9 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
     aligns and backpropagates them as one batch; with ``cfg.bandwidth``
     None each step's sigma is ``median_heuristic`` of the pooled aligned
     rows (see ``mmd.mmd2_biased_grad``). Each epoch's train accuracy is
-    ``evaluation.accuracy`` over the source's images, bitwise, so the image
-    pool is held; each step's text and target rows are read by index from
-    the sets' vectors, which are never copied whole.
+    ``evaluation.accuracy`` of the predictions of ``evaluation.score`` on
+    the source, bitwise, so the image pool is held; each step's text and
+    target rows are read by index from the sets' vectors, never copied whole.
 
     Every argument is checked here, before the first step, so this is where
     the loss's arguments enter. A step, ``losses.loss_and_gradient``,
@@ -206,5 +206,5 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
         history.records.append(EpochRecord(
             epoch=epoch, learning_rate=lr, total=total / steps,
             static_term=static_term / steps, stochastic_term=stochastic_term / steps,
-            mmd_term=mmd_term / steps, train_accuracy=hit_rate(img_labels, preds)))
+            mmd_term=mmd_term / steps, train_accuracy=accuracy(img_labels, preds)))
     return adapter, history

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import craft.anchors as anchors_mod
+from craft.adapter import Adapter
 from craft.anchors import (AnchorError, AnchorSet, ClusterError, _lex_order, _sq_dists_to,
                            build_static_image_anchors, build_static_text_anchors,
                            kmeans, read_anchors, write_anchors)
@@ -382,3 +383,16 @@ def test_anchor_file_requires_prefix(tmp_path):
     write_embeddings(emb, path)
     with pytest.raises(AnchorError, match="prefix"):
         read_anchors(path)
+
+
+@pytest.mark.parametrize("encoded", [False, True])
+def test_text_anchors_refuse_a_class_whose_texts_cancel_by_name(rng, encoded):
+    # class 1's text records are v and -v: their mean is exactly zero, frozen
+    # and through a zero adapter, which maps -v to exactly minus v's feature
+    v = unit_rows(rng, 1, 4)[0]
+    emb = toy_embedding_set(np.stack([v, v, -v, unit_rows(rng, 1, 4)[0]]), [1, 1, 1, 0],
+                            [0, 1, 1, 1])
+    encoder = Adapter.zeros(4).encode_text if encoded else None
+    with pytest.raises(AnchorError, match="^the text records of class class_001 average to "
+                                          "a zero vector$"):
+        build_static_text_anchors(emb, encoder)

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from craft import adapter as adapter_module
 from craft import cli, experiments
 from craft.adapter import Adapter, write_checkpoint
 from craft.anchors import ANCHOR_NAME_PREFIX, AnchorSet, write_anchors
@@ -477,8 +478,9 @@ def test_mmd_refuses_an_anchor_file_without_one_text_anchor_per_class(
 def bad_inputs(pipeline, tmp_path_factory):
     """Valid files that each command refuses: a source with an image-less
     class, a one-class source, a target of another class vocabulary, a
-    text-only set, text anchors of another dimension, a class name that the
-    anchor prefix makes too long, and a class whose text records cancel."""
+    text-only set, a set of one image record, text anchors of another
+    dimension, a class name that the anchor prefix makes too long, and a
+    class whose text records cancel."""
     _, _, data, *_ = pipeline
     root = tmp_path_factory.mktemp("bad")
     source, target = read_embeddings(data / "source.cemb"), read_embeddings(data / "target.cemb")
@@ -495,6 +497,8 @@ def bad_inputs(pipeline, tmp_path_factory):
         if tgt is not None:
             write_embeddings(tgt, root / name / "target.cemb")
     write_embeddings(source.subset(~images), root / "text-only.cemb")
+    write_embeddings(source.subset(np.arange(len(source)) == np.flatnonzero(images)[0]),
+                     root / "one-image.cemb")
     write_embeddings(source.subset(np.ones(len(source), dtype=bool),
                                    class_names=["x" * 65530, *source.class_names[1:]]),
                      root / "long-name.cemb")
@@ -523,12 +527,15 @@ def bad_inputs(pipeline, tmp_path_factory):
     (["mmd", "--a", "{data}/source.cemb", "--b", "{bad}/text-only.cemb",
       "--anchors", "{pipeline}/anchors.cemb", "--n-perms", "100"],
      3, "ShapeError", "need at least 2 samples per side, got 48 and 0"),
+    (["mmd", "--a", "{bad}/one-image.cemb", "--b", "{bad}/text-only.cemb",
+      "--anchors", "{pipeline}/anchors.cemb", "--n-perms", "100"],
+     3, "ShapeError", "median heuristic needs at least 2 samples"),
     (["anchors", "--data", "{bad}/long-name.cemb", "--out", "{tmp}/a.cemb"],
      3, "FormatError", "class name too long (65537 bytes)"),
     (["anchors", "--data", "{bad}/cancelling.cemb", "--out", "{tmp}/a.cemb"],
-     4, "NormalizationError", "cannot normalize a zero vector"),
+     3, "AnchorError", "the text records of class class_000 average to a zero vector"),
 ], ids=["too-few-points", "imageless-class", "one-class", "target-vocabulary",
-        "anchor-dim", "no-images", "long-class-name", "cancelling-texts"])
+        "anchor-dim", "no-images", "one-image", "long-class-name", "cancelling-texts"])
 def test_data_the_commands_refuse_is_one_json_error(pipeline, bad_inputs, tmp_path,
                                                     argv, code, error, message):
     pipeline_dir, config, data, ckpt, *_ = pipeline
@@ -611,6 +618,36 @@ def test_eval_refuses_group_id_above_one(tmp_path):
     assert re.fullmatch(r"image record \d+ of the evaluated set \(class_001\) has group id 2; "
                         r"group ids must be 0 or 1", error["message"])
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("kind, calls", [("base-to-novel", 18), ("group-robustness", 1),
+                                         ("ood", 2)])
+def test_eval_encodes_each_eval_set_once(tmp_path, monkeypatch, kind, calls):
+    # desk data (K=16): one encode of each eval set's images, plus, for
+    # base-to-novel, one encode of each class's text records for its anchors
+    config = tmp_path / "config.json"
+    config.write_text(REFERENCE.read_text())
+    data, ckpt = tmp_path / "data", tmp_path / "adapter.cadp"
+    assert run_main(["gen", "--config", str(config), "--out", str(data)])[0] == 0
+    write_checkpoint(Adapter.zeros(16), ckpt)
+    cfg = experiments.override(experiments.load_run_config(config), kind=kind)
+    prepared = experiments.prepare(cfg, read_embeddings(data / "source.cemb"),
+                                   read_embeddings(data / "target.cemb"))
+    modalities = (Modality.IMAGE, Modality.TEXT) if kind == "base-to-novel" else (Modality.IMAGE,)
+    rows = sum(np.count_nonzero(emb_set.modality_mask(m))
+               for emb_set in prepared.eval_sets.values() for m in modalities)
+    encoded = []  # rows per encode_with_cache call
+
+    def counted(weight, bias, base, encode=adapter_module.encode_with_cache):
+        encoded.append(len(base))
+        return encode(weight, bias, base)
+
+    monkeypatch.setattr(adapter_module, "encode_with_cache", counted)
+    code, _, err = run_main(["eval", "--config", str(config), "--checkpoint", str(ckpt),
+                             "--data", str(data), "--kind", kind,
+                             "--out", str(tmp_path / "report.json")])
+    assert code == 0, err
+    assert (len(encoded), sum(encoded)) == (calls, rows)
 
 
 def test_diverging_training_is_numeric_error(tmp_path):

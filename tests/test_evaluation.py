@@ -8,8 +8,8 @@ from craft.anchors import build_static_text_anchors
 from craft.core import EvalError, ShapeError, SplitError, l2_normalize
 from craft.dataio import Modality, SyntheticConfig, generate_synthetic, split_base_novel
 from craft.evaluation import (accuracy, base_to_novel, confusion, confusion_csv, format_pct,
-                              group_accuracy_report, group_metrics, hit_rate, ood_report,
-                              ood_suite, predict_batch)
+                              group_accuracy_report, group_metrics, ood_report, ood_suite,
+                              predict_batch, score)
 
 from conftest import orthonormal_anchors, random_anchors, toy_embedding_set, unit_rows
 
@@ -22,8 +22,13 @@ def separable_set():
     return toy_embedding_set(vectors, class_ids, modalities)
 
 
+def scored_accuracy(adapter, emb_set, anchors) -> float:
+    scored = score(adapter, emb_set, anchors)
+    return accuracy(scored.labels, scored.preds)
+
+
 # ---------------------------------------------------------------------------
-# predict / accuracy
+# predict / score / accuracy
 
 
 def test_predict_matches_anchor():
@@ -49,10 +54,10 @@ def test_accuracy_perfect_and_permuted():
     emb = separable_set()
     anchors = orthonormal_anchors(4, 4)
     adapter = Adapter.zeros(4)
-    assert accuracy(adapter, emb, anchors) == 1.0
+    assert scored_accuracy(adapter, emb, anchors) == 1.0
     permuted = orthonormal_anchors(4, 4)
     permuted.vectors = permuted.vectors[[1, 2, 3, 0]]
-    assert accuracy(adapter, emb, permuted) == 0.0
+    assert scored_accuracy(adapter, emb, permuted) == 0.0
 
 
 def test_accuracy_zero_adapter_equals_zero_shot(rng):
@@ -64,21 +69,34 @@ def test_accuracy_zero_adapter_equals_zero_shot(rng):
     img = source.modality_mask(Modality.IMAGE)
     preds = predict_batch(source.vectors[img], anchors)
     expected = float(np.mean(preds == source.class_ids[img]))
-    assert accuracy(adapter, source, anchors) == expected
+    assert scored_accuracy(adapter, source, anchors) == expected
+
+
+def test_score_holds_one_encode_of_the_images_in_record_order(rng):
+    emb = toy_embedding_set(unit_rows(rng, 7, 4), [1, 0, 2, 1, 0, 2, 1], [0, 1, 0, 0, 1, 0, 0])
+    adapter = Adapter.zeros(4)
+    adapter.params[:] = 0.1 * rng.standard_normal(adapter.params.size)
+    anchors = random_anchors(rng, 3, 4)
+    scored = score(adapter, emb, anchors)
+    images = emb.modality_mask(Modality.IMAGE)
+    assert scored.emb_set is emb and scored.anchors is anchors
+    np.testing.assert_array_equal(scored.labels, [1, 2, 1, 2, 1])
+    np.testing.assert_array_equal(scored.features, adapter.encode_image(emb.vectors[images]))
+    np.testing.assert_array_equal(scored.preds, predict_batch(scored.features, anchors))
 
 
 def test_accuracy_no_images():
     emb = toy_embedding_set(np.eye(2), [0, 1], [1, 1])
-    with pytest.raises(EvalError):
-        accuracy(Adapter.zeros(2), emb, orthonormal_anchors(2, 2))
+    with pytest.raises(EvalError, match="^set has no image records to evaluate$"):
+        score(Adapter.zeros(2), emb, orthonormal_anchors(2, 2))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 20_000), st.integers(1, 10))
 @settings(max_examples=60, deadline=None)
-def test_hit_rate_is_the_mean_of_hits_bitwise(seed, n, k):
+def test_accuracy_is_the_mean_of_hits_bitwise(seed, n, k):
     rng = np.random.default_rng(seed)
     labels, preds = rng.integers(0, k, n), rng.integers(0, k, n)
-    assert hit_rate(labels, preds).hex() == float(np.mean(labels == preds)).hex()
+    assert accuracy(labels, preds).hex() == float(np.mean(labels == preds)).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -91,21 +109,21 @@ def test_base_to_novel_untrained_equals_zero_shot():
         cluster_spread=0.2, cross_modal_noise=0.3, seed=5))
     base, novel = split_base_novel(source, 0.5)
     untrained = Adapter.zeros(8)
-    result = base_to_novel(untrained, base, novel,
-                           build_static_text_anchors(base, untrained.encode_text),
-                           build_static_text_anchors(novel, untrained.encode_text))
+    result = base_to_novel(
+        score(untrained, base, build_static_text_anchors(base, untrained.encode_text)),
+        score(untrained, novel, build_static_text_anchors(novel, untrained.encode_text)))
     for split in (base, novel):
         anchors = build_static_text_anchors(split)
-        expected = accuracy(Adapter.zeros(8), split, anchors)
+        expected = scored_accuracy(Adapter.zeros(8), split, anchors)
         key = "base_accuracy" if split is base else "novel_accuracy"
         assert result[key] == expected
 
 
 def test_base_to_novel_overlap_rejected():
     emb = separable_set()
-    anchors = orthonormal_anchors(4, 4)
+    scored = score(Adapter.zeros(4), emb, orthonormal_anchors(4, 4))
     with pytest.raises(SplitError):
-        base_to_novel(Adapter.zeros(4), emb, emb, anchors, anchors)
+        base_to_novel(scored, scored)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +169,7 @@ def test_group_accuracy_report_on_spurious_data():
         cluster_spread=0.3, cross_modal_noise=0.3,
         group_spurious_strength=0.6, majority_fraction=0.85, seed=9))
     anchors = build_static_text_anchors(source)
-    report = group_accuracy_report(Adapter.zeros(8), source, anchors)
+    report = group_accuracy_report(score(Adapter.zeros(8), source, anchors))
     assert 0.0 <= report["worst_group"] <= report["average"] <= 1.0
     assert set(report["per_group_accuracy"]) <= {str(c * 2 + g) for c in range(4) for g in (0, 1)}
 
@@ -165,7 +183,7 @@ def test_group_accuracy_report_refuses_group_ids_above_one():
     anchors = orthonormal_anchors(2, 4)
     with pytest.raises(EvalError, match=r"^image record 1 of the evaluated set \(class_000\) "
                                         r"has group id 2; group ids must be 0 or 1$"):
-        group_accuracy_report(Adapter.zeros(4), emb, anchors)
+        group_accuracy_report(score(Adapter.zeros(4), emb, anchors))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +206,8 @@ def test_ood_suite_zero_shift_close_accuracies():
         cluster_spread=0.2, cross_modal_noise=0.2,
         domain_shift_magnitude=0.0, seed=12))
     anchors = build_static_text_anchors(source)
-    report = ood_suite(Adapter.zeros(8), source, [target], anchors)
+    adapter = Adapter.zeros(8)
+    report = ood_suite(score(adapter, source, anchors), [score(adapter, target, anchors)])
     assert abs(report["source_accuracy"] - report["target_accuracies"][0]) < 0.02
 
 
@@ -197,7 +216,8 @@ def test_ood_suite_average_matches_mean_oracle(rng):
         num_classes=3, dim=6, samples_per_class_per_modality=8,
         cluster_spread=0.2, cross_modal_noise=0.2, seed=3))
     anchors = build_static_text_anchors(source)
-    report = ood_suite(Adapter.zeros(6), source, [target, target], anchors)
+    scored_target = score(Adapter.zeros(6), target, anchors)
+    report = ood_suite(score(Adapter.zeros(6), source, anchors), [scored_target, scored_target])
     naive = sum(report["target_accuracies"]) / len(report["target_accuracies"])
     assert abs(report["target_average"] - naive) < 1e-12
 
@@ -210,8 +230,9 @@ def test_ood_suite_vocabulary_mismatch():
         num_classes=4, dim=6, samples_per_class_per_modality=4,
         cluster_spread=0.2, cross_modal_noise=0.2, seed=3))
     anchors = build_static_text_anchors(source)
+    adapter = Adapter.zeros(6)
     with pytest.raises(EvalError):
-        ood_suite(Adapter.zeros(6), source, [other], anchors)
+        ood_suite(score(adapter, source, anchors), [score(adapter, other, anchors)])
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +241,7 @@ def test_ood_suite_vocabulary_mismatch():
 
 def test_confusion_perfect_diagonal():
     emb = separable_set()
-    counts = confusion(Adapter.zeros(4), emb, orthonormal_anchors(4, 4))
+    counts = confusion(score(Adapter.zeros(4), emb, orthonormal_anchors(4, 4)))
     np.testing.assert_array_equal(counts, np.eye(4, dtype=np.int64))
 
 
@@ -230,8 +251,8 @@ def test_confusion_trace_equals_accuracy(rng):
         cluster_spread=0.4, cross_modal_noise=0.4, seed=4))
     anchors = build_static_text_anchors(source)
     adapter = Adapter.zeros(8)
-    counts = confusion(adapter, source, anchors)
-    assert np.trace(counts) / counts.sum() == accuracy(adapter, source, anchors)
+    counts = confusion(score(adapter, source, anchors))
+    assert np.trace(counts) / counts.sum() == scored_accuracy(adapter, source, anchors)
     img_count = int(source.modality_mask(Modality.IMAGE).sum())
     assert counts.sum() == img_count
     np.testing.assert_array_equal(
@@ -245,17 +266,17 @@ def test_confusion_anchor_swap_swaps_columns():
         cluster_spread=0.4, cross_modal_noise=0.4, seed=6))
     anchors = build_static_text_anchors(source)
     adapter = Adapter.zeros(8)
-    base = confusion(adapter, source, anchors)
+    base = confusion(score(adapter, source, anchors))
     swapped_anchors = build_static_text_anchors(source)
     swapped_anchors.vectors = swapped_anchors.vectors[[1, 0, 2, 3]]
-    swapped = confusion(adapter, source, swapped_anchors)
+    swapped = confusion(score(adapter, source, swapped_anchors))
     np.testing.assert_array_equal(swapped[:, [1, 0, 2, 3]], base)
 
 
 def test_confusion_csv_shape():
     emb = separable_set()
     anchors = orthonormal_anchors(4, 4)
-    counts = confusion(Adapter.zeros(4), emb, anchors)
+    counts = confusion(score(Adapter.zeros(4), emb, anchors))
     lines = confusion_csv(counts, anchors.class_names).strip().splitlines()
     assert len(lines) == 5
     assert lines[0].startswith("true\\predicted")

@@ -124,7 +124,7 @@ def test_bandwidth_selects_as_a_partition_at_both_ranks(rng):
 
 
 def test_median_heuristic_needs_two(rng):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ShapeError, match="^median heuristic needs at least 2 samples$"):
         median_heuristic(rng.standard_normal((1, 3)))
 
 

@@ -15,7 +15,7 @@ from craft.anchors import AnchorSet
 from craft.core import (AnchorError, ConfigError, FormatError, LabelError, NormalizationError,
                         NumericError, ShapeError, l2_normalize, make_rng)
 from craft.dataio import Modality, SyntheticConfig, generate_synthetic
-from craft.evaluation import accuracy
+from craft.evaluation import accuracy, score
 from craft.experiments import build_training_anchors, reference_config, run_experiment
 from craft.losses import LossBatch, Mode, loss_and_gradient
 from craft.train import (EpochRecord, TrainConfig, TrainHistory, cosine_lr, sgd_step,
@@ -324,9 +324,10 @@ def contract_train(source, target, ta, ia, cfg):
             adapter = sgd_step(adapter, grad, lr)
             sums += (report.total, report.static_term, report.stochastic_term, report.mmd_term)
             steps += 1
+        scored = score(adapter, source, ta)
         history.records.append(EpochRecord(
             epoch, lr, sums[0] / steps, sums[1] / steps, sums[2] / steps, sums[3] / steps,
-            accuracy(adapter, source, ta)))
+            accuracy(scored.labels, scored.preds)))
     return adapter, history
 
 
