@@ -39,10 +39,10 @@ from run_reference import reference_runs  # noqa: E402
 
 from craft import cli, dataio, experiments  # noqa: E402
 from craft.adapter import write_checkpoint  # noqa: E402
-from craft.anchors import write_anchors  # noqa: E402
+from craft.anchors import build_training_anchors, write_anchors  # noqa: E402
+from craft.config import EXPERIMENT_KINDS, Mode, override  # noqa: E402
 from craft.core import l2_normalize, make_rng  # noqa: E402
-from craft.experiments import override, reference_config  # noqa: E402
-from craft.losses import Mode  # noqa: E402
+from craft.experiments import reference_config  # noqa: E402
 
 
 def artifact_digest(adapter, history, report, workdir: Path) -> str:
@@ -83,7 +83,7 @@ def kmeans_anchors(seed: int, workdir: Path) -> str:
     vectors = l2_normalize(means[class_ids] + 0.06 * rng.standard_normal((len(class_ids), h)))
     emb = dataio.make_embedding_set(vectors, class_ids, modalities, np.zeros(len(class_ids)),
                                     np.zeros(len(class_ids)), [f"class_{c:03d}" for c in range(k)])
-    text, image = experiments.build_training_anchors(emb, seed, centroids_per_class=4)
+    text, image = build_training_anchors(emb, seed, centroids_per_class=4)
     write_anchors(workdir / "anchors.cemb", text, image)
     return hashlib.sha256((workdir / "anchors.cemb").read_bytes()).hexdigest()
 
@@ -165,7 +165,7 @@ def eval_files(seed: int, workdir: Path) -> str:
                                        .read_text())
     run_craft("gen", "--config", config, "--out", data, "--seed", str(seed))
     digest = hashlib.sha256()
-    for kind in experiments.EXPERIMENT_KINDS:
+    for kind in EXPERIMENT_KINDS:
         out = workdir / "eval" / kind / "report.json"
         common = ("--config", config, "--data", data, "--kind", kind, "--seed", str(seed))
         run_craft("train", *common, "--out", str(workdir / "eval.cadp"))

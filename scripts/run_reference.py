@@ -7,9 +7,9 @@ Usage: python scripts/run_reference.py [--seed N]
 
 import argparse
 
+from craft.config import Mode, override
 from craft.evaluation import format_pct
-from craft.experiments import override, reference_config, run_experiment
-from craft.losses import Mode
+from craft.experiments import reference_config, run_experiment
 
 
 def reference_runs(cfg):

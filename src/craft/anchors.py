@@ -9,10 +9,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AnchorError, ClusterError, l2_normalize, pairwise_sq_dists, zero_below_rounding
+from .core import (AnchorError, ClusterError, l2_normalize, make_rng, pairwise_sq_dists,
+                   zero_below_rounding)
 from .dataio import EmbeddingSet, Modality, make_embedding_set, read_embeddings, write_embeddings
 
 ANCHOR_NAME_PREFIX = "anchor:"
+_STREAM_ANCHORS = 3  # the substream key of a run's k-means rng stream
 
 Encoder = Callable[[np.ndarray], np.ndarray]
 
@@ -223,6 +225,15 @@ def build_static_text_anchors(emb_set: EmbeddingSet, encoder: Encoder | None = N
             raise AnchorError(f"the text records of class {name} average to a zero vector")
         anchors[c] = l2_normalize(mean)
     return AnchorSet(anchors, Modality.TEXT, class_names=list(emb_set.class_names))
+
+
+def build_training_anchors(train_set: EmbeddingSet, seed: int,
+                           centroids_per_class: int = 1) -> tuple[AnchorSet, AnchorSet]:
+    """Static anchors from the frozen training embeddings (identity encoder)."""
+    text_anchors = build_static_text_anchors(train_set)
+    image_anchors = build_static_image_anchors(
+        train_set, make_rng(seed, _STREAM_ANCHORS), centroids_per_class)
+    return text_anchors, image_anchors
 
 
 # ---------------------------------------------------------------------------

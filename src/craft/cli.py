@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 config error, 3 data error (also a command that
 runs out of memory), 4 numeric error. Errors are emitted as one JSON object
 on stderr. CRAFT_THREADS, a positive integer, caps the numerical backend's
 thread pool and must take effect before numpy loads, hence the env shim
-ahead of the heavy imports; main() rejects any other value.
+ahead of the first craft import; main() rejects any other value. Each
+command imports the modules it runs, so gen, anchors and mmd load no
+training or evaluation code.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 
@@ -27,29 +28,18 @@ if _valid_threads(_threads):
                  "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(_var, _threads)
 
-import numpy as np  # noqa: E402
-
-from . import experiments  # noqa: E402
-from .adapter import read_checkpoint, write_checkpoint  # noqa: E402
-from .anchors import read_anchors, write_anchors  # noqa: E402
-from .core import CraftError, ConfigError, AnchorError  # noqa: E402
-from .dataio import generate_synthetic, read_embeddings, write_embeddings  # noqa: E402
-from .evaluation import confusion, confusion_csv, format_pct  # noqa: E402
-from .losses import Mode  # noqa: E402
-from .mmd import (anchor_align, check_n_perms, median_heuristic, mmd2_both,  # noqa: E402
-                  permutation_test)
-from .core import make_rng  # noqa: E402
+from .config import EXPERIMENT_KINDS, Mode, RunConfig, load_run_config, override  # noqa: E402
+from .core import AnchorError, ConfigError, CraftError, make_rng  # noqa: E402
 
 MODE_CHOICES = [m.value for m in Mode]
 
 
-def _load_config(args) -> "experiments.RunConfig":
+def _load_config(args) -> RunConfig:
     if not args.config:
         raise ConfigError("--config is required")
     mode = getattr(args, "mode", None)
-    return experiments.override(experiments.load_run_config(args.config),
-                                kind=getattr(args, "kind", None), seed=getattr(args, "seed", None),
-                                train={"mode": Mode(mode)} if mode else None)
+    return override(load_run_config(args.config), kind=getattr(args, "kind", None),
+                    seed=getattr(args, "seed", None), train={"mode": Mode(mode)} if mode else None)
 
 
 def _data_files(data_dir: str) -> tuple[Path, Path]:
@@ -58,6 +48,8 @@ def _data_files(data_dir: str) -> tuple[Path, Path]:
 
 
 def cmd_gen(args) -> int:
+    from .dataio import generate_synthetic, write_embeddings
+
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -72,10 +64,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_anchors(args) -> int:
+    from .anchors import build_training_anchors, write_anchors
+    from .dataio import read_embeddings
+
     if args.centroids_per_class < 1:
         raise ConfigError(f"--centroids-per-class must be >= 1, got {args.centroids_per_class}")
     emb = read_embeddings(args.data)
-    text_anchors, image_anchors = experiments.build_training_anchors(
+    text_anchors, image_anchors = build_training_anchors(
         emb, args.seed if args.seed is not None else 0, args.centroids_per_class)
     write_anchors(args.out, text_anchors, image_anchors)
     print(json.dumps({"anchors": str(args.out), "classes": len(text_anchors)},
@@ -84,6 +79,10 @@ def cmd_anchors(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import experiments
+    from .adapter import write_checkpoint
+    from .dataio import read_embeddings
+
     cfg = _load_config(args)
     src_path, tgt_path = _data_files(args.data)
     source = read_embeddings(src_path)
@@ -104,6 +103,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from datetime import datetime, timezone
+
+    from . import experiments
+    from .adapter import read_checkpoint
+    from .dataio import read_embeddings
+    from .evaluation import confusion, confusion_csv
+
     cfg = _load_config(args)
     adapter = read_checkpoint(args.checkpoint)
     src_path, tgt_path = _data_files(args.data)
@@ -126,6 +132,8 @@ def cmd_eval(args) -> int:
 
 
 def _report_text(report: dict) -> str:
+    from .evaluation import format_pct
+
     lines = [f"kind: {report['kind']}  mode: {report['mode']}  seed: {report['seed']}"]
     if "base_accuracy" in report:
         lines.append(f"{'base':>10}  {format_pct(report['base_accuracy']):>6}")
@@ -151,6 +159,12 @@ def _report_text(report: dict) -> str:
 
 
 def cmd_mmd(args) -> int:
+    import numpy as np
+
+    from .anchors import read_anchors
+    from .dataio import read_embeddings
+    from .mmd import anchor_align, check_n_perms, median_heuristic, mmd2_both, permutation_test
+
     check_n_perms(args.n_perms)
     rng = make_rng(args.seed if args.seed is not None else 0, 4)
     set_a = read_embeddings(args.a)
@@ -206,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--config", required=True)
     tr.add_argument("--data", required=True, help="directory holding source.cemb/target.cemb")
     tr.add_argument("--out", required=True, help="checkpoint path (.cadp)")
-    tr.add_argument("--kind", choices=list(experiments.EXPERIMENT_KINDS),
+    tr.add_argument("--kind", choices=EXPERIMENT_KINDS,
                     help="override the config's experiment kind")
     tr.add_argument("--mode", choices=MODE_CHOICES, help="override the config's training mode")
     tr.add_argument("--seed", type=int, help="override every seed in the config")
@@ -216,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--config", required=True)
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
-    ev.add_argument("--kind", choices=list(experiments.EXPERIMENT_KINDS),
+    ev.add_argument("--kind", choices=EXPERIMENT_KINDS,
                     help="override the config's experiment kind")
     ev.add_argument("--mode", choices=MODE_CHOICES)
     ev.add_argument("--seed", type=int)

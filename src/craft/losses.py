@@ -14,27 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .adapter import Adapter, encode_with_cache
 from .anchors import AnchorSet
+from .config import Mode, TrainConfig
 from .core import AnchorError, LabelError, NumericError, ShapeError, softmax_rows
 from .mmd import anchor_align, mmd2_biased_grad
-
-if TYPE_CHECKING:  # train imports this module
-    from .train import TrainConfig
-
-
-class Mode(Enum):
-    """Training objectives: plain text cross-entropy, the aligned losses,
-    and aligned plus domain matching."""
-
-    BASELINE_CE = "baseline"
-    ALIGNED = "aligned"
-    ALIGNED_MMD = "aligned-mmd"
 
 
 @dataclass

@@ -12,57 +12,11 @@ import numpy as np
 
 from .adapter import Adapter
 from .anchors import AnchorSet
+from .config import Mode, TrainConfig
 from .core import ConfigError, NumericError, ShapeError, make_rng
 from .dataio import EmbeddingSet, Modality
 from .evaluation import accuracy, predict_batch
-from .losses import LossBatch, Mode, check_terms, loss_and_gradient
-
-# Appendix-style defaults: lr is tied to batch size unless set explicitly.
-DEFAULT_LEARNING_RATES = {4: 0.0025, 128: 0.01}
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 20
-    batch_size: int = 4
-    learning_rate: float | None = None
-    temperature: float = 30.0
-    w_static: float = 1.0
-    w_stochastic: float = 1.0
-    w_mmd: float = 1.0
-    shots: int = 16
-    seed: int = 0
-    mode: Mode = Mode.ALIGNED
-    bandwidth: float | None = None  # None: median heuristic at each evaluation
-
-    def resolved_learning_rate(self) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        try:
-            return DEFAULT_LEARNING_RATES[self.batch_size]
-        except KeyError:
-            raise ConfigError(
-                f"no default learning rate for batch_size {self.batch_size}; set learning_rate"
-            ) from None
-
-    def validate(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.resolved_learning_rate() <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        # anchor-aligned rows, tau times unit rows against K < 2^32 unit anchors
-        # (a CEMB header's u32), square to at most 4 K tau^2 <= 4 * 2^32 * 1e200, finite
-        if not 0 < self.temperature <= 1e100:
-            raise ConfigError(f"train.temperature must be in (0, 1e+100], got {self.temperature}")
-        if self.shots < 1:
-            raise ConfigError("shots must be >= 1")
-        # the kernel divides by 2 sigma^2, which may neither underflow to 0 nor
-        # overflow (Python's float power raises OverflowError beyond 1.3e154)
-        if self.bandwidth is not None and not 1e-100 <= self.bandwidth <= 1e100:
-            raise ConfigError(f"train.bandwidth must be null or in [1e-100, 1e+100], "
-                              f"got {self.bandwidth}")
+from .losses import LossBatch, check_terms, loss_and_gradient
 
 
 @dataclass

@@ -19,11 +19,12 @@ import pytest
 
 from craft.adapter import Adapter, read_checkpoint, write_checkpoint
 from craft.anchors import kmeans
+from craft.config import Mode, override
 from craft.core import l2_normalize, make_rng
 from craft.dataio import SyntheticConfig, generate_synthetic, read_embeddings, write_embeddings
 from craft.evaluation import format_pct, group_metrics, ood_report
-from craft.experiments import override, reference_config, run_experiment
-from craft.losses import LossBatch, Mode
+from craft.experiments import reference_config, run_experiment
+from craft.losses import LossBatch
 from craft.mmd import median_heuristic, mmd2_biased, mmd2_unbiased, permutation_test
 
 from conftest import random_anchors, unit_rows

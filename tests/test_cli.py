@@ -23,6 +23,7 @@ from craft import adapter as adapter_module
 from craft import cli, experiments
 from craft.adapter import Adapter, write_checkpoint
 from craft.anchors import ANCHOR_NAME_PREFIX, AnchorSet, write_anchors
+from craft.config import load_run_config, override
 from craft.core import AnchorError, make_rng
 from craft.dataio import (Modality, few_shot_split, generate_synthetic, make_embedding_set,
                           read_embeddings, write_embeddings)
@@ -583,7 +584,7 @@ def test_text_less_class_fails_by_name(tmp_path):
     text and goes on; the training anchors then refuse the class by name,
     in the library and in ``craft train``."""
     config = small_config(tmp_path, kind="group-robustness")
-    cfg = experiments.load_run_config(config)
+    cfg = load_run_config(config)
     source, _ = generate_synthetic(cfg.synthetic)
     text = source.modality_mask(Modality.TEXT)
     source = source.subset(~(text & (source.class_ids == 2)))
@@ -604,7 +605,7 @@ def test_text_less_class_fails_by_name(tmp_path):
 
 def test_eval_refuses_group_id_above_one(tmp_path):
     config = small_config(tmp_path, kind="group-robustness")
-    source, _ = generate_synthetic(experiments.load_run_config(config).synthetic)
+    source, _ = generate_synthetic(load_run_config(config).synthetic)
     source.group_ids[source.class_ids == 1] = 2
     data = tmp_path / "data"
     data.mkdir()
@@ -630,7 +631,7 @@ def test_eval_encodes_each_eval_set_once(tmp_path, monkeypatch, kind, calls):
     data, ckpt = tmp_path / "data", tmp_path / "adapter.cadp"
     assert run_main(["gen", "--config", str(config), "--out", str(data)])[0] == 0
     write_checkpoint(Adapter.zeros(16), ckpt)
-    cfg = experiments.override(experiments.load_run_config(config), kind=kind)
+    cfg = override(load_run_config(config), kind=kind)
     prepared = experiments.prepare(cfg, read_embeddings(data / "source.cemb"),
                                    read_embeddings(data / "target.cemb"))
     modalities = (Modality.IMAGE, Modality.TEXT) if kind == "base-to-novel" else (Modality.IMAGE,)
@@ -854,6 +855,37 @@ def test_importing_the_package_loads_no_numpy():
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+LOADED_MODULES = """\
+import contextlib, io, json, sys
+from craft import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("craft."))]))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # cli's module level loads config and core, and each command the modules
+    # it runs: gen, anchors and mmd load no training or evaluation module
+    config, data, anchors = small_config(tmp_path), tmp_path / "data", tmp_path / "anchors.cemb"
+    base = ["craft.cli", "craft.config", "craft.core", "craft.dataio"]
+    runs = [(["--help"], base),
+            (["gen", "--config", str(config), "--out", str(data)], base),
+            (["anchors", "--data", str(data / "source.cemb"), "--out", str(anchors)],
+             sorted(base + ["craft.anchors"])),
+            (["mmd", "--a", str(data / "source.cemb"), "--b", str(data / "target.cemb"),
+              "--anchors", str(anchors), "--n-perms", "100"],
+             sorted(base + ["craft.anchors", "craft.mmd"]))]
+    for argv, expected in runs:
+        result = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [0, expected], argv
 
 
 @pytest.mark.parametrize("value", ["0", "abc", "-3"])

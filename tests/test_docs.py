@@ -31,7 +31,7 @@ def resolves(name: str) -> bool:
     return obj is not None
 
 
-CITED_MODULES = ("core", "dataio", "anchors", "adapter", "losses", "mmd", "train",
+CITED_MODULES = ("core", "dataio", "config", "anchors", "adapter", "losses", "mmd", "train",
                  "evaluation", "experiments", "cli")
 
 

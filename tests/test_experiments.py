@@ -15,10 +15,9 @@ from craft.adapter import Adapter
 from craft.anchors import build_static_text_anchors
 from craft.core import ConfigError, make_rng
 from craft.dataio import SyntheticConfig, generate_synthetic
-from craft.experiments import (RunConfig, eval_text_anchors, load_run_config, override, prepare,
-                               reference_config, run_config_from_dict, run_experiment)
-from craft.losses import Mode
-from craft.train import TrainConfig
+from craft.config import (Mode, RunConfig, TrainConfig, load_run_config, override,
+                          run_config_from_dict)
+from craft.experiments import eval_text_anchors, prepare, reference_config, run_experiment
 
 from conftest import apply_edits, byte_edits
 

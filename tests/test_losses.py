@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from craft.adapter import Adapter
 from craft.anchors import AnchorSet
+from craft.config import Mode, TrainConfig
 from craft.core import AnchorError, ConfigError, LabelError, l2_normalize, make_rng, softmax_rows
 from craft.dataio import Modality
-from craft.losses import (LossBatch, LossReport, Mode, _anchor_ce, _contrastive, check_terms,
+from craft.losses import (LossBatch, LossReport, _anchor_ce, _contrastive, check_terms,
                           loss_and_gradient)
 from craft.mmd import anchor_align, median_heuristic
-from craft.train import TrainConfig
 
 from conftest import orthonormal_anchors, random_anchors, unit_rows
 

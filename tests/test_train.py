@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 import craft.losses as losses_mod
 import craft.train as train_mod
 from craft.adapter import Adapter, encode, param_count, read_checkpoint, write_checkpoint
-from craft.anchors import AnchorSet
+from craft.anchors import AnchorSet, build_training_anchors
+from craft.config import Mode, TrainConfig
 from craft.core import (AnchorError, ConfigError, FormatError, LabelError, NormalizationError,
                         NumericError, ShapeError, l2_normalize, make_rng)
 from craft.dataio import Modality, SyntheticConfig, generate_synthetic
 from craft.evaluation import accuracy, score
-from craft.experiments import build_training_anchors, reference_config, run_experiment
-from craft.losses import LossBatch, Mode, loss_and_gradient
-from craft.train import (EpochRecord, TrainConfig, TrainHistory, cosine_lr, sgd_step,
-                         train)
+from craft.experiments import reference_config, run_experiment
+from craft.losses import LossBatch, loss_and_gradient
+from craft.train import EpochRecord, TrainHistory, cosine_lr, sgd_step, train
 
 from conftest import apply_edits, byte_edits, unit_rows
 
