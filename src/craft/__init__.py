@@ -2,8 +2,8 @@
 matching, and a desk-scale training/evaluation harness over dual-modality
 embedding spaces.
 
-The package imports no submodule, so the CLI's CRAFT_THREADS shim can cap
-the numeric backend's thread pool before numpy is imported.
+The package imports no submodule, so each CLI command loads only the
+modules it runs.
 """
 
 __version__ = "0.1.0"

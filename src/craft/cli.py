@@ -2,34 +2,19 @@
 
 Exit codes: 0 success, 2 config error, 3 data error (also a command that
 runs out of memory), 4 numeric error. Errors are emitted as one JSON object
-on stderr. CRAFT_THREADS, a positive integer, caps the numerical backend's
-thread pool and must take effect before numpy loads, hence the env shim
-ahead of the first craft import; main() rejects any other value. Each
-command imports the modules it runs, so gen, anchors and mmd load no
-training or evaluation code.
+on stderr. Each command imports the modules it runs, so gen, anchors and
+mmd load no training or evaluation code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-
-def _valid_threads(value: str) -> bool:
-    return value.isascii() and value.isdigit() and int(value) > 0
-
-
-_threads = os.environ.get("CRAFT_THREADS", "")
-if _valid_threads(_threads):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
-from .config import EXPERIMENT_KINDS, Mode, RunConfig, load_run_config, override  # noqa: E402
-from .core import AnchorError, ConfigError, CraftError, make_rng  # noqa: E402
+from .config import EXPERIMENT_KINDS, Mode, RunConfig, load_run_config, override
+from .core import AnchorError, ConfigError, CraftError, make_rng
 
 MODE_CHOICES = [m.value for m in Mode]
 
@@ -251,9 +236,6 @@ def main(argv: list[str] | None = None) -> int:
     args = None  # until the arguments parse
     try:
         args = build_parser().parse_args(argv)
-        threads = os.environ.get("CRAFT_THREADS")
-        if threads and not _valid_threads(threads):
-            raise ConfigError(f"CRAFT_THREADS must be a positive integer, got {threads!r}")
         return args.func(args)
     except (CraftError, OSError, MemoryError) as exc:
         # numpy raises a private MemoryError subclass; report the public name

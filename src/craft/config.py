@@ -46,7 +46,6 @@ class TrainConfig:
     shots: int = 16
     seed: int = 0
     mode: Mode = Mode.ALIGNED
-    bandwidth: float | None = None  # None: median heuristic at each evaluation
 
     def resolved_learning_rate(self) -> float:
         if self.learning_rate is not None:
@@ -71,11 +70,6 @@ class TrainConfig:
             raise ConfigError(f"train.temperature must be in (0, 1e+100], got {self.temperature}")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
-        # the kernel divides by 2 sigma^2, which may neither underflow to 0 nor
-        # overflow (Python's float power raises OverflowError beyond 1.3e154)
-        if self.bandwidth is not None and not 1e-100 <= self.bandwidth <= 1e100:
-            raise ConfigError(f"train.bandwidth must be null or in [1e-100, 1e+100], "
-                              f"got {self.bandwidth}")
 
 
 @dataclass

@@ -138,14 +138,13 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
     halves plus the contrastive term. Aligned-MMD adds the MMD term between
     the batch's source and target image rows, stacked in ``batch.image``,
     after both are anchor-aligned (``mmd.mmd2_biased_grad``), at
-    ``cfg.bandwidth``, or when that is None at ``median_heuristic`` of the
-    pooled aligned rows. The stacked rows go through one encode, one
-    alignment and one backward pass. Terms with zero weight are skipped;
-    without the MMD term only the source rows are read.
+    ``median_heuristic`` of the pooled aligned rows. The stacked rows go
+    through one encode, one alignment and one backward pass. Terms with zero
+    weight are skipped; without the MMD term only the source rows are read.
 
-    The MMD gradient holds the bandwidth constant, the median heuristic's
-    too: an optimiser that could move it would be rewarded for inflating it,
-    so, as is common practice, it is left out of the differentiation. On the
+    The MMD gradient holds the median heuristic's bandwidth constant: an
+    optimiser that could move it would be rewarded for inflating it, so, as
+    is common practice, it is left out of the differentiation. On the
     desk ``ood`` batch the derivative of the computed value in one random
     direction is -0.111 against an analytic -0.045; with the bandwidth fixed
     at the same value they agree to 5e-9.
@@ -191,7 +190,7 @@ def loss_and_gradient(adapter: Adapter, batch: LossBatch, static_text_anchors: A
         g_src += cfg.w_stochastic * g_img
         g_v += cfg.w_stochastic * g_txt
     if with_mmd:
-        mmd_term, g_phi = mmd2_biased_grad(phi_u, b, cfg.bandwidth)
+        mmd_term, g_phi = mmd2_biased_grad(phi_u, b)
         _require_finite(mmd_term, "domain MMD term")
         g_u += cfg.w_mmd * tau * g_phi @ static_text_anchors.vectors
     if aligned:

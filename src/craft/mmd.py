@@ -195,8 +195,9 @@ def mmd2_biased_grad(z: np.ndarray, m: int, bandwidth: float | None = None
     and its gradient with respect to ``z``.
 
     Holds the pooled matrix ``pairwise_sq_dists(z, z)``, turned into the
-    kernel matrix in place. Without a ``bandwidth``, sigma is the median
-    heuristic's rule over its pairs i < j: ``median_heuristic(z)``, bitwise.
+    kernel matrix in place. Without a ``bandwidth``, as the training loss
+    calls it, sigma is the median heuristic's rule over its pairs i < j:
+    ``median_heuristic(z)``, bitwise; a given one fixes sigma.
     The value is ``_biased`` over its three sub-blocks, each summed over its
     TILE grid; the pooled tile may round a distance otherwise than the
     separate blocks of ``mmd2_biased``: the two agree up to the last bits.

@@ -70,9 +70,9 @@ def train(source: EmbeddingSet, target: EmbeddingSet | None,
     cosine-annealed rate. Target batches for the MMD term come from an
     independent substream of the seed. A step's image rows are its source
     rows, then its target rows, taken into one buffer, so the loss encodes,
-    aligns and backpropagates them as one batch; with ``cfg.bandwidth``
-    None each step's sigma is ``median_heuristic`` of the pooled aligned
-    rows (see ``mmd.mmd2_biased_grad``). Each epoch's train accuracy is
+    aligns and backpropagates them as one batch; each step's sigma is
+    ``median_heuristic`` of the pooled aligned rows (see
+    ``mmd.mmd2_biased_grad``). Each epoch's train accuracy is
     ``evaluation.accuracy`` of the predictions of ``evaluation.score`` on
     the source, bitwise, so the image pool is held; each step's text and
     target rows are read by index from the sets' vectors, never copied whole.

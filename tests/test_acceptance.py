@@ -28,7 +28,8 @@ from craft.losses import LossBatch
 from craft.mmd import median_heuristic, mmd2_biased, mmd2_unbiased, permutation_test
 
 from conftest import random_anchors, unit_rows
-from test_losses import anchor_ce, baseline_and_static_only, engine, finite_difference, random_case
+from test_losses import (anchor_ce, baseline_and_static_only, engine, finite_difference,
+                         fixed_bandwidth, random_case)
 
 
 @contextmanager
@@ -76,9 +77,10 @@ def test_criterion_02_gradient_correctness():
         modes = list(Mode)
         worst = 0.0
         for i in range(100):
-            adapter, batch, ta, ia, cfg = random_case(rng, modes[i % len(modes)])
-            _, grad = engine(adapter, batch, ta, ia, cfg)
-            fd = finite_difference(adapter, batch, ta, ia, cfg, step=1e-5)
+            adapter, batch, ta, ia, cfg, sigma = random_case(rng, modes[i % len(modes)])
+            with fixed_bandwidth(sigma):
+                _, grad = engine(adapter, batch, ta, ia, cfg)
+                fd = finite_difference(adapter, batch, ta, ia, cfg, step=1e-5)
             rel = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-8)
             worst = max(worst, rel)
         assert worst < 1e-4, f"worst relative error {worst:.3e}"

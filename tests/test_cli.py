@@ -34,22 +34,17 @@ from conftest import apply_edits, byte_edits
 REFERENCE = Path(__file__).resolve().parent.parent / "src" / "craft" / "reference.json"
 
 
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS")
-
-
-def run_cli(*args, env=None, unset=(), preexec_fn=None, timeout=None, input=None):
+def run_cli(*args, env=None, preexec_fn=None, timeout=None, input=None):
     """Run ``python -m craft`` in a child that inherits this environment.
 
-    ``env`` entries are merged onto ``os.environ`` and the names in ``unset``
-    are removed, so the child still finds ``craft`` the way this process did
-    (``PYTHONPATH`` or an installed package). ``preexec_fn`` runs in the
-    child before it starts, e.g. to set its resource limits. A child still
-    running after ``timeout`` seconds is killed and the test fails. ``input``
-    is written to the child's stdin, a pipe.
+    ``env`` entries are merged onto ``os.environ``, so the child still finds
+    ``craft`` the way this process did (``PYTHONPATH`` or an installed
+    package). ``preexec_fn`` runs in the child before it starts, e.g. to set
+    its resource limits. A child still running after ``timeout`` seconds is
+    killed and the test fails. ``input`` is written to the child's stdin, a
+    pipe.
     """
-    child_env = {k: v for k, v in os.environ.items() if k not in unset}
-    child_env.update(env or {})
+    child_env = {**os.environ, **(env or {})}
     return subprocess.run([sys.executable, "-m", "craft", *args],
                           capture_output=True, text=True, env=child_env,
                           preexec_fn=preexec_fn, timeout=timeout, input=input)
@@ -110,7 +105,7 @@ def test_pipeline_artifacts(pipeline):
 
 def confusion_accuracy(path: Path) -> float:
     """trace / total of a confusion CSV."""
-    rows = [[int(v) for v in row[1:]] for row in list(csv.reader(path.open()))[1:]]
+    rows = [[int(v) for v in row[1:]] for row in csv.reader(path.read_text().splitlines()[1:])]
     return sum(row[i] for i, row in enumerate(rows)) / sum(map(sum, rows))
 
 
@@ -382,18 +377,13 @@ def _huge_temperature(doc):
     (_set("train", "batch_size", 0), ("gen",), "batch_size must be >= 1"),
     (_set("train", "learning_rate", -1.0), ("gen",), "learning_rate must be > 0"),
     (_set("train", "shots", 0), ("gen", "train"), "shots must be >= 1"),
-    (_set("train", "bandwidth", -1.0), ("gen", "train"),
-     "train.bandwidth must be null or in [1e-100, 1e+100], got -1.0"),
-    (_set("train", "bandwidth", 1e-200), ("train",),
-     "train.bandwidth must be null or in [1e-100, 1e+100], got 1e-200"),
-    (_set("train", "bandwidth", 1e200), ("train",),
-     "train.bandwidth must be null or in [1e-100, 1e+100], got 1e+200"),
+    (_set("train", "bandwidth", 2.0), ("gen", "train"), "unknown config key train.bandwidth"),
     (_huge_temperature, ("train", "eval"),
      "train.temperature must be in (0, 1e+100], got 1e+200"),
 ], ids=["array", "no-num-classes", "unknown-key", "missing-section", "one-class",
         "zero-spread", "negative-noise", "spurious-above-one", "zero-samples", "zero-epochs",
-        "zero-batch", "negative-learning-rate", "zero-shots", "negative-bandwidth",
-        "underflowing-bandwidth", "overflowing-bandwidth", "huge-temperature"])
+        "zero-batch", "negative-learning-rate", "zero-shots", "bandwidth-key",
+        "huge-temperature"])
 def test_config_values_refused_where_the_config_enters(pipeline, tmp_path, edit, commands,
                                                        message):
     # each a ConfigError, exit 2, before any file is read or written
@@ -414,9 +404,8 @@ def test_config_values_refused_where_the_config_enters(pipeline, tmp_path, edit,
     assert list(tmp_path.iterdir()) == [path]
 
 
-@pytest.mark.parametrize("train", [{"temperature": 1e100, "learning_rate": 1e-300},
-                                   {"bandwidth": 1e-100}, {"bandwidth": 1e100}],
-                         ids=["temperature", "least-bandwidth", "largest-bandwidth"])
+@pytest.mark.parametrize("train", [{"temperature": 1e100, "learning_rate": 1e-300}],
+                         ids=["temperature"])
 def test_config_bounds_run_clean(tmp_path, train):
     # each bound itself trains in aligned-mmd mode and evaluates, to one
     # JSON line each and nothing on stderr
@@ -835,21 +824,8 @@ def test_seed_flag_overrides_config(tmp_path):
     assert (out_a / "source.cemb").read_bytes() != (out_b / "source.cemb").read_bytes()
 
 
-def test_craft_threads_env_accepted(tmp_path):
-    # The shim only fills thread variables that are unset, so drop inherited ones.
-    config = small_config(tmp_path)
-    out = tmp_path / "d"
-    result = run_cli("gen", "--config", str(config), "--out", str(out),
-                     env={"CRAFT_THREADS": "1"}, unset=THREAD_VARS)
-    assert result.returncode == 0, result.stderr
-    assert result.stderr == ""
-    json.loads(result.stdout)
-    assert (out / "source.cemb").is_file()
-    assert (out / "target.cemb").is_file()
-
-
 def test_importing_the_package_loads_no_numpy():
-    # the CRAFT_THREADS shim in cli must run before numpy loads
+    # the package imports no submodule: each command loads only what it runs
     result = subprocess.run([sys.executable, "-c",
                              "import sys, craft; print('numpy' in sys.modules)"],
                             capture_output=True, text=True)
@@ -886,17 +862,6 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == [0, expected], argv
-
-
-@pytest.mark.parametrize("value", ["0", "abc", "-3"])
-def test_craft_threads_must_be_positive_integer(tmp_path, value):
-    anchors = tmp_path / "anchors.cemb"
-    result = run_cli("mmd", "--a", "a.cemb", "--b", "b.cemb", "--anchors", str(anchors),
-                     env={"CRAFT_THREADS": value}, unset=THREAD_VARS)
-    assert result.returncode == 2, result.stderr
-    error = json.loads(result.stderr)  # exactly one JSON object
-    assert error["error"] == "ConfigError" and "CRAFT_THREADS" in error["message"]
-    assert result.stdout == ""
 
 
 def strip_timestamp(path: Path) -> str:
@@ -1022,7 +987,7 @@ def test_any_argv_exits_with_a_code_and_one_json_error(cli_inputs, data):
 
 
 def test_freeze_bandwidth_key_is_refused_as_unknown(tmp_path):
-    # the option is gone: a fixed ``bandwidth`` is the one constant-sigma knob
+    # the option is gone, like a fixed ``bandwidth``
     doc = json.loads(REFERENCE.read_text())
     doc["train"]["freeze_bandwidth"] = True
     path = tmp_path / "old.json"

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from craft import losses
 from craft.adapter import Adapter
 from craft.anchors import AnchorSet
 from craft.config import Mode, TrainConfig
@@ -13,7 +16,7 @@ from craft.core import AnchorError, ConfigError, LabelError, l2_normalize, make_
 from craft.dataio import Modality
 from craft.losses import (LossBatch, LossReport, _anchor_ce, _contrastive, check_terms,
                           loss_and_gradient)
-from craft.mmd import anchor_align, median_heuristic
+from craft.mmd import anchor_align, median_heuristic, mmd2_biased_grad
 
 from conftest import orthonormal_anchors, random_anchors, unit_rows
 
@@ -258,7 +261,20 @@ def test_gradient_subsumption(rng):
 # adapter-level loss and gradients
 
 
+@contextlib.contextmanager
+def fixed_bandwidth(sigma):
+    """The loss's MMD term at bandwidth ``sigma``, not at the median heuristic
+    of the rows, which moves with them: the fixed-sigma reference of the FD
+    checks. ``sigma`` None keeps the median heuristic."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(losses, "mmd2_biased_grad",
+                      functools.partial(mmd2_biased_grad, bandwidth=sigma))
+        yield
+
+
 def random_case(rng, mode):
+    """A random loss case of ``mode`` and, for the MMD mode, a bandwidth for
+    ``fixed_bandwidth`` (None otherwise)."""
     h = int(rng.integers(3, 8))
     b = int(rng.integers(2, 6))
     k = int(rng.integers(2, 5))
@@ -269,12 +285,12 @@ def random_case(rng, mode):
     cfg = TrainConfig(mode=mode, temperature=float(rng.uniform(0.5, 6.0)),
                       w_static=float(rng.uniform(0.2, 2.0)),
                       w_stochastic=float(rng.uniform(0.2, 2.0)),
-                      w_mmd=float(rng.uniform(0.2, 2.0)),
-                      bandwidth=float(rng.uniform(0.5, 2.0)) if mode is Mode.ALIGNED_MMD else None)
+                      w_mmd=float(rng.uniform(0.2, 2.0)))
+    sigma = float(rng.uniform(0.5, 2.0)) if mode is Mode.ALIGNED_MMD else None
     adapter = Adapter(0.1 * rng.standard_normal(2 * (h * h + h)))
     ta = random_anchors(rng, k, h)
     ia = random_anchors(rng, k, h, Modality.IMAGE)
-    return adapter, batch, ta, ia, cfg
+    return adapter, batch, ta, ia, cfg, sigma
 
 
 def finite_difference(adapter, batch, ta, ia, cfg, step=1e-5):
@@ -295,9 +311,10 @@ def finite_difference(adapter, batch, ta, ia, cfg, step=1e-5):
 def test_gradient_matches_finite_differences(mode):
     rng = make_rng(hash(mode.value) % 2**32)
     for _ in range(4):
-        adapter, batch, ta, ia, cfg = random_case(rng, mode)
-        _, grad = engine(adapter, batch, ta, ia, cfg)
-        fd = finite_difference(adapter, batch, ta, ia, cfg)
+        adapter, batch, ta, ia, cfg, sigma = random_case(rng, mode)
+        with fixed_bandwidth(sigma):
+            _, grad = engine(adapter, batch, ta, ia, cfg)
+            fd = finite_difference(adapter, batch, ta, ia, cfg)
         rel = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-8)
         assert rel < 1e-4
 
@@ -315,7 +332,7 @@ def test_gradient_stationary_single_class(rng):
 
 
 def test_baseline_report_shape(rng):
-    adapter, batch, ta, ia, cfg = random_case(rng, Mode.BASELINE_CE)
+    adapter, batch, ta, ia, cfg, _ = random_case(rng, Mode.BASELINE_CE)
     report, _ = engine(adapter, batch, ta, ia, cfg)
     assert report.stochastic_term == 0.0 and report.mmd_term == 0.0
     assert report.total == pytest.approx(cfg.w_static * report.static_term, abs=1e-12)
@@ -324,7 +341,7 @@ def test_baseline_report_shape(rng):
 @pytest.mark.parametrize("mode", list(Mode))
 def test_zero_weight_terms_are_skipped_in_every_mode(mode):
     # no term has weight, so none is computed: the baseline's image half too
-    adapter, batch, ta, ia, cfg = random_case(make_rng(5), mode)
+    adapter, batch, ta, ia, cfg, _ = random_case(make_rng(5), mode)
     cfg = dataclasses.replace(cfg, w_static=0.0, w_stochastic=0.0, w_mmd=0.0)
     report, grad = engine(adapter, batch, ta, ia, cfg)
     assert report == LossReport(total=0.0, static_term=0.0, stochastic_term=0.0, mmd_term=0.0)
@@ -336,7 +353,7 @@ def test_gradient_buffer_contents_are_never_read(mode):
     # each block of the buffer is written by some term before anything adds
     # to it (the baseline's text block with zeros): a buffer of NaN gives
     # what a zeroed one gives
-    adapter, batch, ta, ia, cfg = random_case(make_rng(11), mode)
+    adapter, batch, ta, ia, cfg, _ = random_case(make_rng(11), mode)
     expected_report, expected = loss_and_gradient(adapter, batch, ta, ia, cfg,
                                                   Adapter.zeros(adapter.dim))
     dirty = Adapter(np.full(adapter.params.size, np.nan))
@@ -346,9 +363,9 @@ def test_gradient_buffer_contents_are_never_read(mode):
 
 
 def test_mmd_kernel_defaults_to_median_heuristic(rng):
-    # no bandwidth: the MMD term takes median_heuristic of the batch's pooled
-    # anchor-aligned rows, the source rows then the target rows, bitwise
-    adapter, batch, ta, ia, cfg = random_case(rng, Mode.ALIGNED_MMD)
+    # the MMD term takes median_heuristic of the batch's pooled anchor-aligned
+    # rows, the source rows then the target rows, bitwise
+    adapter, batch, ta, ia, cfg, _ = random_case(rng, Mode.ALIGNED_MMD)
     assert_default_kernel_is_pooled_median(adapter, batch, ta, ia, cfg)
 
 
@@ -367,15 +384,15 @@ def test_mmd_kernel_defaults_to_median_heuristic_at_clip_batches(rng, b, b_t):
 def assert_default_kernel_is_pooled_median(adapter, batch, ta, ia, cfg):
     pooled = anchor_align(adapter.encode_image(batch.image), ta, cfg.temperature)
     sigma = median_heuristic(pooled)
-    report, grad = engine(adapter, batch, ta, ia, dataclasses.replace(cfg, bandwidth=None))
-    expected, expected_grad = engine(adapter, batch, ta, ia,
-                                     dataclasses.replace(cfg, bandwidth=sigma))
+    report, grad = engine(adapter, batch, ta, ia, cfg)
+    with fixed_bandwidth(sigma):
+        expected, expected_grad = engine(adapter, batch, ta, ia, cfg)
     assert report == expected
     np.testing.assert_array_equal(grad, expected_grad)
 
 
 def test_mmd_term_in_total(rng):
-    adapter, batch, ta, ia, cfg = random_case(rng, Mode.ALIGNED_MMD)
+    adapter, batch, ta, ia, cfg, _ = random_case(rng, Mode.ALIGNED_MMD)
     report, _ = engine(adapter, batch, ta, ia, cfg)
     assert report.mmd_term >= 0.0
     expected = (cfg.w_static * report.static_term
